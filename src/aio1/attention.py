@@ -38,7 +38,6 @@ class AttentionConfig:
     kernel_size: int = 5
     dilation: int = 1
     num_heads: int = 4
-    relative_bias: bool = True
 
     def validate(self, embed_dim: int) -> None:
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -204,10 +203,7 @@ def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
     cfg.validate(x.shape[-1])
     t = x.shape[-2]
     idx, valid = _window_table(t, cfg.kernel_size, cfg.dilation)
-    if cfg.relative_bias:
-        rel = (idx - np.arange(t)[:, None]) // cfg.dilation + cfg.kernel_size - 1
-    else:
-        rel = np.zeros_like(idx)
+    rel = (idx - np.arange(t)[:, None]) // cfg.dilation + cfg.kernel_size - 1
     return _windowed_attention(x, w, cfg.num_heads, idx, valid, rel,
                                attn_dropout, training, rng)
 
@@ -248,8 +244,6 @@ def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
         raise ConfigError("grid attention runs undilated")
     s, t, c = x.shape
     idx, valid, rel = _grid_windows(s, t, cfg.kernel_size)
-    if not cfg.relative_bias:
-        rel = np.zeros_like(idx)
     flat = x.reshape(s * t, c)
     out = _windowed_attention(flat, w, cfg.num_heads, idx, valid, rel,
                               attn_dropout, training, rng)

@@ -29,17 +29,5 @@ class ContractViolation(Aio1Error, ValueError):
     """A caller-supplied structure breaks a documented contract."""
 
 
-class ParseError(Aio1Error, ValueError):
-    """Malformed annotation or document text.
-
-    Carries the 1-based line number where parsing failed (0 when the
-    error is not tied to a specific line).
-    """
-
-    def __init__(self, message: str, line: int = 0):
-        super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
-
-
 class TrainingDiverged(Aio1Error, ArithmeticError):
     """Training loss became non-finite; the run was aborted."""

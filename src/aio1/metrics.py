@@ -1,14 +1,15 @@
 """Evaluation metrics for beats, downbeats, boundaries, and labels.
 
-Event scores (F-measure at a fixed tolerance) use a true maximum-
-cardinality one-to-one matching, not a greedy pass, so they are exact
-even for pathological spacings. Beat continuity scores follow the
-standard definition: a beat counts when it is close in phase and period
-to its nearest annotation, runs of consecutive correct beats are summed
-(total, not longest), and the allowed-variation score takes the best
-over double/half tempo and off-beat re-annotations. Label agreement is
-scored by pairwise frame clustering and by normalised conditional
-entropies of the frame-label joint distribution.
+Event scores (F-measure at a fixed tolerance) use a maximum-cardinality
+one-to-one matching, found by one pass over the sorted events; with
+equal-width windows that pass is exact even for pathological spacings.
+Beat continuity scores follow the standard definition: a beat counts
+when it is close in phase and period to its nearest annotation, runs of
+consecutive correct beats are summed (total, not longest), and the
+allowed-variation score takes the best over double/half tempo and
+off-beat re-annotations. Label agreement is scored by pairwise frame
+clustering and by normalised conditional entropies of the frame-label
+joint distribution.
 
 Empty inputs follow explicit conventions (documented per function) so
 every metric is a total function into [0, 1].
@@ -16,7 +17,7 @@ every metric is a total function into [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,25 +85,26 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 def _max_matching(est: np.ndarray, ref: np.ndarray, tol: float) -> int:
-    """Maximum-cardinality matching between events within ``tol`` seconds
-    (augmenting-path search over the interval bipartite graph)."""
-    adj = [np.flatnonzero(np.abs(ref - e) <= tol) for e in est]
-    match_ref = np.full(len(ref), -1)
+    """Maximum-cardinality matching between events within ``tol`` seconds.
 
-    def augment(i, banned):
-        for j in adj[i]:
-            if j in banned:
-                continue
-            banned.add(j)
-            if match_ref[j] < 0 or augment(match_ref[j], banned):
-                match_ref[j] = i
-                return True
-        return False
-
-    count = 0
-    for i in range(len(est)):
-        if augment(i, set()):
+    Every window has the same width, so matching the earliest unmatched
+    estimate to the earliest unmatched reference it reaches is optimal
+    (Glover 1967). An event that is too early for its counterpart is too
+    early for every later one as well, since rounding of ``e - r`` is
+    monotone, so it is skipped for good.
+    """
+    est = np.sort(est).tolist()
+    ref = np.sort(ref).tolist()
+    i = j = count = 0
+    while i < len(est) and j < len(ref):
+        if abs(est[i] - ref[j]) <= tol:
             count += 1
+            i += 1
+            j += 1
+        elif est[i] < ref[j]:
+            i += 1
+        else:
+            j += 1
     return count
 
 

@@ -14,6 +14,7 @@ heads emit beat, downbeat, boundary, and label scores.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -24,10 +25,8 @@ from .attention import AttentionConfig, AttentionWeights, init_attention_weights
 from .errors import ConfigError, InputError
 from .frontend import (FrontendWeights, StemSpectrogram, check_frontend_plan,
                        frontend_forward, init_frontend_weights)
+from .postproc import DEFAULT_VOCAB
 from .tensor import Parameter, Tensor
-
-DEFAULT_VOCAB = ("intro", "verse", "chorus", "bridge", "inst", "outro",
-                 "silence", "misc")
 
 # dilated windows beyond this many frames (10 minutes at 100 fps) exceed
 # any realistic track and only waste state
@@ -205,14 +204,11 @@ class ModelWeights:
     def num_parameters(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
 
-    def to_dtype(self, dtype) -> "ModelWeights":
-        clone = init_weights(self.config, seed=0, dtype=dtype)
-        for (_, src), (_, dst) in zip(self.named_tensors(), clone.named_tensors()):
-            dst.data[:] = src.data.astype(dtype)
-        return clone
-
     def copy(self) -> "ModelWeights":
-        return self.to_dtype(self.blocks[0].norm1_g.data.dtype)
+        """Independent copy: every array is duplicated, and the new
+        tensors carry no gradient or graph state."""
+        fresh = {id(t): Tensor(t.data.copy()) for _, t in self.named_tensors()}
+        return copy.deepcopy(self, fresh)
 
 
 def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:

@@ -1,14 +1,15 @@
 """Decoders that turn per-frame activations into discrete events.
 
 Beats and downbeats come from exact Viterbi decoding over a bar-pointer
-state space: a hidden state is (bar position, phase within the beat,
-tempo in whole frames per beat). Within a beat the pointer advances one
-frame at a time; when the phase wraps, the bar position steps and the
-tempo may change, paying a log penalty proportional to the relative
-tempo jump. States in the leading fraction of a beat period emit the
-beat (or, on bar position one, the downbeat) activation; every other
-state emits the leftover probability mass. One candidate bar length is
-decoded per track and the best final log-likelihood wins.
+state space: a hidden state is (bar length, bar position, tempo in
+whole frames per beat, phase within the beat). Within a beat the pointer
+advances one frame at a time; when the phase wraps, the bar position
+steps within its bar length and the tempo may change, paying a log
+penalty proportional to the relative tempo jump. The bar length never
+changes, so a single Viterbi pass over the states of every candidate
+bar length picks the best one. States in the leading fraction of a beat
+period emit the beat (or, on bar position one, the downbeat) activation;
+every other state emits the leftover probability mass.
 
 Section boundaries are picked from the boundary activation after
 subtracting a centred sliding-window mean: a frame is emitted when the
@@ -19,7 +20,7 @@ get the label with the highest mean per-frame probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .errors import InputError
 # normalised boundary signal is compared against zero; not a detection
 # threshold (scales with the activation, so picking is scale-invariant)
 _REL_EPS = 1e-12
+
+DEFAULT_VOCAB = ("intro", "verse", "chorus", "bridge", "inst", "outro",
+                 "silence", "misc")
 
 
 @dataclass(frozen=True)
@@ -84,102 +88,18 @@ class AnalysisResult:
 # bar-pointer Viterbi
 # ---------------------------------------------------------------------------
 
-class _BarStateSpace:
-    """Flat enumeration of (bar, tempo, phase) states for one bar length."""
-
-    def __init__(self, beats_per_bar: int, taus: np.ndarray):
-        self.b = beats_per_bar
-        self.taus = taus
-        per_bar = int(taus.sum())
-        self.n = beats_per_bar * per_bar
-        self.bar = np.empty(self.n, dtype=np.int32)
-        self.tau = np.empty(self.n, dtype=np.int32)
-        self.phase = np.empty(self.n, dtype=np.int32)
-        # first_phase[bar, tau_index] -> state id of phase 0
-        self.first = np.empty((beats_per_bar, len(taus)), dtype=np.int64)
-        self.last = np.empty((beats_per_bar, len(taus)), dtype=np.int64)
-        pos = 0
-        for bar in range(beats_per_bar):
-            for ti, tau in enumerate(taus):
-                tau = int(tau)
-                sl = slice(pos, pos + tau)
-                self.bar[sl] = bar
-                self.tau[sl] = tau
-                self.phase[sl] = np.arange(tau)
-                self.first[bar, ti] = pos
-                self.last[bar, ti] = pos + tau - 1
-                pos += tau
-
-
-def _decode_single(beat: np.ndarray, downbeat: np.ndarray, fps: float,
-                   cfg: DbnConfig, beats_per_bar: int):
-    taus = np.arange(int(np.ceil(fps * 60.0 / cfg.max_bpm)),
-                     int(np.floor(fps * 60.0 / cfg.min_bpm)) + 1)
-    space = _BarStateSpace(beats_per_bar, taus)
-    nt = len(taus)
-    frames = len(beat)
-
-    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window
-    in_window = space.phase < space.tau / cfg.observation_lambda
-    obs_class = np.where(in_window, np.where(space.bar == 0, 2, 1), 0)
-
-    b = np.clip(beat, 1e-6, 1.0)
-    d = np.clip(downbeat, 1e-6, 1.0)
-    rest = np.clip(1.0 - beat - downbeat, 1e-6, 1.0) / (cfg.observation_lambda - 1.0)
-    obs_log = np.stack([np.log(rest), np.log(b), np.log(d)], axis=1)  # [T, 3]
-
-    ratio = taus[None, :].astype(np.float64) / taus[:, None]
-    penalty = -cfg.transition_lambda * np.abs(ratio - 1.0)            # [old, new]
-
-    delta = np.full(space.n, -np.log(space.n), dtype=np.float64)
-    delta += obs_log[0, obs_class]
-    pointers = np.empty((frames, beats_per_bar, nt), dtype=np.int16)
-    pointers[0] = -1
-    shifted = np.empty_like(delta)
-    first_idx = space.first
-    last_idx = space.last
-
-    for t in range(1, frames):
-        # within-beat advance: phase f comes from f-1 (contiguous layout)
-        shifted[1:] = delta[:-1]
-        shifted[0] = -np.inf
-        for bar in range(beats_per_bar):
-            prev_bar = bar - 1 if bar else beats_per_bar - 1
-            ends = delta[last_idx[prev_bar]]                 # [old tempo]
-            cand = ends[:, None] + penalty                   # [old, new]
-            best_old = cand.argmax(axis=0)
-            shifted[first_idx[bar]] = cand[best_old, np.arange(nt)]
-            pointers[t, bar] = best_old
-        shifted += obs_log[t, obs_class]
-        delta, shifted = shifted, delta
-
-    # backtrace: within a beat the predecessor is deterministic
-    state = int(delta.argmax())
-    loglik = float(delta[state])
-    path = np.empty(frames, dtype=np.int64)
-    path[-1] = state
-    for t in range(frames - 1, 0, -1):
-        if space.phase[state] > 0:
-            state -= 1
-        else:
-            bar = int(space.bar[state])
-            prev_bar = bar - 1 if bar else beats_per_bar - 1
-            ti = int(np.searchsorted(taus, space.tau[state]))
-            old_ti = int(pointers[t, bar, ti])
-            state = int(last_idx[prev_bar, old_ti])
-        path[t - 1] = state
-
-    beat_frames = np.flatnonzero(space.phase[path] == 0)
-    down_frames = beat_frames[space.bar[path[beat_frames]] == 0]
-    return beat_frames / fps, down_frames / fps, loglik
-
-
 def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
                cfg: DbnConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Beat and downbeat times from per-frame activations.
 
-    Decodes one bar-pointer model per candidate bar length and keeps the
-    solution with the best final log-likelihood.
+    One Viterbi pass runs over a single state space holding every bar
+    length in ``cfg.beats_per_bar``. Its rows are (bar length, bar
+    position) in candidate order; each row holds one block of ``tau``
+    consecutive phases per tempo ``tau``. Bar positions wrap only within
+    their own bar length, and each bar length starts from its own
+    uniform prior, so the pass equals a separate decode per bar length.
+    The best final state wins; exact ties go to the earlier candidate,
+    then to the lower state.
     """
     cfg = cfg or DbnConfig()
     cfg.validate()
@@ -195,12 +115,73 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
         if ((arr < 0) | (arr > 1)).any() or not np.isfinite(arr).all():
             raise InputError(f"{name} activation outside [0, 1]")
 
-    best = None
-    for bpb in cfg.beats_per_bar:
-        beats, downs, loglik = _decode_single(beat, downbeat, fps, cfg, bpb)
-        if best is None or loglik > best[2]:
-            best = (beats, downs, loglik)
-    return best[0], best[1]
+    taus = np.arange(int(np.ceil(fps * 60.0 / cfg.max_bpm)),
+                     int(np.floor(fps * 60.0 / cfg.min_bpm)) + 1)
+    nt = len(taus)
+    per_row = int(taus.sum())
+    frames = len(beat)
+
+    # rows: (bar length, bar position); prev_row wraps within the bar length
+    bpb = np.asarray(cfg.beats_per_bar)
+    row_start = np.repeat(np.cumsum(bpb) - bpb, bpb)
+    bar_pos = np.arange(len(row_start)) - row_start
+    prev_row = row_start + (bar_pos - 1) % np.repeat(bpb, bpb)
+    rows = len(bar_pos)
+
+    # within a row: tempo blocks of tau phases each
+    first_off = np.cumsum(taus) - taus                   # phase 0 of each tempo
+    tempo = np.repeat(np.arange(nt), taus)               # tempo index per offset
+    phase = np.arange(per_row) - first_off[tempo]
+    last_off = first_off + taus - 1
+
+    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window
+    in_window = phase < taus[tempo] / cfg.observation_lambda
+    obs_class = np.where(in_window, np.where(bar_pos[:, None] == 0, 2, 1),
+                         0).ravel()
+    b = np.clip(beat, 1e-6, 1.0)
+    d = np.clip(downbeat, 1e-6, 1.0)
+    rest = np.clip(1.0 - beat - downbeat, 1e-6, 1.0) / (cfg.observation_lambda - 1.0)
+    obs_log = np.stack([np.log(rest), np.log(b), np.log(d)], axis=1)  # [T, 3]
+
+    ratio = taus[:, None].astype(np.float64) / taus[None, :]
+    penalty = -cfg.transition_lambda * np.abs(ratio - 1.0)            # [new, old]
+
+    # flat state ids: the last phase of every tempo at the previous bar
+    # position, and the first phase of every tempo in the row itself
+    ends_idx = prev_row[:, None] * per_row + last_off    # [rows, old]
+    first_idx = np.arange(rows)[:, None] * per_row + first_off
+
+    prior = np.repeat(-np.log(bpb * per_row), bpb * per_row)
+    delta = prior + np.take(obs_log[0], obs_class)
+    pointers = np.empty((frames, rows, nt), dtype=np.min_scalar_type(nt - 1))
+    shifted = np.empty_like(delta)
+    for t in range(1, frames):
+        # within-beat advance: phase f comes from f-1 (contiguous layout);
+        # every phase-0 slot is overwritten by a tempo transition below
+        shifted[1:] = delta[:-1]
+        cand = np.take(delta, ends_idx)[:, None, :] + penalty   # [rows, new, old]
+        best_old = cand.argmax(axis=2)
+        pointers[t] = best_old
+        shifted[first_idx] = np.take_along_axis(cand, best_old[..., None], 2)[..., 0]
+        shifted += np.take(obs_log[t], obs_class)
+        delta, shifted = shifted, delta
+
+    # backtrace: within a beat the predecessor is deterministic
+    row, off = divmod(int(delta.argmax()), per_row)
+    path_row = np.empty(frames, dtype=np.int64)
+    path_off = np.empty(frames, dtype=np.int64)
+    path_row[-1], path_off[-1] = row, off
+    for t in range(frames - 1, 0, -1):
+        if phase[off] > 0:
+            off -= 1
+        else:
+            old_ti = pointers[t, row, tempo[off]]
+            row, off = int(prev_row[row]), int(last_off[old_ti])
+        path_row[t - 1], path_off[t - 1] = row, off
+
+    beat_frames = np.flatnonzero(phase[path_off] == 0)
+    down_frames = beat_frames[bar_pos[path_row[beat_frames]] == 0]
+    return beat_frames / fps, down_frames / fps
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +259,6 @@ def label_segments(labels: np.ndarray, boundaries: np.ndarray, duration: float,
 def analyze_activations(acts, dbn_cfg: DbnConfig | None = None,
                         vocab: tuple[str, ...] | None = None) -> AnalysisResult:
     """Full decode of one track's activations into an AnalysisResult."""
-    from .model import DEFAULT_VOCAB
-
     vocab = vocab or DEFAULT_VOCAB
     beats, downbeats = dbn_decode(acts.beat, acts.downbeat, acts.fps, dbn_cfg)
     boundaries = pick_boundaries(acts.boundary, acts.fps)

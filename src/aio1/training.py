@@ -48,7 +48,6 @@ class TrainConfig:
     patience_epochs: int = 30
     plateau_epochs: int = 5
     chunk_seconds: float = 300.0
-    batch_size: int = 1
     max_epochs: int = 100
     swa_start_frac: float = 0.25
     widen_frames: int = 2
@@ -62,8 +61,6 @@ class TrainConfig:
             raise ConfigError("rates must be positive")
         if self.patience_epochs < 1 or self.max_epochs < 1:
             raise ConfigError("patience and max_epochs must be >= 1")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size 1 is supported")
 
 
 @dataclass
@@ -235,15 +232,6 @@ class SwaAverage:
         for (_, t), mean in zip(out.named_tensors(), self.mean_arrays()):
             t.data[:] = mean.astype(t.data.dtype)
         return out
-
-
-def swa_update(swa_arrays: list[np.ndarray], current: list[np.ndarray],
-               n_models: int) -> list[np.ndarray]:
-    """Running mean step: ``swa <- (swa * n + current) / (n + 1)``."""
-    if n_models == 0:
-        return [np.asarray(c, dtype=np.float64).copy() for c in current]
-    return [(s * n_models + c) / (n_models + 1)
-            for s, c in zip(swa_arrays, current)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,18 @@ def test_event_f1_matching_cardinality_pathological():
     assert p == 1.0 and r == 1.0
 
 
+def test_event_f1_long_chain_of_overlapping_windows():
+    # every estimate reaches two references; a recursive augmenting-path
+    # search overflows the stack on this input
+    ref = np.arange(2000) * 0.1
+    assert event_f1(ref - 0.05, ref, 0.07) == (1.0, 1.0, 1.0)
+
+
+def test_event_f1_float_edge_of_window():
+    # 1.76 - 1.69 rounds to just above 0.07, so the pair does not match
+    assert event_f1([1.69], [1.76], 0.07) == (0.0, 0.0, 0.0)
+
+
 def test_event_f1_symmetry():
     rng = np.random.default_rng(3)
     a = np.sort(rng.uniform(0, 10, 8))

@@ -79,6 +79,27 @@ def test_init_deterministic_per_seed():
                for (_, ta), (_, tc) in zip(a.named_tensors(), c.named_tensors()))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_copy_is_independent_of_its_source(dtype):
+    src = init_weights(tiny_config(), seed=5, dtype=dtype)
+    for p in src.parameters():
+        p.tensor.grad = np.ones_like(p.data)
+    dup = src.copy()
+    pairs = list(zip(src.named_tensors(), dup.named_tensors()))
+    assert len(pairs) == len(list(src.named_tensors()))
+    for (name_a, a), (name_b, b) in pairs:
+        assert name_a == name_b
+        assert a is not b and b.data.dtype == dtype
+        np.testing.assert_array_equal(a.data, b.data)
+        assert not np.shares_memory(a.data, b.data)
+        assert b.grad is None and not b.requires_grad
+    before = [t.data.copy() for _, t in src.named_tensors()]
+    for _, t in dup.named_tensors():
+        t.data += 1.0
+    for old, (_, t) in zip(before, src.named_tensors()):
+        np.testing.assert_array_equal(t.data, old)
+
+
 def test_fresh_model_output_sane():
     cfg = tiny_config()
     w = init_weights(cfg, seed=3)
