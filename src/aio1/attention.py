@@ -1,18 +1,18 @@
-"""Neighborhood attention kernels.
+"""Neighborhood attention over time and over the (stem, time) grid.
 
-Three flavours share one windowed-softmax core:
+Both kernels project their input to queries, keys and values and hand
+them to the fused :func:`aio1.tensor.neighborhood_attention` op with a
+cached set of windows:
 
 * ``na1d`` — attention over time, restricted to the ``k`` nearest frames
   of the query's dilation coset. Windows near the sequence edges shift
   inward instead of padding with zeros, so every query attends to exactly
-  ``min(k, coset size)`` real frames.
+  ``min(k, coset size)`` real frames. Window slots no frame can fill
+  (cosets shorter than the kernel) are not computed.
 * ``na2d`` — attention over the (stem, time) grid with a square kernel.
-  The time axis keeps the inward-shift rule; the stem axis is conceptually
-  zero-padded so the kernel stays square, and those padded cells are
-  masked out of the softmax rather than attended to.
-* ``full_attention_oracle`` — a plain dense implementation used to verify
-  the windowed kernels: softmax attention with ``-inf`` on masked logits
-  plus the same relative position bias.
+  The time axis keeps the inward-shift rule; the stem axis is centred on
+  the query's stem, and stems beyond the grid are left out of the window
+  rather than attended to, so edge stems attend over narrower windows.
 
 Each attention head owns one learned scalar bias per relative offset
 reachable inside a window (``2k-1`` offsets in 1-D, ``(2k-1)^2`` in 2-D,
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ContractViolation, ParameterError
+from .errors import ConfigError, ParameterError
 from .tensor import Tensor
 
 
@@ -131,20 +131,27 @@ def neighborhood_window_1d(i: int, length: int, kernel_size: int,
 
 
 @lru_cache(maxsize=256)
-def _window_table(length: int, kernel_size: int, dilation: int):
-    """Padded window matrix for vectorised attention.
+def _window_table(length: int, kernel_size: int, dilation: int) -> tz.WindowGroup:
+    """Windows of every frame as one group ``min(k, largest coset)`` slots
+    wide; rows of shorter cosets pad with the query index, masked."""
+    wins = [neighborhood_window_1d(i, length, kernel_size, dilation)
+            for i in range(length)]
+    width = max(map(len, wins), default=1)
+    idx = np.arange(length)[:, None].repeat(width, axis=1)
+    valid = np.zeros((length, width), dtype=bool)
+    for i, win in enumerate(wins):
+        idx[i, :len(win)] = win
+        valid[i, :len(win)] = True
+    rel = (idx - np.arange(length)[:, None]) // dilation + kernel_size - 1
+    return _frozen_group(slice(0, length), idx, rel, None if valid.all() else valid)
 
-    Returns ``(idx [L,k], valid [L,k])``; rows with short cosets are
-    padded with the query index and flagged invalid.
-    """
-    idx = np.empty((length, kernel_size), dtype=np.int64)
-    valid = np.zeros((length, kernel_size), dtype=bool)
-    for i in range(length):
-        w = neighborhood_window_1d(i, length, kernel_size, dilation)
-        idx[i, :len(w)] = w
-        idx[i, len(w):] = i
-        valid[i, :len(w)] = True
-    return idx, valid
+
+def _frozen_group(rows, idx, rel, valid) -> tz.WindowGroup:
+    """A cached group whose arrays nobody may write."""
+    for arr in (idx, rel, valid):
+        if arr is not None:
+            arr.flags.writeable = False
+    return tz.WindowGroup(rows, idx, rel, valid)
 
 
 def receptive_field(kernel_size: int, dilation: int, fps: float) -> tuple[int, float]:
@@ -156,43 +163,22 @@ def receptive_field(kernel_size: int, dilation: int, fps: float) -> tuple[int, f
 
 
 # ---------------------------------------------------------------------------
-# shared windowed-attention core
+# attention over time and over the (stem, time) grid
 # ---------------------------------------------------------------------------
 
-def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
-                        idx: np.ndarray, valid: np.ndarray, rel: np.ndarray,
-                        attn_dropout: float = 0.0, training: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
-    """Attention over precomputed windows.
-
-    ``x`` is ``[..., N, C]``; ``idx``/``valid``/``rel`` are ``[N, W]``
-    window index, validity, and bias-table index matrices shared across
-    any leading batch axes.
-    """
-    c = x.shape[-1]
-    dh = c // heads
-    n, width = idx.shape
-    lead = x.shape[:-2]
-    nl = len(lead)
-
+def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, windows,
+            attn_dropout: float, training: bool,
+            rng: np.random.Generator | None) -> Tensor:
+    """Project ``[..., N, C]`` to queries, keys and values, attend over
+    ``windows``, and project back."""
+    if w.rpb.shape[0] != cfg.num_heads:
+        raise ConfigError(f"bias table has {w.rpb.shape[0]} heads, "
+                          f"config {cfg.num_heads}")
     q = tz.matmul(x, w.wq) + w.bq
     k = tz.matmul(x, w.wk) + w.bk
     v = tz.matmul(x, w.wv) + w.bv
-
-    kg = tz.take(k, idx, axis=nl).reshape(*lead, n, width, heads, dh)
-    vg = tz.take(v, idx, axis=nl).reshape(*lead, n, width, heads, dh)
-    qh = q.reshape(*lead, n, 1, heads, dh)
-
-    # broadcast-and-reduce beats batched matmul at these tiny head dims
-    logits = (qh * kg).sum(axis=-1) * (1.0 / np.sqrt(dh))   # [..., N, W, H]
-    bias = tz.take(w.rpb, rel, axis=1)                      # [H, N, W]
-    logits = logits + bias.transpose(1, 2, 0)
-
-    probs = tz.masked_softmax(logits, valid[..., None], axis=-2)
-    probs = tz.dropout(probs, attn_dropout, training, rng)
-
-    out = (probs.reshape(*lead, n, width, heads, 1) * vg).sum(axis=nl + 1)
-    out = out.reshape(*lead, n, c)
+    out = tz.neighborhood_attention(q, k, v, w.rpb, windows, attn_dropout,
+                                    training, rng)
     return tz.matmul(out, w.wo) + w.bo
 
 
@@ -201,38 +187,41 @@ def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
          rng: np.random.Generator | None = None) -> Tensor:
     """Dilated neighborhood attention over the time axis of ``[..., T, C]``."""
     cfg.validate(x.shape[-1])
-    t = x.shape[-2]
-    idx, valid = _window_table(t, cfg.kernel_size, cfg.dilation)
-    rel = (idx - np.arange(t)[:, None]) // cfg.dilation + cfg.kernel_size - 1
-    return _windowed_attention(x, w, cfg.num_heads, idx, valid, rel,
-                               attn_dropout, training, rng)
+    table = _window_table(x.shape[-2], cfg.kernel_size, cfg.dilation)
+    return _attend(x, w, cfg, (table,), attn_dropout, training, rng)
 
 
-def _grid_windows(num_stems: int, frames: int, kernel_size: int):
+@lru_cache(maxsize=64)
+def _grid_windows(num_stems: int, frames: int,
+                  kernel_size: int) -> tuple[tz.WindowGroup, ...]:
     """Windows for the (stem, time) grid, flattened to ``N = S*T`` cells.
 
-    Time uses nearest-neighbor windows; the stem axis is a centred window
-    whose out-of-range cells stay in the kernel but are masked.
+    Time uses nearest-neighbor windows. The stem axis is a centred window
+    whose out-of-range stems are left out, so a stem's rows share one
+    width: its in-range stems times the time window. Consecutive stems of
+    equal width form one group. Slots keep the bias index of the full
+    ``k*k`` kernel.
     """
     half = (kernel_size - 1) // 2
-    t_idx, t_valid = _window_table(frames, kernel_size, 1)
-    s_off = np.arange(-half, half + 1)
-    s_idx = np.arange(num_stems)[:, None] + s_off[None, :]          # [S, k]
-    s_valid = (s_idx >= 0) & (s_idx < num_stems)
-    s_safe = np.clip(s_idx, 0, num_stems - 1)
-
-    # combine: cell (s,t) -> flat window of k*k candidate cells
-    flat = (s_safe[:, None, :, None] * frames + t_idx[None, :, None, :])
-    valid = (s_valid[:, None, :, None] & t_valid[None, :, None, :])
     span = 2 * kernel_size - 1
-    ds = np.broadcast_to(s_off[None, None, :, None] + kernel_size - 1, flat.shape)
-    dt = (t_idx[None, :, None, :] - np.arange(frames)[None, :, None, None]
-          + kernel_size - 1)
-    rel = ds * span + np.broadcast_to(dt, flat.shape)
-    n = num_stems * frames
-    k2 = kernel_size * kernel_size
-    return (flat.reshape(n, k2), valid.reshape(n, k2),
-            np.ascontiguousarray(rel.reshape(n, k2)))
+    t_idx = _window_table(frames, kernel_size, 1).idx           # all real
+    dt = t_idx - np.arange(frames)[:, None] + kernel_size - 1
+    groups = []
+    for s in range(num_stems):
+        offs = np.arange(max(-half, -s), min(half, num_stems - 1 - s) + 1)
+        shape = (frames, offs.size * t_idx.shape[1])
+        idx = ((s + offs)[None, :, None] * frames + t_idx[:, None, :]).reshape(shape)
+        rel = ((offs + kernel_size - 1)[None, :, None] * span
+               + dt[:, None, :]).reshape(shape)
+        if groups and groups[-1][1].shape[1] == idx.shape[1]:
+            first, idx0, rel0 = groups.pop()
+            idx, rel = np.concatenate([idx0, idx]), np.concatenate([rel0, rel])
+        else:
+            first = s
+        groups.append((first, idx, rel))
+    return tuple(_frozen_group(slice(first * frames, first * frames + len(idx)),
+                               idx, rel, None)
+                 for first, idx, rel in groups)
 
 
 def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
@@ -243,69 +232,6 @@ def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
     if cfg.dilation != 1:
         raise ConfigError("grid attention runs undilated")
     s, t, c = x.shape
-    idx, valid, rel = _grid_windows(s, t, cfg.kernel_size)
-    flat = x.reshape(s * t, c)
-    out = _windowed_attention(flat, w, cfg.num_heads, idx, valid, rel,
-                              attn_dropout, training, rng)
+    windows = _grid_windows(s, t, cfg.kernel_size)
+    out = _attend(x.reshape(s * t, c), w, cfg, windows, attn_dropout, training, rng)
     return out.reshape(s, t, c)
-
-
-# ---------------------------------------------------------------------------
-# dense oracle
-# ---------------------------------------------------------------------------
-
-def na1d_mask(t: int, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``[T, T]`` attend-mask and bias-index matrix matching na1d."""
-    mask = np.zeros((t, t), dtype=bool)
-    rel = np.zeros((t, t), dtype=np.int64)
-    for i in range(t):
-        for j in neighborhood_window_1d(i, t, cfg.kernel_size, cfg.dilation):
-            mask[i, j] = True
-            rel[i, j] = (j - i) // cfg.dilation + cfg.kernel_size - 1
-    return mask, rel
-
-
-def na2d_mask(s: int, t: int, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``[S*T, S*T]`` mask and bias indices matching na2d."""
-    idx, valid, rel = _grid_windows(s, t, cfg.kernel_size)
-    n = s * t
-    mask = np.zeros((n, n), dtype=bool)
-    relmat = np.zeros((n, n), dtype=np.int64)
-    for cell in range(n):
-        ok = valid[cell]
-        mask[cell, idx[cell][ok]] = True
-        relmat[cell, idx[cell][ok]] = rel[cell][ok]
-    return mask, relmat
-
-
-def full_attention_oracle(x: np.ndarray, w: AttentionWeights, mask: np.ndarray,
-                          rel: np.ndarray | None = None,
-                          num_heads: int = 4) -> np.ndarray:
-    """Dense reference attention: ``-inf`` on masked logits plus bias.
-
-    Straight-line numpy with no shared code paths beyond the weights, so
-    windowed kernels can be checked against it.
-    """
-    x = np.asarray(x)
-    n, c = x.shape
-    if mask.shape != (n, n):
-        raise ParameterError(f"mask must be [{n},{n}]")
-    if not mask.any(axis=1).all():
-        raise ContractViolation("oracle mask has an all-false row")
-    dh = c // num_heads
-    q = x @ w.wq.data + w.bq.data
-    k = x @ w.wk.data + w.bk.data
-    v = x @ w.wv.data + w.bv.data
-    out = np.empty_like(x)
-    for h in range(num_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / np.sqrt(dh).astype(x.dtype)
-        if rel is not None:
-            table = w.rpb.data[h]
-            logits = logits + table[np.clip(rel, 0, table.shape[0] - 1)]
-        logits = np.where(mask, logits, -np.inf)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=1, keepdims=True)
-        out[:, sl] = probs @ v[:, sl]
-    return out @ w.wo.data + w.bo.data

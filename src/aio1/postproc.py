@@ -117,6 +117,9 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
 
     taus = np.arange(int(np.ceil(fps * 60.0 / cfg.max_bpm)),
                      int(np.floor(fps * 60.0 / cfg.min_bpm)) + 1)
+    if taus.size == 0:
+        raise InputError(f"no whole-frame beat period at {fps} fps lies in "
+                         f"{cfg.min_bpm}-{cfg.max_bpm} BPM")
     nt = len(taus)
     per_row = int(taus.sum())
     frames = len(beat)

@@ -9,7 +9,8 @@ diverging computation fails at the op that broke, not three modules later.
 
 The set of primitives is deliberately small: matrix multiply, 2-D
 cross-correlation, max pooling, layer normalisation, a handful of
-activations, gather/reshape plumbing, and the losses. Gradients of every
+activations, gather/reshape plumbing, windowed multi-head attention
+(:func:`neighborhood_attention`), and the losses. Gradients of every
 primitive are validated against central finite differences by
 :func:`grad_check`, which doubles as the verification oracle for the
 model built on top.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -531,7 +532,7 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
 
     A trailing remainder is padded by repeating the last element, so no
     frames are dropped. Gradient routes to the first maximal index of
-    each window.
+    each window; that index is found only when the gradient arrives.
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
@@ -542,11 +543,13 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
         xd = np.concatenate([xd, np.repeat(xd[..., -1:], pad, axis=-1)], axis=-1)
     nwin = xd.shape[-1] // width
     windows = xd.reshape(xd.shape[:-1] + (nwin, width))
-    arg = windows.argmax(axis=-1)  # first max on ties
-    out_m = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    out_m = windows[..., 0].copy()
+    for j in range(1, width):
+        np.maximum(out_m, windows[..., j], out=out_m)
     out_data = np.moveaxis(out_m, -1, axis)
 
     def backward(g):
+        arg = windows.argmax(axis=-1)  # first max on ties
         gm = np.moveaxis(g, axis, -1)
         buf = np.zeros(xd.shape[:-1] + (nwin, width), dtype=g.dtype)
         np.put_along_axis(buf, arg[..., None], gm[..., None], axis=-1)
@@ -680,6 +683,146 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate_owned(g - sm * g.sum(axis=axis, keepdims=True))
 
     return Tensor._from_op(out_data, (x,), backward, "log_softmax")
+
+
+# ---------------------------------------------------------------------------
+# neighborhood attention
+# ---------------------------------------------------------------------------
+
+class WindowGroup(NamedTuple):
+    """Query rows ``rows`` that share one window width ``W``.
+
+    ``idx [n, W]`` holds the key row of every window slot and ``rel
+    [n, W]`` its column in the bias table; ``valid [n, W]`` flags the
+    real slots, or is None when every slot is real. Every row keeps at
+    least one real slot.
+    """
+
+    rows: slice
+    idx: np.ndarray
+    rel: np.ndarray
+    valid: np.ndarray | None
+
+
+def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
+                           windows: Sequence[WindowGroup],
+                           attn_dropout: float = 0.0, training: bool = False,
+                           rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head softmax attention of each query row over its window.
+
+    ``q``, ``k`` and ``v`` are ``[..., N, C]`` with shared leading axes;
+    ``rpb`` is ``[H, table]``, one learned bias per head and relative
+    offset, and fixes the head count ``H``. ``windows`` covers the ``N``
+    query rows. Each head's logits are its ``C/H`` channels of query and
+    key dotted, scaled by ``1/sqrt(C/H)``, plus the slot's bias; padded
+    slots get probability 0, and inverted dropout at ``attn_dropout``
+    applies to the probabilities in training. The graph keeps only the
+    probabilities and the dropout mask: the backward gathers the window
+    keys and values again and scatter-adds their gradients by row.
+    """
+    for t in (k, v, rpb):
+        _require_same_dtype(q, t, "neighborhood_attention")
+    if not q.data.shape == k.data.shape == v.data.shape:
+        raise DimensionError("neighborhood_attention: q, k and v shapes differ")
+    heads, table = rpb.data.shape
+    n_all, c = q.data.shape[-2:]
+    if c % heads:
+        raise DimensionError(f"{heads} heads do not divide {c} channels")
+    dh = c // heads
+    dtype = q.data.dtype
+    drop = training and attn_dropout > 0.0
+    if drop and rng is None:
+        raise ParameterError("training-mode dropout needs an explicit rng")
+    inv_keep = dtype.type(1.0 / (1.0 - attn_dropout)) if drop else None
+
+    # leading axes fold into one batch axis B
+    scale = dtype.type(1.0 / math.sqrt(dh))
+    batch = math.prod(q.data.shape[:-2])
+    qs = q.data.reshape(batch, n_all, c) * scale
+    kd = k.data.reshape(qs.shape)
+    vd = v.data.reshape(qs.shape)
+
+    def gather(arr, grp):
+        # [B, n, W, C] -> [B, n, H, W, dh]
+        n, width = grp.idx.shape
+        g = np.take(arr, grp.idx, axis=1).reshape(batch, n, width, heads, dh)
+        return g.transpose(0, 1, 3, 2, 4)
+
+    def head_rows(arr, grp):
+        # rows of [B, N, C] -> [B, n, H, 1, dh]
+        return arr[:, grp.rows].reshape(batch, -1, heads, 1, dh)
+
+    out = np.zeros_like(qs)
+    kept = []
+    for grp in windows:
+        bias = np.take(rpb.data, grp.rel, axis=1).transpose(1, 0, 2)  # [n, H, W]
+        if grp.valid is not None:
+            bias = np.where(grp.valid[:, None, :], bias, -np.inf)
+        logits = (head_rows(qs, grp) @ gather(kd, grp).swapaxes(-1, -2))[..., 0, :]
+        logits += bias
+        # a running max and a matrix-vector sum beat numpy's reductions
+        # over a last axis this short
+        top = logits[..., 0].copy()
+        for j in range(1, logits.shape[-1]):
+            np.maximum(top, logits[..., j], out=top)
+        logits -= top[..., None]
+        probs = np.exp(logits, out=logits)                          # [B, n, H, W]
+        probs /= (probs @ np.ones(probs.shape[-1], dtype=dtype))[..., None]
+        keep = None
+        if drop:
+            keep = rng.random(probs.shape, dtype=np.float32) >= attn_dropout
+            used = probs * keep * inv_keep
+        else:
+            used = probs
+        out[:, grp.rows] = (used[..., None, :] @ gather(vd, grp)).reshape(batch, -1, c)
+        kept.append((probs, keep))
+
+    def backward(g):
+        # imported here: it adds about 50 ms to start-up, and inference
+        # never runs a backward
+        from scipy.sparse import csc_matrix
+        g3 = g.reshape(qs.shape)
+        dq = np.zeros_like(qs)
+        dk = np.zeros((batch * n_all, c), dtype=dtype)
+        dv = np.zeros_like(dk)
+        drpb = np.zeros(heads * table)
+        for grp, (probs, keep) in zip(windows, kept):
+            n = grp.idx.shape[0]
+            kg, vg = gather(kd, grp), gather(vd, grp)
+            gh = head_rows(g3, grp)
+            used = probs if keep is None else probs * keep * inv_keep
+            dprobs = (gh @ vg.swapaxes(-1, -2))[..., 0, :]         # [B, n, H, W]
+            if keep is not None:
+                dprobs *= keep
+                dprobs *= inv_keep
+            dlogits = probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
+            bias_col = np.arange(heads)[:, None] * table + grp.rel[:, None, :]
+            drpb += np.bincount(bias_col.reshape(-1), weights=dlogits.sum(axis=0).reshape(-1),
+                                minlength=heads * table)
+            dq[:, grp.rows] = (dlogits[..., None, :] @ kg).reshape(batch, n, c)
+            # one column per (batch, row, slot) scatters into its key row
+            keys = (np.arange(batch)[:, None, None] * n_all + grp.idx).reshape(-1)
+            scatter = csc_matrix((np.ones(keys.size, dtype=dtype), keys,
+                                  np.arange(keys.size + 1)), shape=(batch * n_all, keys.size))
+            # [B, n, H, W] x [B, n, H, dh] -> [B, n, W, H, dh], one row per slot
+            dkg = np.multiply(dlogits.transpose(0, 1, 3, 2)[..., None],
+                              head_rows(qs, grp).transpose(0, 1, 3, 2, 4), order="C")
+            dvg = np.multiply(used.transpose(0, 1, 3, 2)[..., None],
+                              gh.transpose(0, 1, 3, 2, 4), order="C")
+            dk += scatter @ dkg.reshape(keys.size, c)
+            dv += scatter @ dvg.reshape(keys.size, c)
+        if q.requires_grad:
+            dq *= scale
+            q._accumulate_owned(dq.reshape(q.data.shape))
+        if k.requires_grad:
+            k._accumulate_owned(dk.reshape(k.data.shape))
+        if v.requires_grad:
+            v._accumulate_owned(dv.reshape(v.data.shape))
+        if rpb.requires_grad:
+            rpb._accumulate_owned(drpb.astype(dtype).reshape(heads, table))
+
+    return Tensor._from_op(out.reshape(q.data.shape), (q, k, v, rpb), backward,
+                           "neighborhood_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 
 from aio1 import attention as at
 from aio1 import tensor as tz
-from aio1.attention import (AttentionConfig, full_attention_oracle,
-                            init_attention_weights, na1d, na2d,
+from aio1.attention import (AttentionConfig, init_attention_weights, na1d, na2d,
                             neighborhood_window_1d, receptive_field)
-from aio1.errors import ContractViolation
+from aio1.errors import ConfigError, ContractViolation
 from aio1.tensor import Tensor
+
+from attention_oracle import (composed_na1d, composed_na2d, full_attention_oracle,
+                              na1d_mask, na2d_mask)
 
 
 def _weights(c, cfg, seed, two_d=False, dtype=np.float32, random_bias=True):
@@ -135,7 +137,7 @@ def test_na1d_matches_oracle_randomized():
         cfg = AttentionConfig(kernel_size=k, dilation=d, num_heads=heads)
         w = _weights(c, cfg, 100 + trial)
         x = rng.standard_normal((t, c)).astype(np.float32)
-        mask, rel = at.na1d_mask(t, cfg)
+        mask, rel = na1d_mask(t, cfg)
         got = na1d(Tensor(x), w, cfg).data
         want = full_attention_oracle(x, w, mask, rel, heads)
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -212,7 +214,7 @@ def test_na2d_matches_oracle_randomized():
         cfg = AttentionConfig(kernel_size=k, dilation=1, num_heads=heads)
         w = _weights(c, cfg, 200 + trial, two_d=True)
         x = rng.standard_normal((s, t, c)).astype(np.float32)
-        mask, rel = at.na2d_mask(s, t, cfg)
+        mask, rel = na2d_mask(s, t, cfg)
         got = na2d(Tensor(x), w, cfg).data.reshape(s * t, c)
         want = full_attention_oracle(x.reshape(s * t, c), w, mask, rel, heads)
         np.testing.assert_allclose(got, want, atol=1e-5)
@@ -223,7 +225,7 @@ def test_na2d_whole_grid_case():
     cfg = AttentionConfig(kernel_size=5, dilation=1, num_heads=2)
     w = _weights(c, cfg, 16, two_d=True)
     x = np.random.default_rng(17).standard_normal((s, t, c)).astype(np.float32)
-    mask, rel = at.na2d_mask(s, t, cfg)
+    mask, rel = na2d_mask(s, t, cfg)
     got = na2d(Tensor(x), w, cfg).data.reshape(s * t, c)
     want = full_attention_oracle(x.reshape(s * t, c), w, mask, rel, 2)
     np.testing.assert_allclose(got, want, atol=1e-5)
@@ -287,3 +289,92 @@ def test_attention_2d_grad_check():
 
     err = tz.grad_check(loss, params)
     assert err < 1e-4, err
+
+
+@pytest.mark.parametrize("kernel", [na1d, na2d], ids=["na1d", "na2d"])
+def test_attention_dropout_grad_check(kernel):
+    two_d = kernel is na2d
+    cfg = AttentionConfig(kernel_size=3, dilation=1 if two_d else 2, num_heads=2)
+    w = _weights(4, cfg, 25, two_d=two_d, dtype=np.float64)
+    x = Tensor(np.random.default_rng(26).standard_normal((2, 5, 4)), requires_grad=True)
+    params = [x, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, w.rpb]
+
+    def loss():
+        # a fresh generator per evaluation repeats the dropout mask
+        out = kernel(x, w, cfg, 0.3, True, np.random.default_rng(27))
+        return tz.tsum(tz.sigmoid(out))
+
+    err = tz.grad_check(loss, params)
+    assert err < 1e-4, err
+
+
+# ---------------------------------------------------------------------------
+# the fused op against the composed reference
+# ---------------------------------------------------------------------------
+
+FUSED_CASES = {
+    # name: (input shape, kernel size, dilation, grid)
+    "1d-dilation-1": ((3, 17, 8), 5, 1, False),
+    "1d-dilation-2": ((17, 8), 5, 2, False),
+    "1d-coset-shorter-than-kernel": ((3, 10, 8), 5, 4, False),
+    "1d-two-lead-axes": ((2, 3, 12, 8), 3, 2, False),
+    "2d-1-stem": ((1, 9, 8), 5, 1, True),
+    "2d-2-stems": ((2, 9, 8), 5, 1, True),
+    "2d-3-stems": ((3, 9, 8), 5, 1, True),
+    "2d-4-stems": ((4, 9, 8), 5, 1, True),
+    "2d-4-stems-short": ((4, 3, 8), 5, 1, True),
+}
+
+
+def _outputs_and_grads(kernel, x0, w, cfg):
+    x = Tensor(x0.copy(), requires_grad=True)
+    params = [x, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, w.rpb]
+    for p in params:
+        p.requires_grad = True
+        p.grad = None
+    out = kernel(x, w, cfg)
+    tz.tsum(tz.sigmoid(out)).backward()
+    return out.data, [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_attention_matches_composed_reference(case):
+    shape, k, d, grid = FUSED_CASES[case]
+    cfg = AttentionConfig(kernel_size=k, dilation=d, num_heads=2)
+    w = _weights(shape[-1], cfg, 28, two_d=grid, dtype=np.float64)
+    x0 = np.random.default_rng(29).standard_normal(shape)
+    got, got_grads = _outputs_and_grads(na2d if grid else na1d, x0, w, cfg)
+    want, want_grads = _outputs_and_grads(composed_na2d if grid else composed_na1d,
+                                          x0, w, cfg)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    for g, wg in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, wg, rtol=0, atol=1e-10)
+
+
+def test_grid_windows_leave_out_stems_beyond_the_grid():
+    # four stems, k = 5: edge stems see 3 stems, inner stems 4, of 5 frames
+    widths = [g.idx.shape[1] for g in at._grid_windows(4, 40, 5)]
+    rows = [(g.rows.start, g.rows.stop) for g in at._grid_windows(4, 40, 5)]
+    assert widths == [15, 20, 15]
+    assert rows == [(0, 40), (40, 120), (120, 160)]
+    assert all(g.valid is None for g in at._grid_windows(4, 40, 5))
+
+
+def test_window_table_drops_slots_no_frame_fills():
+    # dilation 2048 on 2,000 frames: every coset holds one frame
+    table = at._window_table(2000, 5, 2048)
+    assert table.idx.shape == (2000, 1) and table.valid is None
+    np.testing.assert_array_equal(table.idx[:, 0], np.arange(2000))
+    # dilation 512: cosets of 4 or 3 frames, 4 slots, the short rows masked
+    table = at._window_table(2000, 5, 512)
+    assert table.idx.shape == (2000, 4)
+    np.testing.assert_array_equal(table.valid.sum(axis=1),
+                                  [4 if i % 512 < 2000 - 3 * 512 else 3
+                                   for i in range(2000)])
+
+
+def test_head_count_must_match_the_bias_table():
+    w = _weights(8, AttentionConfig(kernel_size=3, num_heads=4), 30)
+    x = Tensor(np.zeros((6, 8), np.float32))
+    with pytest.raises(ConfigError, match="heads"):
+        na1d(x, w, AttentionConfig(kernel_size=3, num_heads=2))

@@ -1,5 +1,7 @@
 """Decoders: bar-pointer Viterbi, boundary picking, segment labeling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,15 @@ def test_dbn_input_validation():
         dbn_decode(np.zeros(10), np.zeros(10), FPS)
     with pytest.raises(InputError):
         dbn_decode(np.full(200, 1.5), np.zeros(200), FPS)
+
+
+def test_dbn_tempo_range_without_whole_frame_period():
+    # 100.5-101 BPM at 100 fps asks for a beat period of 59.4-59.7 frames
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="no whole-frame beat period"):
+            dbn_decode(np.full(200, 0.1), np.zeros(200), FPS,
+                       DbnConfig(min_bpm=100.5, max_bpm=101))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,33 @@ def test_maxpool_gradient_one_hot():
     np.testing.assert_array_equal(x.grad, [0, 1, 1, 0, 1, 0])
 
 
+def argmax_maxpool(x, axis, width):
+    """The forward-argmax max pool: gather each window's first maximum."""
+    xd = np.moveaxis(x, axis, -1)
+    pad = (-xd.shape[-1]) % width
+    if pad:
+        xd = np.concatenate([xd, np.repeat(xd[..., -1:], pad, axis=-1)], axis=-1)
+    windows = xd.reshape(xd.shape[:-1] + (-1, width))
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    grad = np.zeros(windows.shape)
+    np.put_along_axis(grad, arg[..., None], 1.0, axis=-1)
+    grad = grad.reshape(xd.shape)[..., :np.moveaxis(x, axis, -1).shape[-1]]
+    return np.moveaxis(out, -1, axis), np.moveaxis(grad, -1, axis)
+
+
+@pytest.mark.parametrize("axis,width", [(0, 2), (1, 3), (2, 3), (2, 1), (1, 4)])
+def test_maxpool_matches_argmax_pool_with_ties(axis, width):
+    # values from a handful of levels, so most windows hold ties
+    rng = np.random.default_rng(40 + width)
+    x = Tensor(rng.integers(-2, 3, (5, 7, 9)).astype(np.float32), requires_grad=True)
+    out = tz.maxpool(x, axis=axis, width=width)
+    tz.tsum(out).backward()
+    want_out, want_grad = argmax_maxpool(x.data, axis, width)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(x.grad, want_grad)
+
+
 # ---------------------------------------------------------------------------
 # layer_norm and activations
 # ---------------------------------------------------------------------------
@@ -325,6 +352,51 @@ def test_grad_masked_softmax():
                        * tz.masked_softmax(x, mask, axis=-1))
 
     _gc(loss, x)
+
+
+def _two_window_groups():
+    """Rows 0-2 attend over two slots, the middle one padded; rows 3-5
+    over three slots, with repeated keys."""
+    first = tz.WindowGroup(slice(0, 3), np.array([[0, 1], [1, 1], [2, 5]]),
+                           np.array([[0, 1], [1, 2], [2, 3]]),
+                           np.array([[True, True], [True, False], [True, True]]))
+    second = tz.WindowGroup(slice(3, 6), np.array([[3, 4, 0], [4, 4, 2], [5, 1, 3]]),
+                            np.array([[0, 4, 1], [3, 2, 2], [4, 0, 1]]), None)
+    return (first, second)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+def test_grad_neighborhood_attention(dropout):
+    rng = np.random.default_rng(15)
+    q, k, v = (Tensor(_rand((2, 6, 4), rng), requires_grad=True) for _ in range(3))
+    rpb = Tensor(_rand((2, 5), rng), requires_grad=True)
+    windows = _two_window_groups()
+
+    def loss():
+        out = tz.neighborhood_attention(q, k, v, rpb, windows, dropout, True,
+                                        np.random.default_rng(16))
+        return tz.tsum(tz.sigmoid(out))
+
+    _gc(loss, q, k, v, rpb)
+
+
+def test_neighborhood_attention_padded_slot_gets_no_weight():
+    rng = np.random.default_rng(17)
+    q, k, v = (Tensor(_rand((6, 4), rng)) for _ in range(3))
+    rpb = Tensor(_rand((2, 5), rng))
+    out = tz.neighborhood_attention(q, k, v, rpb, _two_window_groups())
+    # row 1's only real slot is key 1, so each head returns v[1]
+    np.testing.assert_allclose(out.data[1], v.data[1], atol=1e-12)
+
+
+def test_neighborhood_attention_overflow_raises_at_the_op():
+    q = Tensor(np.full((6, 4), 1e200))
+    k = Tensor(np.full((6, 4), 1e200))
+    v = Tensor(np.ones((6, 4)))
+    rpb = Tensor(np.zeros((2, 5)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="neighborhood_attention"):
+        tz.neighborhood_attention(q, k, v, rpb, _two_window_groups())
 
 
 def test_grad_divide_mean_transpose():
