@@ -103,46 +103,26 @@ def init_attention_weights(embed_dim: int, cfg: AttentionConfig,
 # window geometry
 # ---------------------------------------------------------------------------
 
-def neighborhood_window_1d(i: int, length: int, kernel_size: int,
-                           dilation: int) -> list[int]:
-    """Indices attended to by frame ``i`` in a sequence of ``length``.
-
-    The window is the run of ``kernel_size`` positions from the coset
-    ``{j : j == i (mod dilation)}`` centred on ``i`` where possible and
-    shifted inward at the edges; if the whole coset is smaller than the
-    kernel, the whole coset is returned.
-    """
-    if not 0 <= i < length:
-        raise IndexError(f"frame {i} outside [0, {length})")
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ParameterError("kernel_size must be odd and positive")
-    if dilation < 1:
-        raise ParameterError("dilation must be >= 1")
-    residue = i % dilation
-    coset = (length - residue + dilation - 1) // dilation
-    pos = i // dilation
-    if coset <= kernel_size:
-        start = 0
-        count = coset
-    else:
-        start = min(max(pos - (kernel_size - 1) // 2, 0), coset - kernel_size)
-        count = kernel_size
-    return [residue + (start + j) * dilation for j in range(count)]
-
-
 @lru_cache(maxsize=256)
 def _window_table(length: int, kernel_size: int, dilation: int) -> tz.WindowGroup:
     """Windows of every frame as one group ``min(k, largest coset)`` slots
-    wide; rows of shorter cosets pad with the query index, masked."""
-    wins = [neighborhood_window_1d(i, length, kernel_size, dilation)
-            for i in range(length)]
-    width = max(map(len, wins), default=1)
-    idx = np.arange(length)[:, None].repeat(width, axis=1)
-    valid = np.zeros((length, width), dtype=bool)
-    for i, win in enumerate(wins):
-        idx[i, :len(win)] = win
-        valid[i, :len(win)] = True
-    rel = (idx - np.arange(length)[:, None]) // dilation + kernel_size - 1
+    wide.
+
+    Frame ``i`` attends to the run of ``k`` members of its coset ``{j : j
+    == i (mod d)}`` centred on ``i`` where possible and shifted inward at
+    the edges, or to the whole coset when it holds at most ``k`` frames.
+    Rows of shorter cosets pad with the query index, masked.
+    """
+    i = np.arange(length)
+    residue = i % dilation
+    coset = (length - residue + dilation - 1) // dilation
+    start = np.clip(i // dilation - (kernel_size - 1) // 2, 0,
+                    np.maximum(coset - kernel_size, 0))
+    slot = np.arange(min(kernel_size, -(-length // dilation)))
+    valid = slot < np.minimum(coset, kernel_size)[:, None]
+    idx = np.where(valid, residue[:, None] + (start[:, None] + slot) * dilation,
+                   i[:, None])
+    rel = (idx - i[:, None]) // dilation + kernel_size - 1
     return _frozen_group(slice(0, length), idx, rel, None if valid.all() else valid)
 
 

@@ -35,7 +35,6 @@ class SpectrogramConfig:
     bands_per_octave: int = 12
     fmin: float = 30.0
     fmax: float = 17000.0
-    bands: int = 81
     log_offset: float = 1.0
 
     @property
@@ -45,12 +44,7 @@ class SpectrogramConfig:
     def validate(self) -> None:
         if self.sample_rate % self.hop != 0:
             raise ConfigError("hop must divide the sample rate evenly")
-        if self.bands < 1:
-            raise ConfigError("bands must be >= 1")
-        actual = filterbank(self).shape[1]
-        if actual != self.bands:
-            raise ConfigError(
-                f"filterbank yields {actual} bands, config says {self.bands}")
+        filterbank(self)  # raises ConfigError when no band fits
 
 
 @lru_cache(maxsize=8)

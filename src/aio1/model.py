@@ -26,7 +26,7 @@ from .errors import ConfigError, InputError
 from .frontend import (FrontendWeights, StemSpectrogram, check_frontend_plan,
                        frontend_forward, init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 # dilated windows beyond this many frames (10 minutes at 100 fps) exceed
 # any realistic track and only waste state
@@ -196,24 +196,26 @@ class ModelWeights:
         yield "final_norm.bias", self.final_norm_b
         yield from self.heads.named("heads")
 
-    def parameters(self) -> list[Parameter]:
-        params = [Parameter(name, t) for name, t in self.named_tensors()]
-        tz.check_unique_names(params)
-        return params
+    def parameters(self) -> list[Tensor]:
+        named = list(self.named_tensors())
+        tz.check_unique_names(name for name, _ in named)
+        return [t for _, t in named]
 
     def num_parameters(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
 
     def copy(self) -> "ModelWeights":
         """Independent copy: every array is duplicated, and the new
-        tensors carry no gradient or graph state."""
-        fresh = {id(t): Tensor(t.data.copy()) for _, t in self.named_tensors()}
+        tensors are trainable leaves with no gradient yet."""
+        fresh = {id(t): Tensor(t.data.copy(), requires_grad=True)
+                 for _, t in self.named_tensors()}
         return copy.deepcopy(self, fresh)
 
 
 def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
     """Deterministic initial weights: fan-in scaled uniform for linear and
-    conv kernels, zero biases and bias tables, unit normalisation gains."""
+    conv kernels, zero biases and bias tables, unit normalisation gains.
+    Every weight is a trainable leaf tensor."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     c = cfg.embed_dim
@@ -251,8 +253,11 @@ def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
         downbeat_w=linear(c, 1), downbeat_b=zeros(1),
         boundary_w=linear(c, 1), boundary_b=zeros(1),
         label_w=linear(c, len(cfg.label_vocab)), label_b=zeros(len(cfg.label_vocab)))
-    return ModelWeights(config=replace(cfg), frontend=front, blocks=blocks,
-                        final_norm_g=ones(c), final_norm_b=zeros(c), heads=heads)
+    weights = ModelWeights(config=replace(cfg), frontend=front, blocks=blocks,
+                           final_norm_g=ones(c), final_norm_b=zeros(c), heads=heads)
+    for _, t in weights.named_tensors():
+        t.requires_grad = True
+    return weights
 
 
 def param_count(cfg: ModelConfig) -> int:

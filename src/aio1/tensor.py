@@ -1,19 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A tensor wraps one contiguous numpy array (row-major, float32 by default,
-float64 for verification paths) plus the bookkeeping needed for
-backpropagation. Every operation is a pure function: inputs are never
-mutated and identical inputs produce bit-identical outputs. Operations
-raise :class:`NumericError` as soon as they produce a NaN or Inf, so a
-diverging computation fails at the op that broke, not three modules later.
+A tensor wraps one numpy array (float32 by default, float64 for
+verification paths) plus the bookkeeping needed for backpropagation. A
+trainable weight is a leaf tensor with ``requires_grad`` set; its
+``grad`` stays None until a backward reaches it. Every operation is a
+pure function: inputs are never mutated and identical inputs produce
+bit-identical outputs. Operations raise :class:`NumericError` as soon as
+they produce a NaN or Inf, so a diverging computation fails at the op
+that broke, not three modules later.
 
-The set of primitives is deliberately small: matrix multiply, 2-D
-cross-correlation, max pooling, layer normalisation, a handful of
-activations, gather/reshape plumbing, windowed multi-head attention
-(:func:`neighborhood_attention`), and the losses. Gradients of every
-primitive are validated against central finite differences by
-:func:`grad_check`, which doubles as the verification oracle for the
-model built on top.
+The primitives are the ones the model runs: matrix multiply, 2-D
+cross-correlation, max pooling, layer normalisation, the ELU, GELU,
+sigmoid and softmax activations, gather/reshape plumbing, windowed
+multi-head attention (:func:`neighborhood_attention`), dropout and the
+losses. Gradients of every primitive are validated against central
+finite differences by :func:`grad_check`, which doubles as the
+verification oracle for the model built on top.
 """
 
 from __future__ import annotations
@@ -116,9 +118,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
 
@@ -189,8 +188,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return divide(self, other)
         return mul(self, 1.0 / float(other))
 
     def __neg__(self):
@@ -212,43 +209,12 @@ class Tensor:
         return tmean(self, axis, keepdims)
 
 
-class Parameter:
-    """A named, trainable tensor.
-
-    The gradient lives on the wrapped tensor and always has the same
-    shape; names are dotted paths unique within one weight collection.
-    """
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, tensor: Tensor):
-        tensor.requires_grad = True
-        self.name = name
-        self.tensor = tensor
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self.tensor.grad is None:
-            return np.zeros_like(self.tensor.data)
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
-def check_unique_names(params: Iterable[Parameter]) -> None:
+def check_unique_names(names: Iterable[str]) -> None:
     seen: set[str] = set()
-    for p in params:
-        if p.name in seen:
-            raise ParameterError(f"duplicate parameter name {p.name!r}")
-        seen.add(p.name)
+    for name in names:
+        if name in seen:
+            raise ParameterError(f"duplicate parameter name {name!r}")
+        seen.add(name)
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -308,40 +274,6 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward, "mul")
 
 
-def divide(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_dtype(a, b, "divide")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate_owned(_unbroadcast(-g * out_data / b.data, b.data.shape))
-
-    return Tensor._from_op(out_data, (a, b), backward, "divide")
-
-
-def texp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate_owned(g * out_data)
-
-    return Tensor._from_op(out_data, (a,), backward, "exp")
-
-
-def tlog(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate_owned(g / a.data)
-
-    return Tensor._from_op(out_data, (a,), backward, "log")
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 # ---------------------------------------------------------------------------
@@ -388,11 +320,25 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward, "concat")
 
 
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``out[index[j]] += rows[j]`` into ``n`` zero rows, duplicates summed.
+
+    One sparse product with a column per row of ``rows`` beats both
+    ``np.add.at`` and a per-column ``bincount``. ``scipy.sparse`` is
+    imported here: it adds about 50 ms to start-up, and inference never
+    runs a backward.
+    """
+    from scipy.sparse import csc_matrix
+    scatter = csc_matrix((np.ones(index.size, dtype=rows.dtype), index,
+                          np.arange(index.size + 1)), shape=(n, index.size))
+    return scatter @ rows
+
+
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather slices of ``a`` along ``axis``; duplicates allowed.
 
     The backward pass scatter-adds into the source, so the same row may
-    appear in many windows (the attention gather relies on this).
+    be gathered many times.
     """
     idx = np.asarray(indices)
     out_data = np.take(a.data, idx, axis=axis)
@@ -401,18 +347,9 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         # bring the gathered axes to the front, flatten everything else
         gm = np.ascontiguousarray(np.moveaxis(
             g, tuple(range(axis, axis + idx.ndim)), tuple(range(idx.ndim))))
-        flat_idx = idx.reshape(-1)
-        gf = gm.reshape(flat_idx.size, -1)
         n = a.data.shape[axis]
-        acc = np.zeros((n, gf.shape[1]), dtype=g.dtype)
-        if gf.shape[1] <= 64:
-            # column-wise bincount beats np.add.at for narrow feature dims
-            for c in range(gf.shape[1]):
-                acc[:, c] = np.bincount(flat_idx, weights=gf[:, c], minlength=n)
-        else:
-            np.add.at(acc, flat_idx, gf)
-        moved = (n,) + a.data.shape[:axis] + a.data.shape[axis + 1:]
-        dx = acc.reshape(moved)
+        acc = _scatter_rows(idx.reshape(-1), gm.reshape(idx.size, -1), n)
+        dx = acc.reshape((n,) + a.data.shape[:axis] + a.data.shape[axis + 1:])
         if axis:
             dx = np.ascontiguousarray(np.moveaxis(dx, 0, axis))
         a._accumulate_owned(dx)
@@ -472,16 +409,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation (no kernel flip).
 
-    ``x`` is ``[cin, h, w]`` or ``[n, cin, h, w]``; ``kernels`` is
-    ``[cout, cin, kh, kw]``. Output height is ``h + 2*pad_h - kh + 1``
-    and similarly for width.
+    ``x`` is ``[n, cin, h, w]`` and ``kernels`` is ``[cout, cin, kh, kw]``.
+    Output height is ``h + 2*pad_h - kh + 1`` and similarly for width.
     """
     _require_same_dtype(x, kernels, "conv2d")
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernels.ndim != 4:
-        raise DimensionError("conv2d expects [n?,cin,h,w] input and [cout,cin,kh,kw] kernels")
-    n, cin, h, w = xd.shape
+    if x.ndim != 4 or kernels.ndim != 4:
+        raise DimensionError("conv2d expects [n,cin,h,w] input and [cout,cin,kh,kw] kernels")
+    n, cin, h, w = x.data.shape
     cout, kcin, kh, kw = kernels.data.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kcin}")
@@ -493,7 +427,7 @@ def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Ten
 
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     # im2col + GEMM: the copy costs less than a strided contraction
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
@@ -503,28 +437,24 @@ def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Ten
     out_data = np.ascontiguousarray(out_data)
 
     def backward(g):
-        gd = g[None] if squeeze else g
-        gcols = np.ascontiguousarray(gd.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        gcols = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
         if kernels.requires_grad:
             dk = (gcols.T @ cols).reshape(cout, cin, kh, kw)
             kernels._accumulate_owned(dk)
         if x.requires_grad:
-            # full correlation of the padded output gradient with the
-            # spatially flipped kernels recovers the input gradient
-            gp = np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-            gw = np.ascontiguousarray(gwin.transpose(0, 2, 3, 1, 4, 5))
-            gw = gw.reshape(n * (h + 2 * ph) * (w + 2 * pw), cout * kh * kw)
-            kflip = kernels.data[:, :, ::-1, ::-1]
-            kf = np.ascontiguousarray(kflip.transpose(0, 2, 3, 1)).reshape(
-                cout * kh * kw, cin)
-            dxp = (gw @ kf).reshape(n, h + 2 * ph, w + 2 * pw, cin)
-            dxp = dxp.transpose(0, 3, 1, 2)
-            dx = np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + w])
-            x._accumulate_owned(dx[0] if squeeze else dx)
+            # the adjoint of im2col: each window column adds back into the
+            # input pixel it was copied from (channels last, so every
+            # shifted add moves runs of cin values)
+            kt = kernels.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+            dcols = (gcols @ kt).reshape(n, oh, ow, kh, kw, cin)
+            dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
+            dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
+            x._accumulate_owned(np.ascontiguousarray(dx))
 
-    out = out_data[0] if squeeze else out_data
-    return Tensor._from_op(out, (x, kernels), backward, "conv2d")
+    return Tensor._from_op(out_data, (x, kernels), backward, "conv2d")
 
 
 def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
@@ -541,8 +471,7 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
     pad = (-length) % width
     if pad:
         xd = np.concatenate([xd, np.repeat(xd[..., -1:], pad, axis=-1)], axis=-1)
-    nwin = xd.shape[-1] // width
-    windows = xd.reshape(xd.shape[:-1] + (nwin, width))
+    windows = xd.reshape(xd.shape[:-1] + (-1, width))
     out_m = windows[..., 0].copy()
     for j in range(1, width):
         np.maximum(out_m, windows[..., j], out=out_m)
@@ -551,16 +480,11 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
     def backward(g):
         arg = windows.argmax(axis=-1)  # first max on ties
         gm = np.moveaxis(g, axis, -1)
-        buf = np.zeros(xd.shape[:-1] + (nwin, width), dtype=g.dtype)
+        buf = np.zeros(windows.shape, dtype=g.dtype)
         np.put_along_axis(buf, arg[..., None], gm[..., None], axis=-1)
-        buf = buf.reshape(xd.shape)
-        if pad:
-            # padded copies never win ties (the original comes first), so
-            # this fold-back only matters defensively
-            main = buf[..., :length].copy()
-            main[..., -1] += buf[..., length:].sum(axis=-1)
-        else:
-            main = buf
+        # pad copies sit after the original in its window, so the first
+        # maximum is never one of them
+        main = buf.reshape(xd.shape)[..., :length]
         x._accumulate_owned(np.ascontiguousarray(np.moveaxis(main, -1, axis)))
 
     return Tensor._from_op(out_data, (x,), backward, "maxpool")
@@ -778,9 +702,6 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
         kept.append((probs, keep))
 
     def backward(g):
-        # imported here: it adds about 50 ms to start-up, and inference
-        # never runs a backward
-        from scipy.sparse import csc_matrix
         g3 = g.reshape(qs.shape)
         dq = np.zeros_like(qs)
         dk = np.zeros((batch * n_all, c), dtype=dtype)
@@ -800,17 +721,15 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
             drpb += np.bincount(bias_col.reshape(-1), weights=dlogits.sum(axis=0).reshape(-1),
                                 minlength=heads * table)
             dq[:, grp.rows] = (dlogits[..., None, :] @ kg).reshape(batch, n, c)
-            # one column per (batch, row, slot) scatters into its key row
+            # every (batch, row, slot) scatters into its key row
             keys = (np.arange(batch)[:, None, None] * n_all + grp.idx).reshape(-1)
-            scatter = csc_matrix((np.ones(keys.size, dtype=dtype), keys,
-                                  np.arange(keys.size + 1)), shape=(batch * n_all, keys.size))
             # [B, n, H, W] x [B, n, H, dh] -> [B, n, W, H, dh], one row per slot
             dkg = np.multiply(dlogits.transpose(0, 1, 3, 2)[..., None],
                               head_rows(qs, grp).transpose(0, 1, 3, 2, 4), order="C")
             dvg = np.multiply(used.transpose(0, 1, 3, 2)[..., None],
                               gh.transpose(0, 1, 3, 2, 4), order="C")
-            dk += scatter @ dkg.reshape(keys.size, c)
-            dv += scatter @ dvg.reshape(keys.size, c)
+            dk += _scatter_rows(keys, dkg.reshape(keys.size, c), batch * n_all)
+            dv += _scatter_rows(keys, dvg.reshape(keys.size, c), batch * n_all)
         if q.requires_grad:
             dq *= scale
             q._accumulate_owned(dq.reshape(q.data.shape))
@@ -845,7 +764,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 # gradient verification
 # ---------------------------------------------------------------------------
 
-def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter | Tensor],
+def grad_check(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
                eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -853,7 +772,6 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Parameter | Tensor],
     re-evaluated twice per parameter entry. All parameters must be held in
     float64 — float32 round-off swamps the finite-difference signal.
     """
-    tensors = [p.tensor if isinstance(p, Parameter) else p for p in params]
     for t in tensors:
         if t.data.dtype != np.float64:
             raise ParameterError("grad_check requires float64 parameters")

@@ -4,8 +4,8 @@ Targets are soft per-frame values: event frames get weight one, their
 neighbors a reduced weight (beats/downbeats) or a triangular ramp
 (boundaries), and every frame also carries a section-label class index.
 The loss is binary cross-entropy with logits for the three event tasks
-plus categorical cross-entropy for labels, each masked-averaged and
-summed with per-task weights.
+plus categorical cross-entropy for labels, each averaged over frames
+and summed with per-task weights.
 
 Optimization is rectified Adam with decoupled weight decay; a running
 average of weight snapshots (kept in float64 sums so the average is the
@@ -36,7 +36,7 @@ from .metrics import Annotation, Beat
 from .model import (DEFAULT_VOCAB, ModelConfig, ModelWeights, forward_logits,
                     init_weights)
 from .postproc import Segment
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -69,12 +69,10 @@ class TrainingTargets:
     downbeat: np.ndarray
     boundary: np.ndarray
     labels: np.ndarray        # [T] class indices
-    mask: np.ndarray          # [T] 1 = frame contributes to the loss
 
     def slice(self, start: int, stop: int) -> "TrainingTargets":
         return TrainingTargets(self.beat[start:stop], self.downbeat[start:stop],
-                               self.boundary[start:stop], self.labels[start:stop],
-                               self.mask[start:stop])
+                               self.boundary[start:stop], self.labels[start:stop])
 
 
 def build_targets(ann: Annotation, fps: float, frames: int,
@@ -120,34 +118,25 @@ def build_targets(ann: Annotation, fps: float, frames: int,
         labels[lo:hi] = index[seg.label]
 
     return TrainingTargets(beat=beat, downbeat=downbeat, boundary=boundary,
-                           labels=labels, mask=np.ones(frames, dtype=np.float32))
+                           labels=labels)
 
 
 def multitask_loss(logits: dict[str, Tensor], targets: TrainingTargets,
                    weights: tuple[float, float, float, float] = (1.0,) * 4
                    ) -> Tensor:
-    """Masked mean BCE per event task plus label cross-entropy."""
-    mask = targets.mask
-    denom = float(mask.sum())
-    if denom <= 0:
-        raise InputError("mask excludes every frame")
-    mask_t = Tensor(mask.astype(logits["beat"].data.dtype))
-
-    def masked_mean(per_frame):
-        return tz.tsum(per_frame * mask_t) * (1.0 / denom)
-
+    """Mean BCE over frames per event task plus label cross-entropy."""
     total = None
     for w, (name, target) in zip(weights[:3], (("beat", targets.beat),
                                                ("downbeat", targets.downbeat),
                                                ("boundary", targets.boundary))):
-        term = masked_mean(tz.bce_with_logits(logits[name], target)) * w
+        term = tz.tmean(tz.bce_with_logits(logits[name], target)) * w
         total = term if total is None else total + term
 
     lsm = tz.log_softmax(logits["labels"], axis=-1)
     t = lsm.shape[0]
     flat_idx = np.arange(t) * lsm.shape[1] + targets.labels
     picked = tz.take(lsm.reshape(-1), flat_idx, axis=0)
-    total = total + masked_mean(picked * -1.0) * weights[3]
+    total = total + tz.tmean(picked * -1.0) * weights[3]
     return total
 
 
@@ -162,20 +151,21 @@ class RAdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
-    def for_params(params: list[Parameter]) -> "RAdamState":
+    def for_params(params: list[Tensor]) -> "RAdamState":
         return RAdamState(step=0,
                           m=[np.zeros_like(p.data) for p in params],
                           v=[np.zeros_like(p.data) for p in params])
 
 
-def radam_step(params: list[Parameter], state: RAdamState, lr: float,
+def radam_step(params: list[Tensor], state: RAdamState, lr: float,
                weight_decay: float = 0.0, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One rectified-Adam update with decoupled weight decay.
 
     While the variance estimate is still untrustworthy (rectification
     coefficient fewer than four effective samples) the step falls back to
-    plain bias-corrected momentum.
+    plain bias-corrected momentum. A tensor without a gradient is
+    stepped as if its gradient were zero.
     """
     state.step += 1
     t = state.step
@@ -184,7 +174,7 @@ def radam_step(params: list[Parameter], state: RAdamState, lr: float,
     rho_t = rho_inf - 2.0 * t * beta2_t / (1.0 - beta2_t)
 
     for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -199,7 +189,7 @@ def radam_step(params: list[Parameter], state: RAdamState, lr: float,
             update = lr * m_hat
         if weight_decay:
             update = update + (lr * weight_decay) * p.data
-        p.tensor.data = (p.data - update).astype(p.data.dtype)
+        p.data = (p.data - update).astype(p.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
                 values = values[:, start:start + chunk_frames]
                 targets = targets.slice(start, start + chunk_frames)
             for p in params:
-                p.zero_grad()
+                p.grad = None
             try:
                 loss = _track_loss(values, targets, weights, model_cfg, cfg,
                                    True, rng)

@@ -1,5 +1,7 @@
 """Reference implementations the attention kernels are checked against.
 
+* ``neighborhood_window_1d`` — the window of one frame, built per frame
+  from its coset; the cached window tables must equal it row by row.
 * ``full_attention_oracle`` — plain dense attention: softmax with
   ``-inf`` on masked logits plus the relative position bias.
 * ``na1d_mask`` / ``na2d_mask`` — the dense attend-masks and bias-index
@@ -16,9 +18,40 @@ from __future__ import annotations
 import numpy as np
 
 from aio1 import tensor as tz
-from aio1.attention import AttentionConfig, AttentionWeights, neighborhood_window_1d
+from aio1.attention import AttentionConfig, AttentionWeights
 from aio1.errors import ContractViolation, ParameterError
 from aio1.tensor import Tensor
+
+
+# ---------------------------------------------------------------------------
+# window of one frame
+# ---------------------------------------------------------------------------
+
+def neighborhood_window_1d(i: int, length: int, kernel_size: int,
+                           dilation: int) -> list[int]:
+    """Indices attended to by frame ``i`` in a sequence of ``length``.
+
+    The window is the run of ``kernel_size`` positions from the coset
+    ``{j : j == i (mod dilation)}`` centred on ``i`` where possible and
+    shifted inward at the edges; if the whole coset is smaller than the
+    kernel, the whole coset is returned.
+    """
+    if not 0 <= i < length:
+        raise IndexError(f"frame {i} outside [0, {length})")
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ParameterError("kernel_size must be odd and positive")
+    if dilation < 1:
+        raise ParameterError("dilation must be >= 1")
+    residue = i % dilation
+    coset = (length - residue + dilation - 1) // dilation
+    pos = i // dilation
+    if coset <= kernel_size:
+        start = 0
+        count = coset
+    else:
+        start = min(max(pos - (kernel_size - 1) // 2, 0), coset - kernel_size)
+        count = kernel_size
+    return [residue + (start + j) * dilation for j in range(count)]
 
 
 # ---------------------------------------------------------------------------

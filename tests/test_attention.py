@@ -1,18 +1,19 @@
 """Window semantics, oracle equivalence, and gradients for the
 neighborhood attention kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from aio1 import attention as at
 from aio1 import tensor as tz
-from aio1.attention import (AttentionConfig, init_attention_weights, na1d, na2d,
-                            neighborhood_window_1d, receptive_field)
+from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d, receptive_field
 from aio1.errors import ConfigError, ContractViolation
 from aio1.tensor import Tensor
 
 from attention_oracle import (composed_na1d, composed_na2d, full_attention_oracle,
-                              na1d_mask, na2d_mask)
+                              na1d_mask, na2d_mask, neighborhood_window_1d)
 
 
 def _weights(c, cfg, seed, two_d=False, dtype=np.float32, random_bias=True):
@@ -67,6 +68,29 @@ def test_window_exhaustive_properties():
                     # contiguous run of the coset
                     first = coset.index(w[0])
                     assert w == coset[first:first + len(w)]
+
+
+def test_window_table_equals_per_frame_windows():
+    lengths = list(range(1, 70)) + [700, 1001, 2048, 4097]
+    for length, k, d in itertools.product(lengths, (1, 3, 5, 7),
+                                          (1, 2, 3, 8, 64, 512, 2048, 5000)):
+        wins = [neighborhood_window_1d(i, length, k, d) for i in range(length)]
+        width = max(map(len, wins))
+        idx = np.arange(length)[:, None].repeat(width, axis=1)
+        valid = np.zeros((length, width), dtype=bool)
+        for i, win in enumerate(wins):
+            idx[i, :len(win)] = win
+            valid[i, :len(win)] = True
+        rel = (idx - np.arange(length)[:, None]) // d + k - 1
+        table = at._window_table(length, k, d)
+        case = f"length {length}, k {k}, d {d}"
+        assert table.rows == slice(0, length), case
+        assert np.array_equal(table.idx, idx), case
+        assert np.array_equal(table.rel, rel), case
+        want_valid = None if valid.all() else valid
+        assert (table.valid is None) == (want_valid is None), case
+        if want_valid is not None:
+            assert np.array_equal(table.valid, want_valid), case
 
 
 def test_receptive_field_values():

@@ -8,12 +8,14 @@ import pytest
 
 import aio1.tensor as tz
 from aio1.errors import InputError
-from aio1.frontend import StemSpectrogram
+from aio1.frontend import StemSpectrogram, stems_from_audio
+from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
                         default_config, forward_logits, init_weights,
                         model_forward, param_count, param_count_by_group,
                         small_config, tiny_config, toy_config,
                         transformer_module_forward)
+from aio1.postproc import Segment, analyze_activations
 from aio1.tensor import Tensor
 
 
@@ -83,7 +85,7 @@ def test_init_deterministic_per_seed():
 def test_copy_is_independent_of_its_source(dtype):
     src = init_weights(tiny_config(), seed=5, dtype=dtype)
     for p in src.parameters():
-        p.tensor.grad = np.ones_like(p.data)
+        p.grad = np.ones_like(p.data)
     dup = src.copy()
     pairs = list(zip(src.named_tensors(), dup.named_tensors()))
     assert len(pairs) == len(list(src.named_tensors()))
@@ -92,7 +94,8 @@ def test_copy_is_independent_of_its_source(dtype):
         assert a is not b and b.data.dtype == dtype
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.shares_memory(a.data, b.data)
-        assert b.grad is None and not b.requires_grad
+        # a trainable leaf with no gradient yet and no graph behind it
+        assert b.grad is None and b.requires_grad and b._parents == ()
     before = [t.data.copy() for _, t in src.named_tensors()]
     for _, t in dup.named_tensors():
         t.data += 1.0
@@ -154,6 +157,36 @@ def test_model_forward_contract():
     acts = model_forward(random_spec(cfg, 500), w, cfg)
     acts.validate()
     assert acts.num_frames == 500
+
+
+def test_tiny_pipeline_from_audio_to_scores():
+    # stem audio -> spectrogram -> model_forward -> analyze_activations ->
+    # evaluate_track; an untrained model, so only the contracts are checked
+    cfg = replace(tiny_config(), num_stems=4, bands=81)
+    sr, seconds = 44100, 8.0
+    n = int(sr * seconds)
+    rng = np.random.default_rng(11)
+    beat_times = np.arange(0.25, seconds - 0.25, 0.5)              # 120 BPM
+    drums = 0.01 * rng.standard_normal(n)
+    for i, bt in enumerate(beat_times):
+        lo = int(bt * sr)
+        drums[lo:lo + 2000] += (1.0 if i % 4 == 0 else 0.5) * rng.standard_normal(2000)
+    waves = {name: 0.01 * rng.standard_normal(n) for name in ("bass", "other", "vocals")}
+    waves["drums"] = drums
+    spec = stems_from_audio(waves)
+    ann = Annotation(beats=[Beat(float(bt), i % 4 + 1) for i, bt in enumerate(beat_times)],
+                     segments=[Segment(0.0, 4.25, "verse"), Segment(4.25, seconds, "chorus")],
+                     duration=seconds)
+    acts = model_forward(spec, init_weights(cfg, seed=0), cfg)
+    assert acts.num_frames == spec.num_frames == 800
+    result = analyze_activations(acts, vocab=cfg.label_vocab)
+    assert result.duration == seconds
+    assert result.segments[0].start == 0.0 and result.segments[-1].end == seconds
+    assert all(a.end == b.start for a, b in zip(result.segments, result.segments[1:]))
+    assert set(result.downbeats) <= set(result.beats)
+    report = evaluate_track(result, ann)
+    scores = report.to_dict()
+    assert scores and all(0.0 <= v <= 1.0 for v in scores.values()), scores
 
 
 def test_stem_permutation_of_identical_stems():

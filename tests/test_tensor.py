@@ -75,16 +75,16 @@ def conv2d_loops(x, k, padding):
 
 def test_conv2d_1x1_identity():
     rng = np.random.default_rng(2)
-    x = _rand((1, 4, 5), rng)
+    x = _rand((1, 1, 4, 5), rng)
     k = np.ones((1, 1, 1, 1))
     out = tz.conv2d(Tensor(x), Tensor(k))
     np.testing.assert_allclose(out.data, x)
 
 
 def test_conv2d_ones_kernel_counts():
-    x = np.ones((1, 6, 6), dtype=np.float32)
+    x = np.ones((1, 1, 6, 6), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = tz.conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data[0]
+    out = tz.conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data[0, 0]
     assert out[3, 3] == 9.0
     assert out[0, 0] == 4.0
 
@@ -99,13 +99,27 @@ def test_conv2d_matches_loops():
         pad = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         x = _rand((cin, h, w), rng, np.float32)
         k = _rand((cout, cin, kh, kw), rng, np.float32)
-        got = tz.conv2d(Tensor(x), Tensor(k), pad).data
+        got = tz.conv2d(Tensor(x[None]), Tensor(k), pad).data[0]
         np.testing.assert_allclose(got, conv2d_loops(x, k, pad), atol=1e-5)
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(DimensionError):
-        tz.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+        tz.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+@pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 3), (0, 1))],
+                         ids=["3x3", "1x3"])
+def test_conv2d_input_gradient_is_the_adjoint(kernel, pad):
+    # <conv(x), g> == <x, dx(g)> at the front end's kernel shapes
+    rng = np.random.default_rng(18)
+    x = Tensor(_rand((2, 3, 7, 9), rng), requires_grad=True)
+    k = Tensor(_rand((4, 3) + kernel, rng))
+    out = tz.conv2d(x, k, pad)
+    g = _rand(out.shape, rng)
+    out.backward(g)
+    lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +247,8 @@ def test_masked_softmax_all_false_row_raises():
 
 
 def test_non_finite_output_raises():
-    with pytest.raises(NumericError):
-        tz.tlog(Tensor(np.array([0.0])))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
+        Tensor(np.array([1e200])) * 1e200
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +308,9 @@ def test_grad_matmul_batched():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(9)
-    x = Tensor(_rand((2, 5, 6), rng), requires_grad=True)
+    x = Tensor(_rand((2, 2, 5, 6), rng), requires_grad=True)
     k = Tensor(_rand((3, 2, 3, 3), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.conv2d(x, k, (1, 1))), x, k)
+    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv2d(x, k, (1, 1)))), x, k)
 
 
 def test_grad_maxpool():
@@ -400,13 +414,14 @@ def test_neighborhood_attention_overflow_raises_at_the_op():
 
 
 def test_grad_divide_mean_transpose():
+    # division by a scalar, the only division the model runs
     rng = np.random.default_rng(15)
     a = Tensor(_rand((3, 4), rng), requires_grad=True)
     b = Tensor(np.abs(_rand((3, 4), rng)) + 1.0, requires_grad=True)
 
     def loss():
-        h = tz.divide(a, b).transpose(1, 0)
-        return tz.tmean(h * h) + tz.tsum(tz.texp(tz.tmean(h, axis=0)))
+        h = (a * b / 3.0).transpose(1, 0)
+        return tz.tmean(h * h) + tz.tsum(tz.sigmoid(tz.tmean(h, axis=0)))
 
     _gc(loss, a, b)
 
@@ -417,7 +432,7 @@ def test_grad_divide_mean_transpose():
 
 def test_ops_are_pure_and_deterministic():
     rng = np.random.default_rng(16)
-    x = _rand((4, 5, 6), rng, np.float32)
+    x = _rand((1, 4, 5, 6), rng, np.float32)
     k = _rand((2, 4, 3, 3), rng, np.float32)
     x_t = Tensor(x.copy())
     first = tz.conv2d(Tensor(x), Tensor(k), (1, 1)).data
@@ -435,7 +450,6 @@ def test_no_grad_builds_no_graph():
 
 
 def test_parameter_names_unique():
-    p1 = tz.Parameter("a.weight", Tensor(np.zeros(2)))
-    p2 = tz.Parameter("a.weight", Tensor(np.zeros(2)))
-    with pytest.raises(ParameterError):
-        tz.check_unique_names([p1, p2])
+    tz.check_unique_names(["a.weight", "a.bias"])
+    with pytest.raises(ParameterError, match="a.weight"):
+        tz.check_unique_names(["a.weight", "a.bias", "a.weight"])

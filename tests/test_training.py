@@ -1,9 +1,137 @@
-"""Training pieces: snapshot averaging and seeded reproducibility."""
+"""Training pieces: targets, loss gradients, RAdam, snapshot averaging
+and seeded reproducibility."""
+
+import math
 
 import numpy as np
 
-from aio1.model import init_weights, tiny_config
-from aio1.training import SwaAverage, TrainConfig, make_toy_dataset, train
+from aio1 import tensor as tz
+from aio1.metrics import Annotation, Beat
+from aio1.model import forward_logits, init_weights, tiny_config
+from aio1.postproc import Segment
+from aio1.tensor import Tensor
+from aio1.training import (RAdamState, SwaAverage, TrainConfig, build_targets,
+                           make_toy_dataset, multitask_loss, radam_step, train)
+
+
+def test_build_targets_ramps_and_labels():
+    vocab = ("intro", "verse", "chorus")
+    ann = Annotation(beats=[Beat(0.5, 1), Beat(1.0, 2), Beat(1.5, 1)],
+                     segments=[Segment(0.0, 1.2, "intro"), Segment(1.2, 3.0, "chorus")],
+                     duration=3.0)
+    cfg = TrainConfig(widen_frames=2, widen_weight=0.5, boundary_ramp_seconds=0.1)
+    t = build_targets(ann, 100.0, 300, cfg, vocab)
+    beat = np.zeros(300)
+    for f in (50, 100, 150):
+        beat[f - 2:f + 3] = [0.5, 0.5, 1.0, 0.5, 0.5]
+    np.testing.assert_array_equal(t.beat, beat)
+    down = beat.copy()
+    down[98:103] = 0.0                      # bar position 2 is no downbeat
+    np.testing.assert_array_equal(t.downbeat, down)
+    # a triangle of half-width 10 frames around the one inner boundary
+    ramp = np.zeros(300)
+    ramp[110:131] = 1.0 - np.abs(np.arange(110, 131) - 120) / 10
+    np.testing.assert_allclose(t.boundary, ramp, rtol=0, atol=1e-7)
+    np.testing.assert_array_equal(t.labels, [0] * 120 + [2] * 180)
+    part = t.slice(100, 130)
+    np.testing.assert_array_equal(part.boundary, t.boundary[100:130])
+    np.testing.assert_array_equal(part.labels, t.labels[100:130])
+
+
+def _masked_form_loss(logits, targets, weights):
+    """The loss as once written, with an all-ones frame mask."""
+    t = targets.labels.size
+    ones = Tensor(np.ones(t, dtype=logits["beat"].data.dtype))
+
+    def masked_mean(per_frame):
+        return tz.tsum(per_frame * ones) * (1.0 / float(t))
+
+    total = None
+    for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
+        term = masked_mean(tz.bce_with_logits(logits[name], getattr(targets, name))) * w
+        total = term if total is None else total + term
+    lsm = tz.log_softmax(logits["labels"], axis=-1)
+    picked = tz.take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
+    return total + masked_mean(picked * -1.0) * weights[3]
+
+
+def test_loss_is_bit_identical_to_the_masked_form():
+    cfg = tiny_config()
+    spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                                 num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
+    targets = build_targets(ann, cfg.fps, spec.num_frames, TrainConfig(),
+                            cfg.label_vocab)
+    rng = np.random.default_rng(6)
+    t, vocab = spec.num_frames, len(cfg.label_vocab)
+    logits = {name: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+              for name, shape in (("beat", t), ("downbeat", t), ("boundary", t),
+                                  ("labels", (t, vocab)))}
+    weights = (1.0, 0.5, 2.0, 1.5)
+    got = multitask_loss(logits, targets, weights)
+    got.backward()
+    got_grads = {k: v.grad for k, v in logits.items()}
+    for v in logits.values():
+        v.grad = None
+    want = _masked_form_loss(logits, targets, weights)
+    want.backward()
+    assert got.data.tobytes() == want.data.tobytes()
+    for k, v in logits.items():
+        np.testing.assert_array_equal(got_grads[k], v.grad, err_msg=k)
+
+
+def test_fresh_model_backprops_into_every_weight():
+    cfg = tiny_config()
+    spec, ann = make_toy_dataset(4, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                                 num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
+    targets = build_targets(ann, cfg.fps, spec.num_frames, TrainConfig(),
+                            cfg.label_vocab).slice(0, 300)
+    weights = init_weights(cfg, seed=2)
+    logits = forward_logits(spec.values[:, :300], weights, cfg, training=True,
+                            rng=np.random.default_rng(3))
+    multitask_loss(logits, targets).backward()
+    for name, t in weights.named_tensors():
+        assert t.grad is not None, name
+        assert t.grad.shape == t.data.shape and np.isfinite(t.grad).all(), name
+
+
+def numpy_radam(p, g, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One RAdam step (Liu et al., 2020) with decoupled weight decay."""
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g ** 2
+    m_hat = m / (1 - beta1 ** t)
+    rho_inf = 2 / (1 - beta2) - 1
+    rho = rho_inf - 2 * t * beta2 ** t / (1 - beta2 ** t)
+    if rho > 4:
+        r = math.sqrt((rho - 4) * (rho - 2) * rho_inf / ((rho_inf - 4) * (rho_inf - 2) * rho))
+        step = lr * r * m_hat / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+    else:
+        step = lr * m_hat
+    return p - step - lr * wd * p, m, v, rho
+
+
+def test_radam_matches_numpy_reference():
+    rng = np.random.default_rng(9)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 4), (5,), (2,))]
+    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    state = RAdamState.for_params(params)
+    lr, wd = 0.01, 0.05
+    branches = []
+    for t in range(1, 7):
+        # the last tensor never gets a gradient: only weight decay moves it
+        for p in params[:2]:
+            p.grad = rng.standard_normal(p.shape)
+        params[2].grad = None
+        grads = [p.grad for p in params[:2]] + [np.zeros(2)]
+        radam_step(params, state, lr, weight_decay=wd)
+        new_ref = []
+        for (p0, m, v), g in zip(ref, grads):
+            p1, m, v, rho = numpy_radam(p0, g, m, v, t, lr, wd)
+            new_ref.append((p1, m, v))
+        ref = new_ref
+        branches.append(rho > 4)
+        for p, (want, _, _) in zip(params, ref):
+            np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=1e-15)
+    assert branches == [False] * 4 + [True] * 2
 
 
 def test_swa_weights_are_float64_mean_of_snapshots():
