@@ -103,7 +103,11 @@ def init_attention_weights(embed_dim: int, cfg: AttentionConfig,
 # window geometry
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
+# The window caches hold about two track lengths of the default preset's
+# 12 dilations (a training chunk and a validation track). One 10-minute
+# length pins about 55 MB of 1-D tables and 64 MB of grid windows, and a
+# 1-D table rebuilds in under 0.1 s even at that length.
+@lru_cache(maxsize=32)
 def _window_table(length: int, kernel_size: int, dilation: int) -> tz.WindowGroup:
     """Windows of every frame as one group ``min(k, largest coset)`` slots
     wide.
@@ -171,7 +175,7 @@ def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
     return _attend(x, w, cfg, (table,), attn_dropout, training, rng)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def _grid_windows(num_stems: int, frames: int,
                   kernel_size: int) -> tuple[tz.WindowGroup, ...]:
     """Windows for the (stem, time) grid, flattened to ``N = S*T`` cells.

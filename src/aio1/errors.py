@@ -25,9 +25,5 @@ class NumericError(Aio1Error, ArithmeticError):
     """A computation produced non-finite values."""
 
 
-class ContractViolation(Aio1Error, ValueError):
-    """A caller-supplied structure breaks a documented contract."""
-
-
 class TrainingDiverged(Aio1Error, ArithmeticError):
     """Training loss became non-finite; the run was aborted."""

@@ -10,6 +10,9 @@ followed by ``log(1 + x)``.
 The feature extractor applies three conv + ELU + frequency-pool stages
 with weights shared across stems, then a linear map down to the embedding
 size. Time resolution is never reduced; only the frequency axis shrinks.
+At inference the model calls it once per fixed-size time tile with a
+2-frame halo (see ``aio1.model.forward_logits``), so its memory does not
+grow with the track.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .errors import ConfigError, InputError
@@ -101,11 +105,12 @@ def compute_logspec(samples: np.ndarray, cfg: SpectrogramConfig | None = None,
     window = np.hanning(cfg.fft_size).astype(np.float32)
     fb = filterbank(cfg)
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
+    every = sliding_window_view(xp, cfg.fft_size)      # a view: no copy
     block = 4096
     for start in range(0, frames, block):
         stop = min(start + block, frames)
-        offs = np.arange(start, stop)[:, None] * cfg.hop + np.arange(cfg.fft_size)
-        mag = np.abs(np.fft.rfft(xp[offs] * window, axis=1))
+        windows = every[start * cfg.hop:(stop - 1) * cfg.hop + 1:cfg.hop]
+        mag = np.abs(np.fft.rfft(windows * window, axis=1))
         out[start:stop] = np.log(cfg.log_offset + mag @ fb)
     return out
 
@@ -218,6 +223,12 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
         conv3_w=conv(c3, c2, 1, 3), conv3_b=Tensor(np.zeros(c3, dtype=dtype)),
         proj_w=Tensor(rng.uniform(-bound, bound, (feat, embed_dim)).astype(dtype)),
         proj_b=Tensor(np.zeros(embed_dim, dtype=dtype)))
+
+
+# frames on either side of an output frame that the front end reads: the
+# two 3x3 convs reach one frame each; conv3 is 1x3 and pooling only
+# touches frequency
+TIME_REACH = 2
 
 
 def frontend_forward(x: Tensor, w: FrontendWeights,

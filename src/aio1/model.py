@@ -23,14 +23,20 @@ import numpy as np
 from . import tensor as tz
 from .attention import AttentionConfig, AttentionWeights, init_attention_weights, na1d, na2d
 from .errors import ConfigError, InputError
-from .frontend import (FrontendWeights, StemSpectrogram, check_frontend_plan,
-                       frontend_forward, init_frontend_weights)
+from .frontend import (TIME_REACH, FrontendWeights, StemSpectrogram,
+                       check_frontend_plan, frontend_forward,
+                       init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
 
 # dilated windows beyond this many frames (10 minutes at 100 fps) exceed
 # any realistic track and only waste state
 _PRACTICAL_FRAMES = 60_000
+
+# frames per front-end time tile at inference. Every tile has this many
+# frames, so each GEMM sees the same shapes and float32 outputs stay
+# bit-identical to one whole-track call (a shorter tail tile does not)
+_TILE_FRAMES = 256
 
 
 @dataclass
@@ -344,17 +350,49 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int,
     return y
 
 
+def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
+              training: bool, rng: np.random.Generator | None) -> Tensor:
+    """``frontend_forward`` over the whole track, or, at inference on
+    tracks longer than one tile, over ``_TILE_FRAMES``-frame tiles.
+
+    A tile's input carries ``TIME_REACH`` frames of context on each side,
+    clipped at the track ends, and only its own frames are kept. The last
+    tile is aligned to the track end and keeps only the frames no earlier
+    tile produced. The loop stays outside ``frontend_forward``, because
+    ``bench/tracer.py`` names the conv spans by their index in each call.
+    """
+    t = x.shape[1]
+    if training or tz.grad_enabled() or t <= _TILE_FRAMES:
+        return frontend_forward(Tensor(x), w, cfg.pool_widths,
+                                cfg.dropout_conv, training, rng)
+    out = np.empty((x.shape[0], t, w.proj_b.shape[0]), dtype=x.dtype)
+    done = 0
+    while done < t:
+        start = min(done, t - _TILE_FRAMES)
+        stop = start + _TILE_FRAMES
+        lo = max(start - TIME_REACH, 0)
+        h = frontend_forward(Tensor(x[:, lo:min(stop + TIME_REACH, t)]), w,
+                             cfg.pool_widths)
+        out[:, done:stop] = h.data[:, done - lo:stop - lo]
+        done = stop
+    return Tensor(out)
+
+
 def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
                    training: bool = False,
                    rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-    """Raw head outputs from spectrogram values ``[S, T, bands]``."""
+    """Raw head outputs from spectrogram values ``[S, T, bands]``.
+
+    When no graph is recorded and dropout is off, the front end runs over
+    fixed time tiles with a 2-frame halo, so its memory does not grow
+    with the track; the outputs equal one whole-track call.
+    """
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:
         raise InputError(f"expected non-empty [S, T, bands], got {x.shape}")
     if not cfg.use_demix:
         x = x.sum(axis=0, keepdims=True)
-    h = frontend_forward(Tensor(x), weights.frontend, cfg.pool_widths,
-                         cfg.dropout_conv, training, rng)
+    h = _frontend(x, weights.frontend, cfg, training, rng)
     for l, bw in enumerate(weights.blocks):
         h = transformer_module_forward(h, bw, l, cfg, training, rng)
     h = h.mean(axis=0)                                       # [T, C]

@@ -47,6 +47,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations record a graph (False inside :func:`no_grad`)."""
+    return _grad_enabled
+
+
 def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
     if dtype is not None:

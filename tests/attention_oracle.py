@@ -19,8 +19,12 @@ import numpy as np
 
 from aio1 import tensor as tz
 from aio1.attention import AttentionConfig, AttentionWeights
-from aio1.errors import ContractViolation, ParameterError
+from aio1.errors import Aio1Error, ParameterError
 from aio1.tensor import Tensor
+
+
+class ContractViolation(Aio1Error, ValueError):
+    """A structure handed to an oracle breaks its documented contract."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import pytest
 from aio1 import attention as at
 from aio1 import tensor as tz
 from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d, receptive_field
-from aio1.errors import ConfigError, ContractViolation
+from aio1.errors import ConfigError
+from aio1.model import default_config
 from aio1.tensor import Tensor
 
-from attention_oracle import (composed_na1d, composed_na2d, full_attention_oracle,
-                              na1d_mask, na2d_mask, neighborhood_window_1d)
+from attention_oracle import (ContractViolation, composed_na1d, composed_na2d,
+                              full_attention_oracle, na1d_mask, na2d_mask,
+                              neighborhood_window_1d)
 
 
 def _weights(c, cfg, seed, two_d=False, dtype=np.float32, random_bias=True):
@@ -395,6 +397,31 @@ def test_window_table_drops_slots_no_frame_fills():
     np.testing.assert_array_equal(table.valid.sum(axis=1),
                                   [4 if i % 512 < 2000 - 3 * 512 else 3
                                    for i in range(2000)])
+
+
+def test_window_caches_hold_two_lengths_and_stay_bounded():
+    cfg = default_config()
+    dilations = sorted({d for l in range(cfg.num_blocks) for d in cfg.block_dilations(l)})
+    assert len(dilations) == 12
+    w1 = _weights(8, AttentionConfig(5, 1, 2), 31)
+    w2 = _weights(8, AttentionConfig(5, 1, 2), 32, two_d=True)
+
+    def attend(lengths):
+        with tz.no_grad():
+            for t in lengths:
+                x = Tensor(np.zeros((4, t, 8), np.float32))
+                for d in dilations:
+                    na1d(x, w1, AttentionConfig(5, d, 2))
+                na2d(x, w2, AttentionConfig(5, 1, 2))
+
+    attend([50, 61, 72, 83, 94, 105])
+    assert at._window_table.cache_info().currsize <= 32
+    assert at._grid_windows.cache_info().currsize <= 2
+    # a training chunk and a validation track, alternating, stay cached
+    before = at._window_table.cache_info().misses, at._grid_windows.cache_info().misses
+    attend([94, 105, 94])
+    assert (at._window_table.cache_info().misses,
+            at._grid_windows.cache_info().misses) == before
 
 
 def test_head_count_must_match_the_bias_table():

@@ -1,14 +1,16 @@
 """Model structure: shapes, parameter budgets, ablations, determinism,
 receptive-field realization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import aio1.model as model
 import aio1.tensor as tz
 from aio1.errors import InputError
-from aio1.frontend import StemSpectrogram, stems_from_audio
+from aio1.frontend import TIME_REACH, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
                         default_config, forward_logits, init_weights,
@@ -310,3 +312,93 @@ def test_influence_confined_to_analytic_window():
     changed = np.flatnonzero(np.abs(out - base) > 1e-7)
     assert changed.size > 0
     assert np.abs(changed - t0).max() <= radius
+
+# ---------------------------------------------------------------------------
+# the front end in time tiles at inference
+# ---------------------------------------------------------------------------
+
+def _record_frontend_calls(monkeypatch) -> list[int]:
+    """Input frame count of every ``frontend_forward`` call the model makes."""
+    calls = []
+    real = model.frontend_forward
+
+    def spy(x, *args, **kwargs):
+        calls.append(x.shape[1])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "frontend_forward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
+    # the default front end; float32 is bit-identical too, because every
+    # tile has the same frame count
+    cfg = default_config()
+    w = init_weights(cfg, seed=5, dtype=dtype).frontend
+    rng = np.random.default_rng(6)
+    calls = _record_frontend_calls(monkeypatch)
+    for frames in (1, 2, 3, 255, 256, 257, 2 * 256 + 3, 2001):
+        x = (2 * rng.random((1, frames, cfg.bands))).astype(dtype)
+        calls.clear()
+        with tz.no_grad():
+            tiled = model._frontend(x, w, cfg, False, None)
+        assert len(calls) == -(-frames // 256)
+        assert max(calls) <= 256 + 2 * TIME_REACH
+        whole = frontend_forward(Tensor(x), w, cfg.pool_widths)
+        np.testing.assert_array_equal(tiled.data, whole.data)
+
+
+def test_model_forward_in_tiles_equals_whole_track_forward(monkeypatch):
+    cfg = tiny_config()
+    w = init_weights(cfg, seed=15)
+    spec = random_spec(cfg, 700, seed=16)
+    calls = _record_frontend_calls(monkeypatch)
+    tiled = model_forward(spec, w, cfg)
+    assert len(calls) == 3
+    monkeypatch.setattr(model, "_TILE_FRAMES", 10 ** 9)
+    whole = model_forward(spec, w, cfg)
+    assert calls[3:] == [700]
+    for key in ("beat", "downbeat", "boundary", "labels"):
+        np.testing.assert_array_equal(getattr(tiled, key), getattr(whole, key))
+
+
+def test_graph_recording_forward_runs_the_front_end_whole(monkeypatch):
+    cfg = tiny_config()
+    w = init_weights(cfg, seed=17)
+    calls = _record_frontend_calls(monkeypatch)
+    logits = forward_logits(random_spec(cfg, 600, seed=18).values, w, cfg)
+    assert calls == [600]
+    (logits["beat"].sum() + logits["labels"].sum()).backward()
+    for name, t in w.frontend.named():
+        assert t.grad is not None and np.abs(t.grad).max() > 0, name
+
+
+def test_tiled_frontend_memory_grows_only_by_its_output():
+    cfg = tiny_config()
+    w = init_weights(cfg, seed=19).frontend
+    rng = np.random.default_rng(20)
+
+    def peak_and_output(fn, frames):
+        x = rng.random((cfg.num_stems, frames, cfg.bands)).astype(np.float32)
+        with tz.no_grad():
+            fn(x)                                    # warm-up
+            tracemalloc.start()
+            try:
+                out = fn(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peak, out.data.nbytes
+
+    def tiled(x):
+        return model._frontend(x, w, cfg, False, None)
+
+    def whole(x):
+        return frontend_forward(Tensor(x), w, cfg.pool_widths)
+
+    (p1, _), (p4, out4) = peak_and_output(tiled, 1000), peak_and_output(tiled, 4000)
+    assert p4 - p1 <= out4
+    # the measure tells the two apart: one whole-track call grows far more
+    (w1, _), (w4, _) = peak_and_output(whole, 1000), peak_and_output(whole, 4000)
+    assert w4 - w1 > 4 * out4
