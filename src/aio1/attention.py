@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -138,21 +138,12 @@ def _frozen_group(rows, idx, rel, valid) -> tz.WindowGroup:
     return tz.WindowGroup(rows, idx, rel, valid)
 
 
-def receptive_field(kernel_size: int, dilation: int, fps: float) -> tuple[int, float]:
-    """Span in frames and seconds covered by one window."""
-    if kernel_size < 1 or dilation < 1 or fps <= 0:
-        raise ParameterError("kernel_size, dilation >= 1 and fps > 0 required")
-    frames = (kernel_size - 1) * dilation + 1
-    return frames, frames / fps
-
-
 # ---------------------------------------------------------------------------
 # attention over time and over the (stem, time) grid
 # ---------------------------------------------------------------------------
 
 def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, windows,
-            attn_dropout: float, training: bool,
-            rng: np.random.Generator | None) -> Tensor:
+            attn_dropout: float, rng: np.random.Generator | None) -> Tensor:
     """Project ``[..., N, C]`` to queries, keys and values, attend over
     ``windows``, and project back."""
     if w.rpb.shape[0] != cfg.num_heads:
@@ -161,18 +152,16 @@ def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, windows,
     q = tz.matmul(x, w.wq) + w.bq
     k = tz.matmul(x, w.wk) + w.bk
     v = tz.matmul(x, w.wv) + w.bv
-    out = tz.neighborhood_attention(q, k, v, w.rpb, windows, attn_dropout,
-                                    training, rng)
+    out = tz.neighborhood_attention(q, k, v, w.rpb, windows, attn_dropout, rng)
     return tz.matmul(out, w.wo) + w.bo
 
 
-def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
-         attn_dropout: float = 0.0, training: bool = False,
+def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> Tensor:
     """Dilated neighborhood attention over the time axis of ``[..., T, C]``."""
     cfg.validate(x.shape[-1])
     table = _window_table(x.shape[-2], cfg.kernel_size, cfg.dilation)
-    return _attend(x, w, cfg, (table,), attn_dropout, training, rng)
+    return _attend(x, w, cfg, (table,), attn_dropout, rng)
 
 
 @lru_cache(maxsize=2)
@@ -208,8 +197,7 @@ def _grid_windows(num_stems: int, frames: int,
                  for first, idx, rel in groups)
 
 
-def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
-         attn_dropout: float = 0.0, training: bool = False,
+def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> Tensor:
     """Square-kernel neighborhood attention over ``[S, T, C]``."""
     cfg.validate(x.shape[-1])
@@ -217,5 +205,5 @@ def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig,
         raise ConfigError("grid attention runs undilated")
     s, t, c = x.shape
     windows = _grid_windows(s, t, cfg.kernel_size)
-    out = _attend(x.reshape(s * t, c), w, cfg, windows, attn_dropout, training, rng)
+    out = _attend(x.reshape(s * t, c), w, cfg, windows, attn_dropout, rng)
     return out.reshape(s, t, c)

@@ -18,7 +18,7 @@ grow with the track.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,12 +52,13 @@ class SpectrogramConfig:
 
 
 @lru_cache(maxsize=8)
-def _filterbank_cached(sample_rate, fft_size, bands_per_octave, fmin, fmax):
-    n_bins = fft_size // 2 + 1
-    bin_width = sample_rate / fft_size
-    n = int(math.ceil(bands_per_octave * math.log2(fmax / fmin)))
-    freqs = fmin * 2.0 ** (np.arange(n + 1) / bands_per_octave)
-    freqs = freqs[freqs <= fmax]
+def filterbank(cfg: SpectrogramConfig) -> np.ndarray:
+    """Triangular log-spaced filterbank, ``[fft_bins, bands]``, unit area."""
+    n_bins = cfg.fft_size // 2 + 1
+    bin_width = cfg.sample_rate / cfg.fft_size
+    n = int(math.ceil(cfg.bands_per_octave * math.log2(cfg.fmax / cfg.fmin)))
+    freqs = cfg.fmin * 2.0 ** (np.arange(n + 1) / cfg.bands_per_octave)
+    freqs = freqs[freqs <= cfg.fmax]
     centers = np.unique(np.round(freqs / bin_width).astype(int))
     centers = centers[(centers > 0) & (centers < n_bins)]
     if len(centers) < 3:
@@ -71,18 +72,6 @@ def _filterbank_cached(sample_rate, fft_size, bands_per_octave, fmin, fmax):
         fb[mid:hi + 1, i - 1] = fall / max(hi - mid, 1)
         fb[:, i - 1] /= fb[:, i - 1].sum()
     return fb
-
-
-def filterbank(cfg: SpectrogramConfig) -> np.ndarray:
-    """Triangular log-spaced filterbank, ``[fft_bins, bands]``, unit area."""
-    return _filterbank_cached(cfg.sample_rate, cfg.fft_size,
-                              cfg.bands_per_octave, cfg.fmin, cfg.fmax)
-
-
-def filterbank_centers_hz(cfg: SpectrogramConfig) -> np.ndarray:
-    """Center frequency of each band in Hz (peak of the triangle)."""
-    fb = filterbank(cfg)
-    return fb.argmax(axis=0) * cfg.sample_rate / cfg.fft_size
 
 
 def compute_logspec(samples: np.ndarray, cfg: SpectrogramConfig | None = None,
@@ -145,10 +134,6 @@ class StemSpectrogram:
     @property
     def num_frames(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.num_frames / self.fps
 
 
 def stems_from_audio(waveforms: dict[str, np.ndarray],
@@ -232,13 +217,13 @@ TIME_REACH = 2
 
 
 def frontend_forward(x: Tensor, w: FrontendWeights,
-                     pool_widths: tuple[int, ...] = (3, 3, 3),
-                     dropout_rate: float = 0.2, training: bool = False,
+                     pool_widths: tuple[int, ...] = (3, 3, 3), dropout_rate: float = 0.2,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Per-stem embeddings ``[S, T, C]`` from spectrograms ``[S, T, bands]``.
 
     All stems share the same weights; time resolution is preserved (the
-    convolutions pad the time axis, pooling only touches frequency).
+    convolutions pad the time axis, pooling only touches frequency). An
+    ``rng`` turns dropout on.
     """
     s, t, bands = x.shape
     check_frontend_plan(bands, pool_widths)
@@ -249,7 +234,7 @@ def frontend_forward(x: Tensor, w: FrontendWeights,
         h = tz.conv2d(h, kw_, pad)
         h = h + kb.reshape(1, -1, 1, 1)
         h = tz.elu(h)
-        h = tz.dropout(h, dropout_rate, training, rng)
+        h = tz.dropout(h, dropout_rate, rng)
         h = tz.maxpool(h, axis=3, width=pool)
     # [S, c3, T, F] -> [S, T, c3 * F]
     h = h.transpose(0, 2, 1, 3).reshape(s, t, -1)

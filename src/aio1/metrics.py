@@ -212,10 +212,18 @@ def _frame_labels(segments: list[Segment], duration: float, frame: float
     return out
 
 
-def _joint_counts(est_ids: np.ndarray, ref_ids: np.ndarray) -> np.ndarray:
-    n_ref = ref_ids.max() + 1
-    n_est = est_ids.max() + 1
-    joint = np.zeros((n_ref, n_est), dtype=np.int64)
+def _joint_counts(est_segments: list[Segment], ref_segments: list[Segment],
+                  frame: float) -> np.ndarray | None:
+    """Frame counts ``[ref labels, est labels]`` over the reference span,
+    or None when the estimate holds no segment."""
+    duration = ref_segments[-1].end if ref_segments else 0.0
+    if duration <= 0:
+        raise InputError("reference segmentation has zero duration")
+    if not est_segments:
+        return None
+    est_ids = _frame_labels(est_segments, duration, frame)
+    ref_ids = _frame_labels(ref_segments, duration, frame)
+    joint = np.zeros((ref_ids.max() + 1, est_ids.max() + 1), dtype=np.int64)
     np.add.at(joint, (ref_ids, est_ids), 1)
     return joint
 
@@ -226,14 +234,11 @@ def pairwise_f(est_segments: list[Segment], ref_segments: list[Segment],
 
     Defined over the sets of unordered same-label frame pairs; computed
     from the label contingency table rather than by pair enumeration.
-    Both pair sets empty scores 1; exactly one empty scores 0.
+    Both pair sets empty scores 1; exactly one, or the estimate, empty scores 0.
     """
-    duration = ref_segments[-1].end if ref_segments else 0.0
-    if duration <= 0:
-        raise InputError("reference segmentation has zero duration")
-    est_ids = _frame_labels(est_segments, duration, frame)
-    ref_ids = _frame_labels(ref_segments, duration, frame)
-    joint = _joint_counts(est_ids, ref_ids)
+    joint = _joint_counts(est_segments, ref_segments, frame)
+    if joint is None:
+        return 0.0, 0.0, 0.0
 
     def pairs(counts):
         return float((counts * (counts - 1) // 2).sum())
@@ -259,14 +264,12 @@ def entropy_scores(est_segments: list[Segment], ref_segments: list[Segment],
     ``S_over = 1 - H(est|ref) / log2(#est labels)`` and symmetrically for
     S_under; a single-label side makes the normaliser log2(1) = 0 and the
     score 1 by convention. Sf is the harmonic mean, 0 if either side is 0.
+    An empty estimate scores 0 on all three.
     """
-    duration = ref_segments[-1].end if ref_segments else 0.0
-    if duration <= 0:
-        raise InputError("reference segmentation has zero duration")
-    est_ids = _frame_labels(est_segments, duration, frame)
-    ref_ids = _frame_labels(ref_segments, duration, frame)
-    joint = _joint_counts(est_ids, ref_ids).astype(np.float64)
-    joint /= joint.sum()
+    counts = _joint_counts(est_segments, ref_segments, frame)
+    if counts is None:
+        return 0.0, 0.0, 0.0
+    joint = counts / counts.sum()
 
     def cond_entropy(p):
         # H(cols | rows) in bits
@@ -325,28 +328,3 @@ def evaluate_track(result: AnalysisResult, ref: Annotation) -> MetricsReport:
     report.validate()
     return report
 
-
-TABLE_COLUMNS = [
-    ("Beat", ["beat_f1", "beat_cmlt", "beat_amlt"]),
-    ("Downbeat", ["downbeat_f1", "downbeat_cmlt", "downbeat_amlt"]),
-    ("Segment", ["segment_hr05"]),
-    ("Label", ["label_pwf", "label_sf"]),
-]
-
-
-def aggregate_reports(reports: list[MetricsReport]) -> dict[str, float]:
-    """Unweighted per-score mean over a corpus."""
-    if not reports:
-        return {}
-    keys = reports[0].to_dict().keys()
-    return {k: float(np.mean([r.to_dict()[k] for r in reports])) for k in keys}
-
-
-def format_table(summary: dict[str, float], n_tracks: int) -> str:
-    """Plain-text summary table over a corpus."""
-    lines = [f"tracks: {n_tracks}"]
-    for group, keys in TABLE_COLUMNS:
-        cells = "  ".join(f"{k.split('_', 1)[1].upper():>5s}={summary.get(k, float('nan')):.3f}"
-                          for k in keys)
-        lines.append(f"{group:<9s} {cells}")
-    return "\n".join(lines)

@@ -15,23 +15,18 @@ heads emit beat, downbeat, boundary, and label scores.
 from __future__ import annotations
 
 import copy
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as tz
 from .attention import AttentionConfig, AttentionWeights, init_attention_weights, na1d, na2d
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ParameterError
 from .frontend import (TIME_REACH, FrontendWeights, StemSpectrogram,
                        check_frontend_plan, frontend_forward,
                        init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
-
-# dilated windows beyond this many frames (10 minutes at 100 fps) exceed
-# any realistic track and only waste state
-_PRACTICAL_FRAMES = 60_000
 
 # frames per front-end time tile at inference. Every tile has this many
 # frames, so each GEMM sees the same shapes and float32 outputs stay
@@ -72,17 +67,6 @@ class ModelConfig:
         if not self.label_vocab:
             raise ConfigError("label_vocab must not be empty")
         check_frontend_plan(self.bands, self.pool_widths)
-        span = (self.kernel_size - 1) * self.max_dilation + 1
-        if span > _PRACTICAL_FRAMES:
-            warnings.warn(
-                f"largest attention window spans {span} frames; "
-                "longer than any practical track", stacklevel=2)
-
-    @property
-    def max_dilation(self) -> int:
-        if not self.use_dilation:
-            return 1
-        return 2 * self.dilation_base ** (self.num_blocks - 1)
 
     def block_dilations(self, l: int) -> tuple[int, int]:
         if not self.use_dilation:
@@ -271,24 +255,6 @@ def param_count(cfg: ModelConfig) -> int:
     return init_weights(cfg, seed=0).num_parameters()
 
 
-def param_count_by_group(cfg: ModelConfig) -> dict[str, int]:
-    """Parameter totals keyed by coarse subsystem (frontend/attention/mlp/...)."""
-    groups: dict[str, int] = {}
-    for name, t in init_weights(cfg, seed=0).named_tensors():
-        if name.startswith("frontend"):
-            key = "frontend"
-        elif ".dina" in name or ".inst" in name:
-            key = "attention"
-        elif ".mlp." in name:
-            key = "mlp"
-        elif name.startswith("heads"):
-            key = "heads"
-        else:
-            key = "norm"
-        groups[key] = groups.get(key, 0) + t.data.size
-    return groups
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -318,19 +284,18 @@ class FrameActivations:
         return self.beat.shape[0]
 
 
-def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int,
-                               cfg: ModelConfig, training: bool = False,
+def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelConfig,
                                rng: np.random.Generator | None = None) -> Tensor:
-    """One transformer module over ``[S, T, C]``."""
+    """One transformer module over ``[S, T, C]``; an ``rng`` turns dropout on."""
     d1, d2 = cfg.block_dilations(l)
     normed = tz.layer_norm(x, bw.norm1_g, bw.norm1_b)
     cfg1 = AttentionConfig(cfg.kernel_size, d1, cfg.num_heads)
-    a = na1d(normed, bw.dina1, cfg1, cfg.dropout_attn, training, rng)
-    branch_a = x + tz.dropout(a, cfg.dropout_skip, training, rng)
+    a = na1d(normed, bw.dina1, cfg1, cfg.dropout_attn, rng)
+    branch_a = x + tz.dropout(a, cfg.dropout_skip, rng)
     if cfg.use_second_dina and bw.dina2 is not None:
         cfg2 = AttentionConfig(cfg.kernel_size, d2, cfg.num_heads)
-        b = na1d(normed, bw.dina2, cfg2, cfg.dropout_attn, training, rng)
-        branch_b = x + tz.dropout(b, cfg.dropout_skip, training, rng)
+        b = na1d(normed, bw.dina2, cfg2, cfg.dropout_attn, rng)
+        branch_b = x + tz.dropout(b, cfg.dropout_skip, rng)
     else:
         branch_b = x
     u = tz.concat([branch_a, branch_b], axis=-1)            # [S, T, 2C]
@@ -338,22 +303,22 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int,
     h = tz.layer_norm(u, bw.norm2_g, bw.norm2_b)
     h = tz.matmul(h, bw.mlp_w1) + bw.mlp_b1
     h = tz.gelu(h)
-    h = tz.dropout(h, cfg.dropout_mlp, training, rng)
+    h = tz.dropout(h, cfg.dropout_mlp, rng)
     h = tz.matmul(h, bw.mlp_w2) + bw.mlp_b2
-    y = x + tz.dropout(h, cfg.dropout_skip, training, rng)
+    y = x + tz.dropout(h, cfg.dropout_skip, rng)
 
     if cfg.use_instrument_attention and bw.inst is not None:
         grid_cfg = AttentionConfig(cfg.kernel_size, 1, cfg.num_heads)
         g = tz.layer_norm(y, bw.norm3_g, bw.norm3_b)
-        g = na2d(g, bw.inst, grid_cfg, cfg.dropout_attn, training, rng)
-        y = y + tz.dropout(g, cfg.dropout_skip, training, rng)
+        g = na2d(g, bw.inst, grid_cfg, cfg.dropout_attn, rng)
+        y = y + tz.dropout(g, cfg.dropout_skip, rng)
     return y
 
 
 def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
-              training: bool, rng: np.random.Generator | None) -> Tensor:
-    """``frontend_forward`` over the whole track, or, at inference on
-    tracks longer than one tile, over ``_TILE_FRAMES``-frame tiles.
+              rng: np.random.Generator | None) -> Tensor:
+    """``frontend_forward`` over the whole track, or, at inference (no rng,
+    no graph) on tracks longer than one tile, over ``_TILE_FRAMES`` tiles.
 
     A tile's input carries ``TIME_REACH`` frames of context on each side,
     clipped at the track ends, and only its own frames are kept. The last
@@ -362,9 +327,9 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     ``bench/tracer.py`` names the conv spans by their index in each call.
     """
     t = x.shape[1]
-    if training or tz.grad_enabled() or t <= _TILE_FRAMES:
+    if rng is not None or tz.grad_enabled() or t <= _TILE_FRAMES:
         return frontend_forward(Tensor(x), w, cfg.pool_widths,
-                                cfg.dropout_conv, training, rng)
+                                cfg.dropout_conv, rng)
     out = np.empty((x.shape[0], t, w.proj_b.shape[0]), dtype=x.dtype)
     done = 0
     while done < t:
@@ -383,18 +348,23 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
                    rng: np.random.Generator | None = None) -> dict[str, Tensor]:
     """Raw head outputs from spectrogram values ``[S, T, bands]``.
 
-    When no graph is recorded and dropout is off, the front end runs over
-    fixed time tiles with a 2-frame halo, so its memory does not grow
-    with the track; the outputs equal one whole-track call.
+    ``training=True`` draws dropout from ``rng``, which it requires;
+    ``training=False`` is inference and ignores ``rng``; if it also records
+    no graph, the front end runs over fixed time tiles with a 2-frame halo,
+    so its memory does not grow with the track; the outputs equal one
+    whole-track call.
     """
+    if training and rng is None:
+        raise ParameterError("training-mode dropout needs an explicit rng")
+    rng = rng if training else None
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:
         raise InputError(f"expected non-empty [S, T, bands], got {x.shape}")
     if not cfg.use_demix:
         x = x.sum(axis=0, keepdims=True)
-    h = _frontend(x, weights.frontend, cfg, training, rng)
+    h = _frontend(x, weights.frontend, cfg, rng)
     for l, bw in enumerate(weights.blocks):
-        h = transformer_module_forward(h, bw, l, cfg, training, rng)
+        h = transformer_module_forward(h, bw, l, cfg, rng)
     h = h.mean(axis=0)                                       # [T, C]
     h = tz.layer_norm(h, weights.final_norm_g, weights.final_norm_b)
     hd = weights.heads

@@ -44,8 +44,10 @@ class DbnConfig:
     observation_lambda: float = 16.0
 
     def validate(self) -> None:
-        if not self.min_bpm < self.max_bpm:
-            raise InputError("min_bpm must be below max_bpm")
+        if not 0 < self.min_bpm < self.max_bpm:
+            raise InputError("need 0 < min_bpm < max_bpm")
+        if not self.observation_lambda > 1:
+            raise InputError("observation_lambda must exceed 1")
         if any(b < 2 for b in self.beats_per_bar):
             raise InputError("beats_per_bar candidates must be >= 2")
 
@@ -109,6 +111,8 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
         raise InputError("empty beat activation")
     if beat.shape != downbeat.shape:
         raise InputError("beat and downbeat activations must align")
+    if not fps > 0:
+        raise InputError(f"fps must be positive, got {fps}")
     if beat.size < fps:
         raise InputError("need at least one second of activations")
     for arr, name in ((beat, "beat"), (downbeat, "downbeat")):
@@ -252,7 +256,7 @@ def label_segments(labels: np.ndarray, boundaries: np.ndarray, duration: float,
             raise InputError("boundaries must be strictly ascending inside the track")
     segments = []
     for a, b in zip(edges, edges[1:]):
-        lo = int(round(a * fps))
+        lo = min(int(round(a * fps)), frames - 1)
         hi = max(int(round(b * fps)), lo + 1)
         mean = labels[lo:min(hi, frames)].mean(axis=0)
         segments.append(Segment(start=a, end=b, label=vocab[int(mean.argmax())]))

@@ -181,12 +181,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, mul(_coerce(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -194,12 +188,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -575,23 +563,8 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return masked_softmax(x, None, axis)
-
-
-def masked_softmax(x: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; positions where ``mask`` is False get weight 0.
-
-    Every softmax row must keep at least one unmasked entry.
-    """
-    z = x.data
-    if mask is not None:
-        if not np.broadcast_shapes(mask.shape, z.shape) == z.shape:
-            raise DimensionError("mask does not broadcast to the logits")
-        z = np.where(mask, z, -np.inf)
-    zmax = np.max(z, axis=axis, keepdims=True)
-    if not np.isfinite(zmax).all():
-        raise NumericError("softmax row with no unmasked entries")
-    e = np.exp(z - zmax)
+    zmax = np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(x.data - zmax)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
@@ -634,8 +607,7 @@ class WindowGroup(NamedTuple):
 
 
 def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
-                           windows: Sequence[WindowGroup],
-                           attn_dropout: float = 0.0, training: bool = False,
+                           windows: Sequence[WindowGroup], attn_dropout: float = 0.0,
                            rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head softmax attention of each query row over its window.
 
@@ -644,10 +616,11 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     offset, and fixes the head count ``H``. ``windows`` covers the ``N``
     query rows. Each head's logits are its ``C/H`` channels of query and
     key dotted, scaled by ``1/sqrt(C/H)``, plus the slot's bias; padded
-    slots get probability 0, and inverted dropout at ``attn_dropout``
-    applies to the probabilities in training. The graph keeps only the
-    probabilities and the dropout mask: the backward gathers the window
-    keys and values again and scatter-adds their gradients by row.
+    slots get probability 0. Inverted dropout at ``attn_dropout``, drawn
+    from ``rng``, applies to the probabilities; ``rng=None`` is inference.
+    The graph keeps only the probabilities and the dropout mask: the
+    backward gathers the window keys and values again and scatter-adds
+    their gradients by row.
     """
     for t in (k, v, rpb):
         _require_same_dtype(q, t, "neighborhood_attention")
@@ -659,9 +632,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
         raise DimensionError(f"{heads} heads do not divide {c} channels")
     dh = c // heads
     dtype = q.data.dtype
-    drop = training and attn_dropout > 0.0
-    if drop and rng is None:
-        raise ParameterError("training-mode dropout needs an explicit rng")
+    drop = rng is not None and attn_dropout > 0.0
     inv_keep = dtype.type(1.0 / (1.0 - attn_dropout)) if drop else None
 
     # leading axes fold into one batch axis B
@@ -811,13 +782,10 @@ def grad_check(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
     return worst
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    if not training or rate <= 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout from ``rng``; identity when it is None (inference)."""
+    if rng is None or rate <= 0.0:
         return x
-    if rng is None:
-        raise ParameterError("training-mode dropout needs an explicit rng")
     keep = (rng.random(x.data.shape, dtype=np.float32) >= rate).astype(x.data.dtype)
     keep /= np.asarray(1.0 - rate, dtype=x.data.dtype)
     return mul(x, Tensor(keep))

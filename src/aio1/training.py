@@ -98,7 +98,7 @@ def build_targets(ann: Annotation, fps: float, frames: int,
         if b.bar_position == 1:
             place(downbeat, b.time)
 
-    ramp = int(round(cfg.boundary_ramp_seconds * fps))
+    ramp = max(int(round(cfg.boundary_ramp_seconds * fps)), 1)
     for seg in ann.segments[1:]:
         f = int(round(seg.start * fps))
         if not 0 <= f < frames:

@@ -8,9 +8,10 @@
   matrices that make the oracle compute ``na1d`` / ``na2d``.
 * ``composed_na1d`` / ``composed_na2d`` — the windowed attention as it
   was built before the fused op: a chain of gather, multiply, sum,
-  masked softmax, dropout and multiply graph nodes over padded windows.
-  Its gradients come from the generic primitives, so it checks the
-  fused op's hand-written backward.
+  softmax and multiply graph nodes over padded windows. Padded slots get
+  a finite ``-1e30`` logit bias, so their probability underflows to
+  exactly 0. Its gradients come from the generic primitives, so it
+  checks the fused op's hand-written backward.
 """
 
 from __future__ import annotations
@@ -160,9 +161,8 @@ def _padded_grid_windows(num_stems: int, frames: int, kernel_size: int):
 
 
 def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
-                        idx: np.ndarray, valid: np.ndarray, rel: np.ndarray,
-                        attn_dropout: float = 0.0, training: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
+                        idx: np.ndarray, valid: np.ndarray, rel: np.ndarray
+                        ) -> Tensor:
     c = x.shape[-1]
     dh = c // heads
     n, width = idx.shape
@@ -180,9 +180,8 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
     logits = (qh * kg).sum(axis=-1) * (1.0 / np.sqrt(dh))   # [..., N, W, H]
     bias = tz.take(w.rpb, rel, axis=1)                      # [H, N, W]
     logits = logits + bias.transpose(1, 2, 0)
-
-    probs = tz.masked_softmax(logits, valid[..., None], axis=-2)
-    probs = tz.dropout(probs, attn_dropout, training, rng)
+    pad = np.where(valid[..., None], 0.0, -1e30).astype(x.dtype)
+    probs = tz.softmax(logits + Tensor(pad), axis=-2)
 
     out = (probs.reshape(*lead, n, width, heads, 1) * vg).sum(axis=nl + 1)
     out = out.reshape(*lead, n, c)

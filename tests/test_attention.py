@@ -8,7 +8,7 @@ import pytest
 
 from aio1 import attention as at
 from aio1 import tensor as tz
-from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d, receptive_field
+from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d
 from aio1.errors import ConfigError
 from aio1.model import default_config
 from aio1.tensor import Tensor
@@ -93,16 +93,6 @@ def test_window_table_equals_per_frame_windows():
         assert (table.valid is None) == (want_valid is None), case
         if want_valid is not None:
             assert np.array_equal(table.valid, want_valid), case
-
-
-def test_receptive_field_values():
-    frames, seconds = receptive_field(5, 2 ** 10, 100)
-    assert frames == 4097
-    assert abs(seconds - 41.0) < 0.5
-    frames, seconds = receptive_field(5, 2 ** 11, 100)
-    assert frames == 8193
-    assert abs(seconds - 82.0) < 0.5
-    assert receptive_field(1, 999, 100)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,7 @@ def test_attention_dropout_grad_check(kernel):
 
     def loss():
         # a fresh generator per evaluation repeats the dropout mask
-        out = kernel(x, w, cfg, 0.3, True, np.random.default_rng(27))
+        out = kernel(x, w, cfg, 0.3, np.random.default_rng(27))
         return tz.tsum(tz.sigmoid(out))
 
     err = tz.grad_check(loss, params)

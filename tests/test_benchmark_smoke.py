@@ -1,9 +1,12 @@
-"""The benchmark's traced smoke run of ``analyze_default``.
+"""The benchmark's traced smoke runs of ``analyze_default`` and
+``train_default``.
 
-Its tracks are 300-400 frames, so the front end runs in more than one
-time tile. The run fails when a change breaks the tracer's span names
-(``frontend.conv1`` .. ``conv3`` are counted per ``frontend_forward``
-call) or the metric set that ``BENCHMARK.json`` declares.
+The analyze tracks are 300-400 frames, so the front end runs in more
+than one time tile. The runs fail when a change breaks the tracer's span
+names (``frontend.conv1`` .. ``conv3`` are counted per
+``frontend_forward`` call), the metric set that ``BENCHMARK.json``
+declares, or the argument positions the tracer reads: a misread
+signature leaves a layer's time at 0 instead of failing the run.
 """
 
 import importlib.util
@@ -29,3 +32,14 @@ def test_traced_analyze_default_smoke_run():
         smoke.check_workload(bench, "analyze_default", 1)
     except SystemExit as exc:
         pytest.fail(str(exc))
+
+
+def test_traced_train_default_times_every_layer():
+    smoke = _smoke_module()
+    out = smoke._run(ROOT, "train_default", 1)
+    assert out.returncode == 0, out.stderr
+    assert "not found" not in out.stderr, out.stderr
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
+    for name in ("train.forward_s", "train.val_s", "block0.dina1_s", "block0.dina2_s",
+                 "block0.inst_s", "block0.mlp_s", "frontend.conv1_s"):
+        assert metrics[name]["value"] > 0, name

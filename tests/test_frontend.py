@@ -6,8 +6,7 @@ import pytest
 import aio1.tensor as tz
 from aio1.errors import ConfigError, InputError
 from aio1.frontend import (SpectrogramConfig, StemSpectrogram, compute_logspec,
-                           filterbank, filterbank_centers_hz,
-                           frontend_forward, init_frontend_weights,
+                           filterbank, frontend_forward, init_frontend_weights,
                            pooled_bands, stems_from_audio)
 from aio1.tensor import Tensor
 
@@ -36,7 +35,7 @@ def test_sine_peaks_at_nearest_band():
     cfg = SpectrogramConfig()
     t = np.arange(44100) / cfg.sample_rate
     spec = compute_logspec(np.sin(2 * np.pi * 440.0 * t), cfg)
-    centers = filterbank_centers_hz(cfg)
+    centers = filterbank(cfg).argmax(axis=0) * cfg.sample_rate / cfg.fft_size
     want = int(np.abs(centers - 440.0).argmin())
     # interior frames only; edge frames see reflection-padding artifacts
     got = spec[10:-10].argmax(axis=1)

@@ -265,6 +265,12 @@ def test_entropy_single_estimated_label():
     assert sf == 0.0
 
 
+def test_empty_estimate_scores_zero():
+    ref = segs((0, 10, "a"), (10, 20, "b"))
+    assert pairwise_f([], ref) == (0.0, 0.0, 0.0)
+    assert entropy_scores([], ref) == (0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_track
 # ---------------------------------------------------------------------------

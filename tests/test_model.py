@@ -9,12 +9,12 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.errors import InputError
+from aio1.errors import InputError, ParameterError
 from aio1.frontend import TIME_REACH, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
                         default_config, forward_logits, init_weights,
-                        model_forward, param_count, param_count_by_group,
+                        model_forward, param_count,
                         small_config, tiny_config, toy_config,
                         transformer_module_forward)
 from aio1.postproc import Segment, analyze_activations
@@ -41,11 +41,13 @@ def test_param_count_small_in_budget():
 
 
 def test_doubling_embed_dim_roughly_quadruples_core():
+    def core(cfg):
+        # attention and MLP weights of every block
+        return sum(t.data.size for name, t in init_weights(cfg, seed=0).named_tensors()
+                   if ".dina" in name or ".inst" in name or ".mlp." in name)
+
     base = toy_config()
-    doubled = replace(base, embed_dim=32)
-    g1 = param_count_by_group(base)
-    g2 = param_count_by_group(doubled)
-    ratio = (g2["attention"] + g2["mlp"]) / (g1["attention"] + g1["mlp"])
+    ratio = core(replace(base, embed_dim=32)) / core(base)
     assert 3.5 <= ratio <= 4.5
 
 
@@ -228,6 +230,18 @@ def test_dropout_identity_at_inference_stochastic_in_training():
     t3 = forward_logits(vals, w, cfg, training=True,
                         rng=np.random.default_rng(2))["beat"].data
     assert not np.array_equal(t1, t3)
+    # an rng alone turns no dropout on
+    ignored = forward_logits(vals, w, cfg, training=False,
+                             rng=np.random.default_rng(1))["beat"].data
+    np.testing.assert_array_equal(ignored, base)
+
+
+def test_training_forward_without_rng_raises():
+    cfg = tiny_config()
+    w = init_weights(cfg, seed=0)
+    vals = random_spec(cfg, 40, seed=8).values
+    with pytest.raises(ParameterError, match="rng"):
+        forward_logits(vals, w, cfg, training=True, rng=None)
 
 
 def test_empty_input_rejected():
@@ -342,7 +356,7 @@ def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
         x = (2 * rng.random((1, frames, cfg.bands))).astype(dtype)
         calls.clear()
         with tz.no_grad():
-            tiled = model._frontend(x, w, cfg, False, None)
+            tiled = model._frontend(x, w, cfg, None)
         assert len(calls) == -(-frames // 256)
         assert max(calls) <= 256 + 2 * TIME_REACH
         whole = frontend_forward(Tensor(x), w, cfg.pool_widths)
@@ -392,7 +406,7 @@ def test_tiled_frontend_memory_grows_only_by_its_output():
         return peak, out.data.nbytes
 
     def tiled(x):
-        return model._frontend(x, w, cfg, False, None)
+        return model._frontend(x, w, cfg, None)
 
     def whole(x):
         return frontend_forward(Tensor(x), w, cfg.pool_widths)

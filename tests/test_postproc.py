@@ -88,6 +88,29 @@ def test_dbn_tempo_range_without_whole_frame_period():
                        DbnConfig(min_bpm=100.5, max_bpm=101))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("min_bpm", [0.0, -10.0])
+def test_dbn_rejects_non_positive_min_bpm(min_bpm):
+    with pytest.raises(InputError, match="min_bpm"):
+        dbn_decode(np.full(200, 0.1), np.zeros(200), FPS,
+                   DbnConfig(min_bpm=min_bpm))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_dbn_rejects_observation_lambda_up_to_one(lam):
+    with pytest.raises(InputError, match="observation_lambda"):
+        dbn_decode(np.full(200, 0.1), np.zeros(200), FPS,
+                   DbnConfig(observation_lambda=lam))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fps", [0.0, -100.0])
+def test_dbn_rejects_non_positive_fps(fps):
+    with pytest.raises(InputError, match="fps"):
+        dbn_decode(np.full(200, 0.1), np.zeros(200), fps)
+
+
 # ---------------------------------------------------------------------------
 # boundary picking
 # ---------------------------------------------------------------------------
@@ -166,6 +189,15 @@ def test_half_verse_half_chorus():
     assert [s.label for s in segs] == ["verse", "chorus"]
     assert segs[0].start == 0.0
     assert segs[-1].end == 20.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_boundary_in_the_last_half_frame_reads_the_last_frame():
+    # 9.996 s rounds to frame 1000 of a 1,000-frame track
+    labels = np.zeros((1000, 4))
+    labels[:, 2] = 1.0
+    segs = label_segments(labels, np.array([9.996]), 10.0, VOCAB)
+    assert [s.label for s in segs] == ["chorus", "chorus"]
 
 
 def test_segments_tile_duration():

@@ -233,19 +233,6 @@ def test_softmax_sums_to_one_and_monotone():
         assert (np.diff(p[order]) >= -1e-12).all()
 
 
-def test_masked_softmax_zeroes_masked_positions():
-    x = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    mask = np.array([[True, False, True]])
-    p = tz.masked_softmax(x, mask).data
-    assert p[0, 1] == 0.0
-    np.testing.assert_allclose(p.sum(), 1.0)
-
-
-def test_masked_softmax_all_false_row_raises():
-    with pytest.raises(NumericError):
-        tz.masked_softmax(Tensor(np.zeros((1, 3))), np.zeros((1, 3), bool))
-
-
 def test_non_finite_output_raises():
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
         Tensor(np.array([1e200])) * 1e200
@@ -354,20 +341,6 @@ def test_grad_log_softmax_and_bce():
     _gc(loss, z)
 
 
-def test_grad_masked_softmax():
-    rng = np.random.default_rng(14)
-    x = Tensor(_rand((4, 5), rng), requires_grad=True)
-    mask = rng.random((4, 5)) > 0.3
-    mask[:, 0] = True
-
-    def loss():
-        return tz.tsum(tz.masked_softmax(x, mask, axis=-1) ** 2
-                       if False else tz.masked_softmax(x, mask, axis=-1)
-                       * tz.masked_softmax(x, mask, axis=-1))
-
-    _gc(loss, x)
-
-
 def _two_window_groups():
     """Rows 0-2 attend over two slots, the middle one padded; rows 3-5
     over three slots, with repeated keys."""
@@ -387,11 +360,33 @@ def test_grad_neighborhood_attention(dropout):
     windows = _two_window_groups()
 
     def loss():
-        out = tz.neighborhood_attention(q, k, v, rpb, windows, dropout, True,
+        out = tz.neighborhood_attention(q, k, v, rpb, windows, dropout,
                                         np.random.default_rng(16))
         return tz.tsum(tz.sigmoid(out))
 
     _gc(loss, q, k, v, rpb)
+
+
+def test_neighborhood_attention_without_rng_runs_no_dropout():
+    rng = np.random.default_rng(18)
+    q, k, v = (Tensor(_rand((2, 6, 4), rng)) for _ in range(3))
+    rpb = Tensor(_rand((2, 5), rng))
+    windows = _two_window_groups()
+    plain = tz.neighborhood_attention(q, k, v, rpb, windows, 0.0).data
+    unseeded = tz.neighborhood_attention(q, k, v, rpb, windows, 0.4, None).data
+    assert np.array_equal(unseeded, plain)
+
+
+def test_dropout_without_rng_is_identity():
+    x = Tensor(np.ones((3, 4)))
+    assert tz.dropout(x, 0.5, None) is x
+
+
+def test_dropout_with_rng_keeps_the_expectation():
+    x = Tensor(np.ones((200, 50)))
+    out = tz.dropout(x, 0.5, np.random.default_rng(19)).data
+    assert set(np.unique(out)) == {0.0, 2.0}
+    assert abs(out.mean() - 1.0) < 0.05
 
 
 def test_neighborhood_attention_padded_slot_gets_no_weight():

@@ -4,6 +4,7 @@ and seeded reproducibility."""
 import math
 
 import numpy as np
+import pytest
 
 from aio1 import tensor as tz
 from aio1.metrics import Annotation, Beat
@@ -53,6 +54,18 @@ def _masked_form_loss(logits, targets, weights):
     lsm = tz.log_softmax(logits["labels"], axis=-1)
     picked = tz.take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
     return total + masked_mean(picked * -1.0) * weights[3]
+
+
+@pytest.mark.filterwarnings("error")
+def test_build_targets_ramp_under_half_a_frame_marks_the_boundary_alone():
+    ann = Annotation(beats=[Beat(0.5, 1)],
+                     segments=[Segment(0.0, 1.2, "intro"), Segment(1.2, 3.0, "verse")],
+                     duration=3.0)
+    cfg = TrainConfig(boundary_ramp_seconds=0.004)     # rounds to 0 frames
+    t = build_targets(ann, 100.0, 300, cfg)
+    want = np.zeros(300)
+    want[120] = 1.0
+    np.testing.assert_array_equal(t.boundary, want)
 
 
 def test_loss_is_bit_identical_to_the_masked_form():
