@@ -199,17 +199,18 @@ def boundary_hit_rate(est_segments: list[Segment], ref_segments: list[Segment],
 
 def _frame_labels(segments: list[Segment], duration: float, frame: float
                   ) -> np.ndarray:
-    """Integer label ids sampled every ``frame`` seconds."""
+    """Integer label ids sampled every ``frame`` seconds, numbered in the
+    order the labels first appear among the samples."""
     n = int(np.ceil(duration / frame))
-    ids = {}
-    out = np.zeros(n, dtype=np.int64)
     starts = np.asarray([s.start for s in segments])
-    for i in range(n):
-        t = i * frame
-        j = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
-                        0, len(segments) - 1))
-        out[i] = ids.setdefault(segments[j].label, len(ids))
-    return out
+    seg = np.clip(np.searchsorted(starts, np.arange(n) * frame, side="right") - 1,
+                  0, len(segments) - 1)
+    codes: dict[str, int] = {}
+    seg_code = np.asarray([codes.setdefault(s.label, len(codes)) for s in segments])
+    _, first, ids = np.unique(seg_code[seg], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[ids]
 
 
 def _joint_counts(est_segments: list[Segment], ref_segments: list[Segment],

@@ -102,11 +102,22 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     uniform prior, so the pass equals a separate decode per bar length.
     The best final state wins; exact ties go to the earlier candidate,
     then to the lower state.
+
+    The scores of all frames live in one buffer of ``frames + n`` slots,
+    and frame t views the ``n`` slots that start one slot before frame
+    t - 1's. The within-beat advance (phase f comes from phase f - 1) is
+    then free, and the previous frame stays readable in place. Each frame
+    adds the off-beat emission to every state as one scalar, then
+    rewrites the few beat-window states (the leading phases of each tempo
+    block, every phase 0 among them) from their values before that add
+    plus their own class. Phase 0 takes the best tempo transition, picked
+    from a preallocated ``[rows, new, old]`` candidate buffer. Every
+    state gets the same float64 additions as a plain per-state update.
     """
     cfg = cfg or DbnConfig()
     cfg.validate()
-    beat = np.asarray(beat, dtype=np.float64)
-    downbeat = np.asarray(downbeat, dtype=np.float64)
+    beat = np.asarray(beat)
+    downbeat = np.asarray(downbeat)
     if beat.size == 0:
         raise InputError("empty beat activation")
     if beat.shape != downbeat.shape:
@@ -134,6 +145,7 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     bar_pos = np.arange(len(row_start)) - row_start
     prev_row = row_start + (bar_pos - 1) % np.repeat(bpb, bpb)
     rows = len(bar_pos)
+    n = rows * per_row
 
     # within a row: tempo blocks of tau phases each
     first_off = np.cumsum(taus) - taus                   # phase 0 of each tempo
@@ -141,37 +153,56 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     phase = np.arange(per_row) - first_off[tempo]
     last_off = first_off + taus - 1
 
-    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window
+    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window;
+    # a row's window states all share its class
     in_window = phase < taus[tempo] / cfg.observation_lambda
-    obs_class = np.where(in_window, np.where(bar_pos[:, None] == 0, 2, 1),
-                         0).ravel()
-    b = np.clip(beat, 1e-6, 1.0)
-    d = np.clip(downbeat, 1e-6, 1.0)
-    rest = np.clip(1.0 - beat - downbeat, 1e-6, 1.0) / (cfg.observation_lambda - 1.0)
-    obs_log = np.stack([np.log(rest), np.log(b), np.log(d)], axis=1)  # [T, 3]
+    row_class = np.where(bar_pos == 0, 2, 1)[:, None]
+    obs_log = np.empty((frames, 3))                      # log emission per class
+    off_beat, on_beat, on_down = obs_log.T               # float64 column views
+    on_beat[:] = beat
+    on_down[:] = downbeat
+    np.subtract(1.0, on_beat, out=off_beat)
+    off_beat -= on_down
+    np.clip(off_beat, 1e-6, 1.0, out=off_beat)
+    off_beat /= cfg.observation_lambda - 1.0
+    np.clip(on_beat, 1e-6, 1.0, out=on_beat)
+    np.clip(on_down, 1e-6, 1.0, out=on_down)
+    np.log(obs_log, out=obs_log)
 
     ratio = taus[:, None].astype(np.float64) / taus[None, :]
     penalty = -cfg.transition_lambda * np.abs(ratio - 1.0)            # [new, old]
 
     # flat state ids: the last phase of every tempo at the previous bar
-    # position, and the first phase of every tempo in the row itself
+    # position; the window states of every row, phase 0 of each tempo first
+    row_base = np.arange(rows)[:, None] * per_row
     ends_idx = prev_row[:, None] * per_row + last_off    # [rows, old]
-    first_idx = np.arange(rows)[:, None] * per_row + first_off
+    rest_idx = row_base + np.flatnonzero(in_window & (phase > 0))
+    win_idx = np.concatenate([row_base + first_off, rest_idx], axis=1)
+    pick = np.arange(rows * nt).reshape(rows, nt) * nt   # flat [rows, new, 0]
 
+    # frame t's scores are buf[frames - 1 - t:][:n], one slot before frame
+    # t - 1's, so phase f at t aliases phase f - 1 at t - 1
+    buf = np.zeros(frames + n)
+    delta = buf[frames - 1:frames - 1 + n]
     prior = np.repeat(-np.log(bpb * per_row), bpb * per_row)
-    delta = prior + np.take(obs_log[0], obs_class)
+    delta[:] = prior + obs_log[0, 0]
+    delta[win_idx] = prior[win_idx] + obs_log[0, row_class]
     pointers = np.empty((frames, rows, nt), dtype=np.min_scalar_type(nt - 1))
-    shifted = np.empty_like(delta)
+    cand = np.empty((rows, nt, nt))
+    win = np.empty(win_idx.shape)
+    # every index below is in range; mode="clip" writes the strided win
+    # views directly, where the default mode="raise" buffers them
     for t in range(1, frames):
-        # within-beat advance: phase f comes from f-1 (contiguous layout);
-        # every phase-0 slot is overwritten by a tempo transition below
-        shifted[1:] = delta[:-1]
-        cand = np.take(delta, ends_idx)[:, None, :] + penalty   # [rows, new, old]
-        best_old = cand.argmax(axis=2)
-        pointers[t] = best_old
-        shifted[first_idx] = np.take_along_axis(cand, best_old[..., None], 2)[..., 0]
-        shifted += np.take(obs_log[t], obs_class)
-        delta, shifted = shifted, delta
+        prev, delta = delta, buf[frames - 1 - t:frames - 1 - t + n]
+        np.add(np.take(prev, ends_idx)[:, None, :], penalty, out=cand)
+        best = cand.argmax(axis=2)
+        pointers[t] = best
+        best += pick
+        np.take(cand, best, out=win[:, :nt], mode="clip")
+        np.take(delta, rest_idx, out=win[:, nt:], mode="clip")
+        win += obs_log[t, row_class]
+        delta += obs_log[t, 0]
+        delta[win_idx] = win
 
     # backtrace: within a beat the predecessor is deterministic
     row, off = divmod(int(delta.argmax()), per_row)

@@ -5,6 +5,7 @@ exactly equal."""
 import numpy as np
 import pytest
 
+from aio1.errors import InputError
 from aio1.postproc import DbnConfig, dbn_decode
 
 from test_postproc import FPS, plant_beats
@@ -164,16 +165,48 @@ def test_random_tracks_match_reference(seed):
 
 CONFIGS = [DbnConfig(beats_per_bar=(4,)), DbnConfig(beats_per_bar=(4, 3)),
            DbnConfig(beats_per_bar=(2, 3, 4)),
-           DbnConfig(min_bpm=80.0, max_bpm=160.0, beats_per_bar=(3, 4))]
+           DbnConfig(min_bpm=80.0, max_bpm=160.0, beats_per_bar=(3, 4)),
+           DbnConfig(beats_per_bar=(2,))]
+CONFIG_IDS = ["4", "4-3", "2-3-4", "80-160bpm", "2"]
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["4", "4-3", "2-3-4", "80-160bpm"])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("seed", [100, 101, 102])
 def test_bar_length_candidates_match_reference(cfg, seed):
     assert_same_as_reference(*random_track(seed), cfg=cfg)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["4", "4-3", "2-3-4", "80-160bpm"])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 def test_bar_length_candidates_planted_match_reference(cfg):
     beat, down, _ = plant_beats(30, 60, 3)
     assert_same_as_reference(beat, down, cfg=cfg)
+
+
+# Other frame rates: 50 fps, the 44100/1024 hop of many beat trackers,
+# and 10 fps, where tau runs 3-10 and the beat window is phase 0 alone.
+RATES = [50.0, 44100 / 1024, 10.0]
+RATE_IDS = ["50", "44100-1024", "10"]
+
+
+@pytest.mark.parametrize("fps", RATES, ids=RATE_IDS)
+@pytest.mark.parametrize("seed", [200, 201, 202])
+def test_other_frame_rates_match_reference(fps, seed):
+    assert_same_as_reference(*random_track(seed, fps), fps=fps)
+
+
+@pytest.mark.parametrize("fps", RATES, ids=RATE_IDS)
+def test_other_frame_rates_planted_match_reference(fps):
+    period = max(int(round(fps * 60 / 120)), 4)
+    beat, down, _ = plant_beats(30, period, 4, fps=fps)
+    assert_same_as_reference(beat, down, fps=fps)
+
+
+@pytest.mark.parametrize("fps", [FPS] + RATES, ids=["100"] + RATE_IDS)
+def test_shortest_track_matches_reference(fps):
+    """A track of exactly ceil(fps) frames, the shortest one accepted."""
+    rng = np.random.default_rng(int(fps))
+    frames = int(np.ceil(fps))
+    beat, down = rng.random(frames), rng.random(frames)
+    assert_same_as_reference(beat, down, fps=fps)
+    with pytest.raises(InputError):
+        dbn_decode(beat[:-1], down[:-1], fps)

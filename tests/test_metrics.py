@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from aio1.errors import InputError
-from aio1.metrics import (Annotation, Beat, boundary_hit_rate, continuity,
-                          entropy_scores, evaluate_track, event_f1,
+from aio1.metrics import (Annotation, Beat, _frame_labels, boundary_hit_rate,
+                          continuity, entropy_scores, evaluate_track, event_f1,
                           pairwise_f, segment_boundaries)
 from aio1.postproc import AnalysisResult, Segment
 
@@ -192,6 +192,49 @@ def test_boundary_asymmetric_case():
     assert (p05, r05) == (0.6, 0.6)
     assert brute_force_matching(list(segment_boundaries(est)),
                                 list(segment_boundaries(ref)), 0.5) == 3
+
+
+# ---------------------------------------------------------------------------
+# frame labels: the vectorised sampler against a per-frame loop
+# ---------------------------------------------------------------------------
+
+def loop_frame_labels(segments, duration, frame):
+    """One frame at a time: the segment holding ``i * frame``, its label
+    numbered in order of first appearance."""
+    n = int(np.ceil(duration / frame))
+    ids = {}
+    out = np.zeros(n, dtype=np.int64)
+    starts = np.asarray([s.start for s in segments])
+    for i in range(n):
+        j = int(np.clip(np.searchsorted(starts, i * frame, side="right") - 1,
+                        0, len(segments) - 1))
+        out[i] = ids.setdefault(segments[j].label, len(ids))
+    return out
+
+
+def random_segmentation(rng):
+    """1-12 segments with spans from 0.01 s (between two frames) to 20 s
+    and labels drawn from a small pool, so labels repeat and some
+    segments hold no frame."""
+    k = int(rng.integers(1, 13))
+    spans = np.where(rng.random(k) < 0.2, rng.uniform(0.01, 0.1, k),
+                     rng.uniform(0.1, 20.0, k))
+    edges = np.concatenate([[0.0], np.cumsum(spans)])
+    labels = [str(rng.integers(0, 5)) for _ in range(k)]
+    return [Segment(float(a), float(b), lab)
+            for a, b, lab in zip(edges[:-1], edges[1:], labels)]
+
+
+def test_frame_labels_match_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        segments = random_segmentation(rng)
+        duration = segments[-1].end * float(rng.uniform(0.5, 1.2))
+        frame = float(rng.choice([0.1, 0.05, 0.37]))
+        got = _frame_labels(segments, duration, frame)
+        want = loop_frame_labels(segments, duration, frame)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
