@@ -57,36 +57,23 @@ class AttentionWeights:
     for 2-D windows, indexed by dilation-normalised offsets.
     """
 
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    rpb: Tensor
-
-    def named(self, prefix: str):
-        yield f"{prefix}.query.weight", self.wq
-        yield f"{prefix}.query.bias", self.bq
-        yield f"{prefix}.key.weight", self.wk
-        yield f"{prefix}.key.bias", self.bk
-        yield f"{prefix}.value.weight", self.wv
-        yield f"{prefix}.value.bias", self.bv
-        yield f"{prefix}.out.weight", self.wo
-        yield f"{prefix}.out.bias", self.bo
-        yield f"{prefix}.rpb", self.rpb
+    wq: Tensor = tz.param("query.weight")
+    bq: Tensor = tz.param("query.bias")
+    wk: Tensor = tz.param("key.weight")
+    bk: Tensor = tz.param("key.bias")
+    wv: Tensor = tz.param("value.weight")
+    bv: Tensor = tz.param("value.bias")
+    wo: Tensor = tz.param("out.weight")
+    bo: Tensor = tz.param("out.bias")
+    rpb: Tensor = tz.param("rpb")
 
 
 def init_attention_weights(embed_dim: int, cfg: AttentionConfig,
                            rng: np.random.Generator, two_d: bool = False,
                            dtype=np.float32) -> AttentionWeights:
     """Fan-in scaled uniform projections, zero biases, zero bias table."""
-    bound = 1.0 / np.sqrt(embed_dim)
-
     def lin():
-        return Tensor(rng.uniform(-bound, bound, (embed_dim, embed_dim)).astype(dtype))
+        return tz.fan_in_uniform(rng, (embed_dim, embed_dim), embed_dim, dtype)
 
     def zeros(shape):
         return Tensor(np.zeros(shape, dtype=dtype))

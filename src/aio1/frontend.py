@@ -1,10 +1,13 @@
 """Spectrogram extraction and the convolutional feature extractor.
 
 Audio enters as per-stem mono waveforms (or precomputed spectrograms) and
-leaves as per-stem, per-frame embeddings. The spectrogram is a magnitude
-STFT run through a triangular filterbank whose centers are spaced twelve
-per octave and snapped to FFT bins (duplicate low-frequency centers are
-merged, which is what makes the default configuration land on 81 bands),
+leaves as per-stem, per-frame embeddings. The spectrogram is fixed, as in
+the paper: ``SAMPLE_RATE`` = 44.1 kHz audio, a Hann-windowed magnitude
+STFT of ``FFT_SIZE`` = 2048 samples every ``HOP`` = 441 samples
+(``FPS`` = 100 frames per second), run through a triangular filterbank
+whose centers are spaced ``BANDS_PER_OCTAVE`` = 12 per octave from
+``FMIN`` = 30 Hz to ``FMAX`` = 17 kHz and snapped to FFT bins (duplicate
+low-frequency centers are merged, which is what leaves 81 bands),
 followed by ``log(1 + x)``.
 
 The feature extractor applies three conv + ELU + frequency-pool stages
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,39 +33,25 @@ from .tensor import Tensor
 
 STEM_NAMES = ("bass", "drums", "other", "vocals")
 
-
-@dataclass(frozen=True)
-class SpectrogramConfig:
-    sample_rate: int = 44100
-    fft_size: int = 2048
-    hop: int = 441
-    bands_per_octave: int = 12
-    fmin: float = 30.0
-    fmax: float = 17000.0
-    log_offset: float = 1.0
-
-    @property
-    def fps(self) -> float:
-        return self.sample_rate / self.hop
-
-    def validate(self) -> None:
-        if self.sample_rate % self.hop != 0:
-            raise ConfigError("hop must divide the sample rate evenly")
-        filterbank(self)  # raises ConfigError when no band fits
+SAMPLE_RATE = 44100
+FFT_SIZE = 2048
+HOP = 441
+FPS = SAMPLE_RATE / HOP
+BANDS_PER_OCTAVE = 12
+FMIN = 30.0
+FMAX = 17000.0
 
 
-@lru_cache(maxsize=8)
-def filterbank(cfg: SpectrogramConfig) -> np.ndarray:
+@cache
+def filterbank() -> np.ndarray:
     """Triangular log-spaced filterbank, ``[fft_bins, bands]``, unit area."""
-    n_bins = cfg.fft_size // 2 + 1
-    bin_width = cfg.sample_rate / cfg.fft_size
-    n = int(math.ceil(cfg.bands_per_octave * math.log2(cfg.fmax / cfg.fmin)))
-    freqs = cfg.fmin * 2.0 ** (np.arange(n + 1) / cfg.bands_per_octave)
-    freqs = freqs[freqs <= cfg.fmax]
+    n_bins = FFT_SIZE // 2 + 1
+    bin_width = SAMPLE_RATE / FFT_SIZE
+    n = int(math.ceil(BANDS_PER_OCTAVE * math.log2(FMAX / FMIN)))
+    freqs = FMIN * 2.0 ** (np.arange(n + 1) / BANDS_PER_OCTAVE)
+    freqs = freqs[freqs <= FMAX]
     centers = np.unique(np.round(freqs / bin_width).astype(int))
     centers = centers[(centers > 0) & (centers < n_bins)]
-    if len(centers) < 3:
-        raise ConfigError("filterbank parameters leave fewer than one band")
     fb = np.zeros((n_bins, len(centers) - 2), dtype=np.float32)
     for i in range(1, len(centers) - 1):
         lo, mid, hi = centers[i - 1], centers[i], centers[i + 1]
@@ -74,33 +63,31 @@ def filterbank(cfg: SpectrogramConfig) -> np.ndarray:
     return fb
 
 
-def compute_logspec(samples: np.ndarray, cfg: SpectrogramConfig | None = None,
-                    ) -> np.ndarray:
+def compute_logspec(samples: np.ndarray) -> np.ndarray:
     """Log-filterbank spectrogram ``[T, bands]`` of a mono waveform.
 
-    Frame ``t`` is centred on sample ``t * hop`` (reflection padding at the
-    edges) so ``T == ceil(len / hop)`` exactly. Deterministic; the caller
-    is responsible for handing in audio at ``cfg.sample_rate``.
+    Frame ``t`` is centred on sample ``t * HOP`` (reflection padding at the
+    edges) so ``T == ceil(len / HOP)`` exactly. Deterministic; the caller
+    is responsible for handing in audio at ``SAMPLE_RATE``.
     """
-    cfg = cfg or SpectrogramConfig()
     x = np.asarray(samples, dtype=np.float32).reshape(-1)
     if x.size == 0:
         raise InputError("empty waveform")
     n = x.size
-    frames = -(-n // cfg.hop)
-    pad = cfg.fft_size // 2
+    frames = -(-n // HOP)
+    pad = FFT_SIZE // 2
     mode = "reflect" if n > pad else "edge"
     xp = np.pad(x, (pad, pad), mode=mode)
-    window = np.hanning(cfg.fft_size).astype(np.float32)
-    fb = filterbank(cfg)
+    window = np.hanning(FFT_SIZE).astype(np.float32)
+    fb = filterbank()
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
-    every = sliding_window_view(xp, cfg.fft_size)      # a view: no copy
+    every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
     block = 4096
     for start in range(0, frames, block):
         stop = min(start + block, frames)
-        windows = every[start * cfg.hop:(stop - 1) * cfg.hop + 1:cfg.hop]
+        windows = every[start * HOP:(stop - 1) * HOP + 1:HOP]
         mag = np.abs(np.fft.rfft(windows * window, axis=1))
-        out[start:stop] = np.log(cfg.log_offset + mag @ fb)
+        out[start:stop] = np.log(1.0 + mag @ fb)
     return out
 
 
@@ -136,17 +123,15 @@ class StemSpectrogram:
         return self.values.shape[1]
 
 
-def stems_from_audio(waveforms: dict[str, np.ndarray],
-                     cfg: SpectrogramConfig | None = None) -> StemSpectrogram:
+def stems_from_audio(waveforms: dict[str, np.ndarray]) -> StemSpectrogram:
     """Build a StemSpectrogram from named mono waveforms (fixed stem order)."""
-    cfg = cfg or SpectrogramConfig()
     missing = [s for s in STEM_NAMES if s not in waveforms]
     if missing:
         raise InputError(f"missing stems: {', '.join(missing)}")
-    specs = [compute_logspec(waveforms[s], cfg) for s in STEM_NAMES]
+    specs = [compute_logspec(waveforms[s]) for s in STEM_NAMES]
     frames = min(s.shape[0] for s in specs)
     values = np.stack([s[:frames] for s in specs])
-    return StemSpectrogram(values=values, fps=cfg.fps, stems=STEM_NAMES)
+    return StemSpectrogram(values=values, fps=FPS, stems=STEM_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +140,14 @@ def stems_from_audio(waveforms: dict[str, np.ndarray],
 
 @dataclass
 class FrontendWeights:
-    conv1_w: Tensor
-    conv1_b: Tensor
-    conv2_w: Tensor
-    conv2_b: Tensor
-    conv3_w: Tensor
-    conv3_b: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-
-    def named(self, prefix: str = "frontend"):
-        yield f"{prefix}.conv1.weight", self.conv1_w
-        yield f"{prefix}.conv1.bias", self.conv1_b
-        yield f"{prefix}.conv2.weight", self.conv2_w
-        yield f"{prefix}.conv2.bias", self.conv2_b
-        yield f"{prefix}.conv3.weight", self.conv3_w
-        yield f"{prefix}.conv3.bias", self.conv3_b
-        yield f"{prefix}.proj.weight", self.proj_w
-        yield f"{prefix}.proj.bias", self.proj_b
+    conv1_w: Tensor = tz.param("conv1.weight")
+    conv1_b: Tensor = tz.param("conv1.bias")
+    conv2_w: Tensor = tz.param("conv2.weight")
+    conv2_b: Tensor = tz.param("conv2.bias")
+    conv3_w: Tensor = tz.param("conv3.weight")
+    conv3_b: Tensor = tz.param("conv3.bias")
+    proj_w: Tensor = tz.param("proj.weight")
+    proj_b: Tensor = tz.param("proj.bias")
 
 
 def pooled_bands(bands: int, pool_widths: tuple[int, ...]) -> int:
@@ -197,16 +172,14 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
     c1, c2, c3 = conv_channels
 
     def conv(cout, cin, kh, kw):
-        bound = 1.0 / math.sqrt(cin * kh * kw)
-        return Tensor(rng.uniform(-bound, bound, (cout, cin, kh, kw)).astype(dtype))
+        return tz.fan_in_uniform(rng, (cout, cin, kh, kw), cin * kh * kw, dtype)
 
     feat = c3 * pooled_bands(bands, pool_widths)
-    bound = 1.0 / math.sqrt(feat)
     return FrontendWeights(
         conv1_w=conv(c1, 1, 3, 3), conv1_b=Tensor(np.zeros(c1, dtype=dtype)),
         conv2_w=conv(c2, c1, 3, 3), conv2_b=Tensor(np.zeros(c2, dtype=dtype)),
         conv3_w=conv(c3, c2, 1, 3), conv3_b=Tensor(np.zeros(c3, dtype=dtype)),
-        proj_w=Tensor(rng.uniform(-bound, bound, (feat, embed_dim)).astype(dtype)),
+        proj_w=tz.fan_in_uniform(rng, (feat, embed_dim), feat, dtype),
         proj_b=Tensor(np.zeros(embed_dim, dtype=dtype)))
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import tensor as tz
 from .attention import AttentionConfig, AttentionWeights, init_attention_weights, na1d, na2d
 from .errors import ConfigError, InputError, ParameterError
-from .frontend import (TIME_REACH, FrontendWeights, StemSpectrogram,
-                       check_frontend_plan, frontend_forward,
+from .frontend import (FPS, TIME_REACH, FrontendWeights, StemSpectrogram,
+                       check_frontend_plan, filterbank, frontend_forward,
                        init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
@@ -43,8 +43,8 @@ class ModelConfig:
     num_heads: int = 4
     num_stems: int = 4
     label_vocab: tuple[str, ...] = DEFAULT_VOCAB
-    fps: float = 100.0
-    bands: int = 81
+    fps: float = FPS
+    bands: int = filterbank().shape[1]
     conv_channels: tuple[int, int, int] = (32, 48, 64)
     pool_widths: tuple[int, ...] = (3, 3, 3)
     mlp_hidden_factor: int = 8
@@ -58,8 +58,13 @@ class ModelConfig:
     dropout_skip: float = 0.1
 
     def validate(self) -> None:
-        if self.num_blocks < 1:
-            raise ConfigError("num_blocks must be >= 1")
+        for name in ("num_blocks", "embed_dim", "num_heads", "num_stems",
+                     "mlp_hidden_factor"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("dropout_conv", "dropout_mlp", "dropout_attn", "dropout_skip"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ConfigError("kernel_size must be odd and positive")
         if self.embed_dim % self.num_heads != 0:
@@ -115,76 +120,45 @@ CONFIG_PRESETS = {
 
 @dataclass
 class BlockWeights:
-    norm1_g: Tensor
-    norm1_b: Tensor
-    dina1: AttentionWeights
-    dina2: AttentionWeights | None
-    norm2_g: Tensor
-    norm2_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-    norm3_g: Tensor | None
-    norm3_b: Tensor | None
-    inst: AttentionWeights | None
-
-    def named(self, prefix: str):
-        yield f"{prefix}.norm1.gain", self.norm1_g
-        yield f"{prefix}.norm1.bias", self.norm1_b
-        yield from self.dina1.named(f"{prefix}.dina1")
-        if self.dina2 is not None:
-            yield from self.dina2.named(f"{prefix}.dina2")
-        yield f"{prefix}.norm2.gain", self.norm2_g
-        yield f"{prefix}.norm2.bias", self.norm2_b
-        yield f"{prefix}.mlp.fc1.weight", self.mlp_w1
-        yield f"{prefix}.mlp.fc1.bias", self.mlp_b1
-        yield f"{prefix}.mlp.fc2.weight", self.mlp_w2
-        yield f"{prefix}.mlp.fc2.bias", self.mlp_b2
-        if self.inst is not None:
-            yield f"{prefix}.norm3.gain", self.norm3_g
-            yield f"{prefix}.norm3.bias", self.norm3_b
-            yield from self.inst.named(f"{prefix}.inst")
+    norm1_g: Tensor = tz.param("norm1.gain")
+    norm1_b: Tensor = tz.param("norm1.bias")
+    dina1: AttentionWeights = tz.param("dina1")
+    dina2: AttentionWeights | None = tz.param("dina2")
+    norm2_g: Tensor = tz.param("norm2.gain")
+    norm2_b: Tensor = tz.param("norm2.bias")
+    mlp_w1: Tensor = tz.param("mlp.fc1.weight")
+    mlp_b1: Tensor = tz.param("mlp.fc1.bias")
+    mlp_w2: Tensor = tz.param("mlp.fc2.weight")
+    mlp_b2: Tensor = tz.param("mlp.fc2.bias")
+    norm3_g: Tensor | None = tz.param("norm3.gain")
+    norm3_b: Tensor | None = tz.param("norm3.bias")
+    inst: AttentionWeights | None = tz.param("inst")
 
 
 @dataclass
 class HeadWeights:
-    beat_w: Tensor
-    beat_b: Tensor
-    downbeat_w: Tensor
-    downbeat_b: Tensor
-    boundary_w: Tensor
-    boundary_b: Tensor
-    label_w: Tensor
-    label_b: Tensor
-
-    def named(self, prefix: str = "heads"):
-        yield f"{prefix}.beat.weight", self.beat_w
-        yield f"{prefix}.beat.bias", self.beat_b
-        yield f"{prefix}.downbeat.weight", self.downbeat_w
-        yield f"{prefix}.downbeat.bias", self.downbeat_b
-        yield f"{prefix}.boundary.weight", self.boundary_w
-        yield f"{prefix}.boundary.bias", self.boundary_b
-        yield f"{prefix}.labels.weight", self.label_w
-        yield f"{prefix}.labels.bias", self.label_b
+    beat_w: Tensor = tz.param("beat.weight")
+    beat_b: Tensor = tz.param("beat.bias")
+    downbeat_w: Tensor = tz.param("downbeat.weight")
+    downbeat_b: Tensor = tz.param("downbeat.bias")
+    boundary_w: Tensor = tz.param("boundary.weight")
+    boundary_b: Tensor = tz.param("boundary.bias")
+    label_w: Tensor = tz.param("labels.weight")
+    label_b: Tensor = tz.param("labels.bias")
 
 
 @dataclass
 class ModelWeights:
     config: ModelConfig
-    frontend: FrontendWeights
-    blocks: list[BlockWeights]
-    final_norm_g: Tensor
-    final_norm_b: Tensor
-    heads: HeadWeights
+    frontend: FrontendWeights = tz.param("frontend")
+    blocks: list[BlockWeights] = tz.param("block")
+    final_norm_g: Tensor = tz.param("final_norm.gain")
+    final_norm_b: Tensor = tz.param("final_norm.bias")
+    heads: HeadWeights = tz.param("heads")
 
     def named_tensors(self):
-        yield from self.frontend.named("frontend")
-        for l, bw in enumerate(self.blocks):
-            yield from bw.named(f"block{l}")
-        yield "final_norm.gain", self.final_norm_g
-        yield "final_norm.bias", self.final_norm_b
-        yield from self.heads.named("heads")
+        """``(name, tensor)`` for every weight, in one fixed order."""
+        return tz.named(self, "")
 
     def parameters(self) -> list[Tensor]:
         named = list(self.named_tensors())
@@ -218,8 +192,7 @@ def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
         return Tensor(np.zeros(n, dtype=dtype))
 
     def linear(nin, nout):
-        bound = 1.0 / np.sqrt(nin)
-        return Tensor(rng.uniform(-bound, bound, (nin, nout)).astype(dtype))
+        return tz.fan_in_uniform(rng, (nin, nout), nin, dtype)
 
     front = init_frontend_weights(cfg.bands, cfg.conv_channels,
                                   cfg.pool_widths, c, rng, dtype)

@@ -48,6 +48,8 @@ class DbnConfig:
             raise InputError("need 0 < min_bpm < max_bpm")
         if not self.observation_lambda > 1:
             raise InputError("observation_lambda must exceed 1")
+        if not self.beats_per_bar:
+            raise InputError("beats_per_bar needs at least one candidate")
         if any(b < 2 for b in self.beats_per_bar):
             raise InputError("beats_per_bar candidates must be >= 2")
 
@@ -66,7 +68,6 @@ class AnalysisResult:
     beats: np.ndarray
     downbeats: np.ndarray
     segments: list[Segment]
-    boundary_times: np.ndarray
     duration: float
 
     def validate(self) -> None:
@@ -303,6 +304,6 @@ def analyze_activations(acts, dbn_cfg: DbnConfig | None = None,
     duration = acts.num_frames / acts.fps
     segments = label_segments(acts.labels, boundaries, duration, vocab)
     result = AnalysisResult(beats=beats, downbeats=downbeats, segments=segments,
-                            boundary_times=boundaries, duration=duration)
+                            duration=duration)
     result.validate()
     return result

@@ -15,14 +15,17 @@ sigmoid and softmax activations, gather/reshape plumbing, windowed
 multi-head attention (:func:`neighborhood_attention`), dropout and the
 losses. Gradients of every primitive are validated against central
 finite differences by :func:`grad_check`, which doubles as the
-verification oracle for the model built on top.
+verification oracle for the model built on top. Weight containers are
+dataclasses whose fields declare their names with :func:`param`, and
+:func:`named` lists them in one fixed order.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import field, fields
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,12 +205,47 @@ class Tensor:
         return tmean(self, axis, keepdims)
 
 
+def param(name: str):
+    """A dataclass field that holds a weight (or nested weights, or a list
+    of them) saved under ``name``."""
+    return field(metadata={"param": name})
+
+
+def named(weights, prefix: str) -> Iterator[tuple[str, Tensor]]:
+    """``(name, tensor)`` for every :func:`param` field of the dataclass
+    ``weights``, in declaration order.
+
+    A name is ``prefix.name``. ``None`` fields are skipped, nested weights
+    recurse under their own name, and list items are numbered after it
+    (``block0``, ``block1``, ...).
+    """
+    for f in fields(weights):
+        value = getattr(weights, f.name)
+        if "param" not in f.metadata or value is None:
+            continue
+        name = f"{prefix}.{f.metadata['param']}" if prefix else f.metadata["param"]
+        if isinstance(value, Tensor):
+            yield name, value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from named(item, f"{name}{i}")
+        else:
+            yield from named(value, name)
+
+
 def check_unique_names(names: Iterable[str]) -> None:
     seen: set[str] = set()
     for name in names:
         if name in seen:
             raise ParameterError(f"duplicate parameter name {name!r}")
         seen.add(name)
+
+
+def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
+                   dtype=np.float32) -> Tensor:
+    """Weights drawn uniformly from ``±1/sqrt(fan_in)``."""
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, shape).astype(dtype))
 
 
 def _coerce(value, like: Tensor) -> Tensor:

@@ -296,15 +296,6 @@ def make_toy_dataset(seed: int, n_tracks: int, duration_s: float,
 # training loop
 # ---------------------------------------------------------------------------
 
-def _track_loss(values: np.ndarray, targets: TrainingTargets,
-                weights: ModelWeights, model_cfg: ModelConfig,
-                cfg: TrainConfig, training: bool,
-                rng: np.random.Generator | None) -> Tensor:
-    logits = forward_logits(values, weights, model_cfg, training=training,
-                            rng=rng)
-    return multitask_loss(logits, targets, cfg.loss_weights)
-
-
 def train(model_cfg: ModelConfig, cfg: TrainConfig,
           dataset: list[tuple[StemSpectrogram, Annotation]],
           validation: list[tuple[StemSpectrogram, Annotation]]
@@ -358,8 +349,9 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
             for p in params:
                 p.grad = None
             try:
-                loss = _track_loss(values, targets, weights, model_cfg, cfg,
-                                   True, rng)
+                logits = forward_logits(values, weights, model_cfg,
+                                        training=True, rng=rng)
+                loss = multitask_loss(logits, targets, cfg.loss_weights)
                 loss.backward()
             except tz.NumericError as exc:
                 raise TrainingDiverged(
@@ -369,8 +361,9 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
 
         with tz.no_grad():
             val_losses = [
-                _track_loss(spec.values, tgt, weights, model_cfg, cfg,
-                            False, None).item()
+                multitask_loss(forward_logits(spec.values, weights, model_cfg,
+                                              training=False),
+                               tgt, cfg.loss_weights).item()
                 for (spec, _), tgt in zip(validation, val_targets)]
         val_loss = float(np.mean(val_losses)) if val_losses else float(
             np.mean(train_losses))

@@ -326,7 +326,6 @@ def annotation_and_matching_result():
         beats=np.asarray([b.time for b in beats]),
         downbeats=np.asarray([b.time for b in beats if b.bar_position == 1]),
         segments=[Segment(s.start, s.end, s.label) for s in segments],
-        boundary_times=np.asarray([8.0, 16.0]),
         duration=20.0)
     return ann, result
 
@@ -341,8 +340,7 @@ def test_evaluate_track_perfect():
 def test_evaluate_track_empty_result():
     ann, _ = annotation_and_matching_result()
     empty = AnalysisResult(beats=np.empty(0), downbeats=np.empty(0),
-                           segments=[Segment(0.0, 20.0, "misc")],
-                           boundary_times=np.empty(0), duration=20.0)
+                           segments=[Segment(0.0, 20.0, "misc")], duration=20.0)
     report = evaluate_track(empty, ann)
     assert report.beat_f1 == 0.0
     assert report.downbeat_f1 == 0.0
@@ -357,7 +355,6 @@ def test_evaluate_track_matches_standalone_ops():
         beats=np.sort(rng.uniform(0, 20, 35)),
         downbeats=np.empty(0),
         segments=segs((0, 11.0, "verse"), (11.0, 20.0, "bridge")),
-        boundary_times=np.asarray([11.0]),
         duration=20.0)
     noisy.downbeats = noisy.beats[::4]
     report = evaluate_track(noisy, ann)

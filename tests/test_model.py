@@ -9,7 +9,7 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.errors import InputError, ParameterError
+from aio1.errors import ConfigError, InputError, ParameterError
 from aio1.frontend import TIME_REACH, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
@@ -62,13 +62,54 @@ def test_param_count_reproducible_and_counts_flags():
     assert param_count(replace(cfg, use_dilation=False)) == n_full
 
 
+def _attention_format(prefix, table):
+    return [(f"{prefix}.{part}.{kind}", (8, 8) if kind == "weight" else (8,))
+            for part in ("query", "key", "value", "out")
+            for kind in ("weight", "bias")] + [(f"{prefix}.rpb", (2, table))]
+
+
 def test_weight_file_names_unique_and_stable():
+    # the optimiser, the weight average and saved weights all pair
+    # weights by this order, so it is pinned in full
     w = init_weights(tiny_config(), seed=0)
+    want = [("frontend.conv1.weight", (2, 1, 3, 3)), ("frontend.conv1.bias", (2,)),
+            ("frontend.conv2.weight", (3, 2, 3, 3)), ("frontend.conv2.bias", (3,)),
+            ("frontend.conv3.weight", (4, 3, 1, 3)), ("frontend.conv3.bias", (4,)),
+            ("frontend.proj.weight", (4, 8)), ("frontend.proj.bias", (8,))]
+    for l in range(2):
+        b = f"block{l}"
+        want += [(f"{b}.norm1.gain", (8,)), (f"{b}.norm1.bias", (8,))]
+        want += _attention_format(f"{b}.dina1", 9) + _attention_format(f"{b}.dina2", 9)
+        want += [(f"{b}.norm2.gain", (16,)), (f"{b}.norm2.bias", (16,)),
+                 (f"{b}.mlp.fc1.weight", (16, 64)), (f"{b}.mlp.fc1.bias", (64,)),
+                 (f"{b}.mlp.fc2.weight", (64, 8)), (f"{b}.mlp.fc2.bias", (8,)),
+                 (f"{b}.norm3.gain", (8,)), (f"{b}.norm3.bias", (8,))]
+        want += _attention_format(f"{b}.inst", 81)
+    want += [("final_norm.gain", (8,)), ("final_norm.bias", (8,)),
+             ("heads.beat.weight", (8, 1)), ("heads.beat.bias", (1,)),
+             ("heads.downbeat.weight", (8, 1)), ("heads.downbeat.bias", (1,)),
+             ("heads.boundary.weight", (8, 1)), ("heads.boundary.bias", (1,)),
+             ("heads.labels.weight", (8, 8)), ("heads.labels.bias", (8,))]
+    assert [(name, t.shape) for name, t in w.named_tensors()] == want
+
+
+@pytest.mark.parametrize("flags, count", [({}, 425),
+                                          ({"use_second_dina": False}, 326),
+                                          ({"use_instrument_attention": False}, 304)])
+def test_default_weight_name_counts(flags, count):
+    w = init_weights(replace(default_config(), **flags), seed=0)
     names = [name for name, _ in w.named_tensors()]
-    assert len(names) == len(set(names))
-    assert "block1.dina1.query.weight" in names
-    assert "frontend.conv1.weight" in names
-    assert "heads.labels.weight" in names
+    assert len(names) == len(set(names)) == count
+    assert len(w.parameters()) == count
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_heads", 0), ("embed_dim", 0), ("num_stems", 0), ("mlp_hidden_factor", 0),
+    ("dropout_conv", 1.0), ("dropout_mlp", 1.0), ("dropout_attn", -0.5),
+    ("dropout_skip", 1.5)])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        replace(tiny_config(), **{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +165,7 @@ def test_fresh_model_output_sane():
 def test_zero_weight_block_is_identity():
     cfg = toy_config()
     w = init_weights(cfg, seed=0)
-    for name, t in w.blocks[0].named("b"):
+    for name, t in tz.named(w.blocks[0], "b"):
         if "norm" not in name:
             t.data[:] = 0.0
     x = np.random.default_rng(0).standard_normal((4, 64, 16)).astype(np.float32)
@@ -384,7 +425,7 @@ def test_graph_recording_forward_runs_the_front_end_whole(monkeypatch):
     logits = forward_logits(random_spec(cfg, 600, seed=18).values, w, cfg)
     assert calls == [600]
     (logits["beat"].sum() + logits["labels"].sum()).backward()
-    for name, t in w.frontend.named():
+    for name, t in tz.named(w.frontend, "frontend"):
         assert t.grad is not None and np.abs(t.grad).max() > 0, name
 
 

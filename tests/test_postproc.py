@@ -104,6 +104,13 @@ def test_dbn_rejects_observation_lambda_up_to_one(lam):
                    DbnConfig(observation_lambda=lam))
 
 
+@pytest.mark.parametrize("beats_per_bar", [(), []])
+def test_dbn_rejects_empty_beats_per_bar(beats_per_bar):
+    with pytest.raises(InputError, match="beats_per_bar"):
+        dbn_decode(np.full(200, 0.1), np.zeros(200), FPS,
+                   DbnConfig(beats_per_bar=beats_per_bar))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fps", [0.0, -100.0])
 def test_dbn_rejects_non_positive_fps(fps):
@@ -214,11 +221,9 @@ def test_segments_tile_duration():
 
 def test_analysis_result_validation():
     r = AnalysisResult(beats=np.array([0.5, 1.0]), downbeats=np.array([0.5]),
-                       segments=[Segment(0.0, 4.0, "verse")],
-                       boundary_times=np.array([]), duration=4.0)
+                       segments=[Segment(0.0, 4.0, "verse")], duration=4.0)
     r.validate()
     bad = AnalysisResult(beats=np.array([0.5, 1.0]), downbeats=np.array([0.7]),
-                         segments=[Segment(0.0, 4.0, "verse")],
-                         boundary_times=np.array([]), duration=4.0)
+                         segments=[Segment(0.0, 4.0, "verse")], duration=4.0)
     with pytest.raises(InputError):
         bad.validate()
