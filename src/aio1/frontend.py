@@ -13,9 +13,9 @@ followed by ``log(1 + x)``.
 The feature extractor applies three conv + ELU + frequency-pool stages
 with weights shared across stems, then a linear map down to the embedding
 size. Time resolution is never reduced; only the frequency axis shrinks.
-At inference the model calls it once per fixed-size time tile with a
-2-frame halo (see ``aio1.model.forward_logits``), so its memory does not
-grow with the track.
+Activations are channels last, ``[stems, frames, bands, channels]``. At
+inference the model runs it over fixed-size time tiles with a 2-frame halo
+(``aio1.model._frontend``), so its memory does not grow with the track.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
 TIME_REACH = 2
 
 
-def frontend_forward(x: Tensor, w: FrontendWeights,
-                     pool_widths: tuple[int, ...] = (3, 3, 3), dropout_rate: float = 0.2,
+def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...],
+                     dropout_rate: float = 0.2,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Per-stem embeddings ``[S, T, C]`` from spectrograms ``[S, T, bands]``.
 
@@ -200,15 +200,15 @@ def frontend_forward(x: Tensor, w: FrontendWeights,
     """
     s, t, bands = x.shape
     check_frontend_plan(bands, pool_widths)
-    h = x.reshape(s, 1, t, bands)
+    h = x.reshape(s, t, bands, 1)
     convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
              (w.conv3_w, w.conv3_b, (0, 1)))
     for (kw_, kb, pad), pool in zip(convs, pool_widths):
         h = tz.conv2d(h, kw_, pad)
-        h = h + kb.reshape(1, -1, 1, 1)
+        h = h + kb
         h = tz.elu(h)
         h = tz.dropout(h, dropout_rate, rng)
-        h = tz.maxpool(h, axis=3, width=pool)
-    # [S, c3, T, F] -> [S, T, c3 * F]
-    h = h.transpose(0, 2, 1, 3).reshape(s, t, -1)
+        h = tz.maxpool(h, axis=2, width=pool)
+    # [S, T, F, c3] -> [S, T, c3 * F], channel-major like the rows of proj_w
+    h = h.transpose(0, 1, 3, 2).reshape(s, t, -1)
     return tz.matmul(h, w.proj_w) + w.proj_b

@@ -142,8 +142,10 @@ def _intervals(times: np.ndarray) -> np.ndarray:
     return iv
 
 
-def _continuity_total(est: np.ndarray, ref: np.ndarray, phase_tol: float,
-                      period_tol: float) -> float:
+PHASE_TOL = PERIOD_TOL = 0.175   # continuity, in reference inter-beat intervals
+
+
+def _continuity_total(est: np.ndarray, ref: np.ndarray) -> float:
     if est.size < 2 or ref.size < 2:
         return 0.0
     ref_iv = _intervals(ref)
@@ -152,8 +154,8 @@ def _continuity_total(est: np.ndarray, ref: np.ndarray, phase_tol: float,
     nearest = np.where(np.abs(ref[nearest - 1] - est) <= np.abs(ref[nearest] - est),
                        nearest - 1, nearest)
     window = ref_iv[nearest]
-    ok = (np.abs(est - ref[nearest]) < phase_tol * window) \
-        & (np.abs(est_iv - window) < period_tol * window)
+    ok = (np.abs(est - ref[nearest]) < PHASE_TOL * window) \
+        & (np.abs(est_iv - window) < PERIOD_TOL * window)
     return ok.sum() / max(est.size, ref.size)
 
 
@@ -163,8 +165,7 @@ def _tempo_variations(ref: np.ndarray) -> list[np.ndarray]:
     return [ref, doubled[1::2], doubled, ref[::2], ref[1::2]]
 
 
-def continuity(est, ref, phase_tol: float = 0.175, period_tol: float = 0.175
-               ) -> tuple[float, float]:
+def continuity(est, ref) -> tuple[float, float]:
     """(CMLt, AMLt): total continuity at the annotated metrical level and
     the best over the allowed variations (original, off-beat, double
     tempo, and both half-tempo phases)."""
@@ -172,8 +173,8 @@ def continuity(est, ref, phase_tol: float = 0.175, period_tol: float = 0.175
     ref = np.asarray(ref, dtype=np.float64).reshape(-1)
     if ref.size < 2:
         raise InputError("continuity needs at least two reference beats")
-    cmlt = _continuity_total(est, ref, phase_tol, period_tol)
-    amlt = max(_continuity_total(est, var, phase_tol, period_tol)
+    cmlt = _continuity_total(est, ref)
+    amlt = max(_continuity_total(est, var)
                for var in _tempo_variations(ref) if var.size >= 2)
     return cmlt, max(cmlt, amlt)
 

@@ -15,7 +15,7 @@ heads emit beat, downbeat, boundary, and label scores.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,7 +149,6 @@ class HeadWeights:
 
 @dataclass
 class ModelWeights:
-    config: ModelConfig
     frontend: FrontendWeights = tz.param("frontend")
     blocks: list[BlockWeights] = tz.param("block")
     final_norm_g: Tensor = tz.param("final_norm.gain")
@@ -216,7 +215,7 @@ def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
         downbeat_w=linear(c, 1), downbeat_b=zeros(1),
         boundary_w=linear(c, 1), boundary_b=zeros(1),
         label_w=linear(c, len(cfg.label_vocab)), label_b=zeros(len(cfg.label_vocab)))
-    weights = ModelWeights(config=replace(cfg), frontend=front, blocks=blocks,
+    weights = ModelWeights(frontend=front, blocks=blocks,
                            final_norm_g=ones(c), final_norm_b=zeros(c), heads=heads)
     for _, t in weights.named_tensors():
         t.requires_grad = True

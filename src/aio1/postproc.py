@@ -31,6 +31,10 @@ from .errors import InputError
 # threshold (scales with the activation, so picking is scale-invariant)
 _REL_EPS = 1e-12
 
+# boundary picking, in seconds: the centred sliding-mean window, the peak
+# window on either side of a candidate, and the margin at each track edge
+MEAN_WINDOW_S, PEAK_WINDOW_S, EDGE_S = 24.0, 6.0, 1.0
+
 DEFAULT_VOCAB = ("intro", "verse", "chorus", "bridge", "inst", "outro",
                  "silence", "misc")
 
@@ -227,15 +231,14 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
 # boundary picking and labeling
 # ---------------------------------------------------------------------------
 
-def pick_boundaries(boundary: np.ndarray, fps: float, window_s: float = 24.0,
-                    peak_window_s: float = 6.0, edge_s: float = 1.0) -> np.ndarray:
+def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     """Boundary times from the boundary activation (no threshold).
 
     The activation is normalised by subtracting a centred sliding mean
     (window truncated at the track edges); a frame is picked when the
     normalised value is positive and strictly maximal within the peak
     window, with ties going to the earliest frame. Picks within
-    ``edge_s`` of the track edges are dropped; the edges themselves are
+    ``EDGE_S`` of the track edges are dropped; the edges themselves are
     implicit boundaries.
     """
     act = np.asarray(boundary, dtype=np.float64)
@@ -247,7 +250,7 @@ def pick_boundaries(boundary: np.ndarray, fps: float, window_s: float = 24.0,
     if ((act < 0) | (act > 1)).any():
         raise InputError("boundary activation outside [0, 1]")
 
-    half = int(round(window_s * fps / 2))
+    half = int(round(MEAN_WINDOW_S * fps / 2))
     csum = np.concatenate([[0.0], np.cumsum(act)])
     lo = np.maximum(np.arange(t_total) - half, 0)
     hi = np.minimum(np.arange(t_total) + half + 1, t_total)
@@ -255,7 +258,7 @@ def pick_boundaries(boundary: np.ndarray, fps: float, window_s: float = 24.0,
     n = act - local_mean
 
     eps = _REL_EPS * max(float(np.abs(act).max()), 1.0)
-    half_peak = int(round(peak_window_s * fps))
+    half_peak = int(round(PEAK_WINDOW_S * fps))
     candidates = np.flatnonzero(n > eps)
     picked = []
     for t in candidates:
@@ -269,7 +272,7 @@ def pick_boundaries(boundary: np.ndarray, fps: float, window_s: float = 24.0,
         picked.append(t)
     times = np.asarray(picked, dtype=np.float64) / fps
     duration = t_total / fps
-    keep = (times >= edge_s) & (times <= duration - edge_s)
+    keep = (times >= EDGE_S) & (times <= duration - EDGE_S)
     return times[keep]
 
 

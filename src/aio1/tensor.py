@@ -13,11 +13,10 @@ The primitives are the ones the model runs: matrix multiply, 2-D
 cross-correlation, max pooling, layer normalisation, the ELU, GELU,
 sigmoid and softmax activations, gather/reshape plumbing, windowed
 multi-head attention (:func:`neighborhood_attention`), dropout and the
-losses. Gradients of every primitive are validated against central
-finite differences by :func:`grad_check`, which doubles as the
-verification oracle for the model built on top. Weight containers are
-dataclasses whose fields declare their names with :func:`param`, and
-:func:`named` lists them in one fixed order.
+losses. The tests check the gradient of every primitive, and of the
+model built on top, against central finite differences. Weight
+containers are dataclasses whose fields declare their names with
+:func:`param`, and :func:`named` lists them in one fixed order.
 """
 
 from __future__ import annotations
@@ -392,12 +391,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate_owned(np.broadcast_to(g, a.data.shape).copy())
-            return
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         a._accumulate_owned(np.broadcast_to(g, a.data.shape).copy())
 
     return Tensor._from_op(np.asarray(out_data), (a,), backward, "sum")
@@ -438,15 +433,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """2-D cross-correlation (no kernel flip).
+    """2-D cross-correlation (no kernel flip), channels last.
 
-    ``x`` is ``[n, cin, h, w]`` and ``kernels`` is ``[cout, cin, kh, kw]``.
-    Output height is ``h + 2*pad_h - kh + 1`` and similarly for width.
+    ``x`` is ``[n, h, w, cin]`` and ``kernels`` is ``[cout, cin, kh, kw]``.
+    The output is ``[n, h + 2*pad_h - kh + 1, w + 2*pad_w - kw + 1, cout]``.
     """
     _require_same_dtype(x, kernels, "conv2d")
     if x.ndim != 4 or kernels.ndim != 4:
-        raise DimensionError("conv2d expects [n,cin,h,w] input and [cout,cin,kh,kw] kernels")
-    n, cin, h, w = x.data.shape
+        raise DimensionError("conv2d expects [n,h,w,cin] input and [cout,cin,kh,kw] kernels")
+    n, h, w, cin = x.data.shape
     cout, kcin, kh, kw = kernels.data.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kcin}")
@@ -458,32 +453,29 @@ def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Ten
 
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # im2col + GEMM: the copy costs less than a strided contraction
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n * oh * ow, cin * kh * kw)
-    kmat = kernels.data.reshape(cout, cin * kh * kw)
-    out_data = (cols @ kmat.T).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
-    out_data = np.ascontiguousarray(out_data)
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    # im2col + GEMM in (kh, kw, cin) column order: the copy moves runs of
+    # cin values and costs less than a strided contraction
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    cols = cols.reshape(n * oh * ow, kh * kw * cin)
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out_data = (cols @ kmat.T).reshape(n, oh, ow, cout)
 
     def backward(g):
-        gcols = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        gcols = g.reshape(-1, cout)
         if kernels.requires_grad:
-            dk = (gcols.T @ cols).reshape(cout, cin, kh, kw)
+            dk = (gcols.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
             kernels._accumulate_owned(dk)
         if x.requires_grad:
             # the adjoint of im2col: each window column adds back into the
-            # input pixel it was copied from (channels last, so every
-            # shifted add moves runs of cin values)
-            kt = kernels.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-            dcols = (gcols @ kt).reshape(n, oh, ow, kh, kw, cin)
+            # input pixel it was copied from
+            dcols = (gcols @ kmat).reshape(n, oh, ow, kh, kw, cin)
             dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
-            dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
-            x._accumulate_owned(np.ascontiguousarray(dx))
+            x._accumulate_owned(dxp[:, ph:ph + h, pw:pw + w])
 
     return Tensor._from_op(out_data, (x, kernels), backward, "conv2d")
 
@@ -491,32 +483,34 @@ def conv2d(x: Tensor, kernels: Tensor, padding: tuple[int, int] = (0, 0)) -> Ten
 def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
     """Non-overlapping max over ``width`` along ``axis``.
 
+    The axis splits in place into ``(windows, width)``, a view of the input.
     A trailing remainder is padded by repeating the last element, so no
     frames are dropped. Gradient routes to the first maximal index of
     each window; that index is found only when the gradient arrives.
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
-    xd = np.moveaxis(x.data, axis, -1)
-    length = xd.shape[-1]
+    axis %= x.ndim
+    xd = x.data
+    length = xd.shape[axis]
     pad = (-length) % width
     if pad:
-        xd = np.concatenate([xd, np.repeat(xd[..., -1:], pad, axis=-1)], axis=-1)
-    windows = xd.reshape(xd.shape[:-1] + (-1, width))
-    out_m = windows[..., 0].copy()
+        xd = np.pad(xd, [(0, pad if i == axis else 0) for i in range(xd.ndim)], mode="edge")
+    windows = xd.reshape(xd.shape[:axis] + (-1, width) + xd.shape[axis + 1:])
+    # a running max beats numpy's reduction over an axis this short
+    at = (slice(None),) * (axis + 1)
+    out_data = windows[at + (0,)].copy()
     for j in range(1, width):
-        np.maximum(out_m, windows[..., j], out=out_m)
-    out_data = np.moveaxis(out_m, -1, axis)
+        np.maximum(out_data, windows[at + (j,)], out=out_data)
 
     def backward(g):
-        arg = windows.argmax(axis=-1)  # first max on ties
-        gm = np.moveaxis(g, axis, -1)
+        arg = windows.argmax(axis=axis + 1)  # first max on ties
         buf = np.zeros(windows.shape, dtype=g.dtype)
-        np.put_along_axis(buf, arg[..., None], gm[..., None], axis=-1)
+        np.put_along_axis(buf, np.expand_dims(arg, axis + 1),
+                          np.expand_dims(g, axis + 1), axis=axis + 1)
         # pad copies sit after the original in its window, so the first
         # maximum is never one of them
-        main = buf.reshape(xd.shape)[..., :length]
-        x._accumulate_owned(np.ascontiguousarray(np.moveaxis(main, -1, axis)))
+        x._accumulate_owned(buf.reshape(xd.shape)[at[:axis] + (slice(length),)])
 
     return Tensor._from_op(out_data, (x,), backward, "maxpool")
 

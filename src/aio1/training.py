@@ -157,9 +157,11 @@ class RAdamState:
                           v=[np.zeros_like(p.data) for p in params])
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # RAdam moment decays, denominator guard
+
+
 def radam_step(params: list[Tensor], state: RAdamState, lr: float,
-               weight_decay: float = 0.0, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8) -> None:
+               weight_decay: float = 0.0) -> None:
     """One rectified-Adam update with decoupled weight decay.
 
     While the variance estimate is still untrustworthy (rectification
@@ -169,21 +171,21 @@ def radam_step(params: list[Tensor], state: RAdamState, lr: float,
     """
     state.step += 1
     t = state.step
-    rho_inf = 2.0 / (1.0 - beta2) - 1.0
-    beta2_t = beta2 ** t
+    rho_inf = 2.0 / (1.0 - BETA2) - 1.0
+    beta2_t = BETA2 ** t
     rho_t = rho_inf - 2.0 * t * beta2_t / (1.0 - beta2_t)
 
     for p, m, v in zip(params, state.m, state.v):
         g = np.zeros_like(p.data) if p.grad is None else p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
         if rho_t > 4.0:
             rect = math.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
                              / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
-            v_hat = np.sqrt(v / (1.0 - beta2_t)) + eps
+            v_hat = np.sqrt(v / (1.0 - beta2_t)) + ADAM_EPS
             update = (lr * rect) * m_hat / v_hat
         else:
             update = lr * m_hat

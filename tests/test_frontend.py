@@ -130,3 +130,45 @@ def test_frontend_grad_check():
 
     err = grad_check(loss, tensors)
     assert err < 1e-4, err
+
+
+def frontend_loops(x, w, pools):
+    """Float64 loop reference for ``frontend_forward`` in channels-first
+    order: per-pixel convolution, ELU, max over each (possibly short)
+    frequency window, then the projection of the channel-major features."""
+    h = x[:, None]                                           # [S, 1, T, F]
+    convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
+             (w.conv3_w, w.conv3_b, (0, 1)))
+    for (k, b, (ph, pw)), width in zip(convs, pools):
+        k, b = k.data, b.data
+        s, _, t, f = h.shape
+        cout, _, kh, kw = k.shape
+        hp = np.pad(h, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        oh, ow = t + 2 * ph - kh + 1, f + 2 * pw - kw + 1
+        conv = np.empty((s, cout, oh, ow))
+        for n in range(s):
+            for o in range(cout):
+                for i in range(oh):
+                    for j in range(ow):
+                        conv[n, o, i, j] = (hp[n, :, i:i + kh, j:j + kw] * k[o]).sum() + b[o]
+        act = np.where(conv > 0, conv, np.expm1(np.minimum(conv, 0.0)))
+        starts = range(0, ow, width)
+        h = np.stack([act[..., q:q + width].max(axis=-1) for q in starts], axis=-1)
+    s, c, t, f = h.shape
+    feat = h.transpose(0, 2, 1, 3).reshape(s, t, c * f)
+    return feat @ w.proj_w.data + w.proj_b.data
+
+
+@pytest.mark.parametrize("bands,channels,pools", [
+    (9, (2, 3, 4), (3, 3, 1)),         # the tiny preset's front end
+    (11, (2, 3, 2), (3, 3, 1)),        # remainders at the first two pools
+    (54, (3, 2, 3), (3, 3, 3)),        # two pooled bands, no remainder
+], ids=["tiny", "remainder", "54-bands"])
+def test_frontend_matches_loop_reference(bands, channels, pools):
+    rng = np.random.default_rng(5)
+    w = init_frontend_weights(bands, channels, pools, 8, rng, dtype=np.float64)
+    for bias in (w.conv1_b, w.conv2_b, w.conv3_b, w.proj_b):
+        bias.data[:] = rng.standard_normal(bias.shape)
+    x = rng.standard_normal((2, 7, bands))
+    got = frontend_forward(Tensor(x), w, pools).data
+    np.testing.assert_allclose(got, frontend_loops(x, w, pools), rtol=0, atol=1e-10)

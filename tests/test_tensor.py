@@ -61,6 +61,7 @@ def test_matmul_shape_error():
 # ---------------------------------------------------------------------------
 
 def conv2d_loops(x, k, padding):
+    """Channels-first loop reference: ``x`` is ``[cin, h, w]``."""
     cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     ph, pw = padding
@@ -77,16 +78,16 @@ def conv2d_loops(x, k, padding):
 
 def test_conv2d_1x1_identity():
     rng = np.random.default_rng(2)
-    x = _rand((1, 1, 4, 5), rng)
+    x = _rand((1, 4, 5, 1), rng)
     k = np.ones((1, 1, 1, 1))
     out = tz.conv2d(Tensor(x), Tensor(k))
     np.testing.assert_allclose(out.data, x)
 
 
 def test_conv2d_ones_kernel_counts():
-    x = np.ones((1, 1, 6, 6), dtype=np.float32)
+    x = np.ones((1, 6, 6, 1), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = tz.conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data[0, 0]
+    out = tz.conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data[0, :, :, 0]
     assert out[3, 3] == 9.0
     assert out[0, 0] == 4.0
 
@@ -99,15 +100,22 @@ def test_conv2d_matches_loops():
         h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
         kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         pad = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        x = _rand((cin, h, w), rng, np.float32)
+        x = _rand((h, w, cin), rng, np.float32)
         k = _rand((cout, cin, kh, kw), rng, np.float32)
         got = tz.conv2d(Tensor(x[None]), Tensor(k), pad).data[0]
-        np.testing.assert_allclose(got, conv2d_loops(x, k, pad), atol=1e-5)
+        want = conv2d_loops(x.transpose(2, 0, 1), k, pad).transpose(1, 2, 0)
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_conv2d_kernel_too_large():
-    with pytest.raises(DimensionError):
-        tz.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+    with pytest.raises(DimensionError, match="kernel larger"):
+        tz.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+def test_conv2d_channel_mismatch():
+    # channels are the last input axis
+    with pytest.raises(DimensionError, match="channel mismatch"):
+        tz.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((1, 5, 3, 3))))
 
 
 @pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 3), (0, 1))],
@@ -115,7 +123,7 @@ def test_conv2d_kernel_too_large():
 def test_conv2d_input_gradient_is_the_adjoint(kernel, pad):
     # <conv(x), g> == <x, dx(g)> at the front end's kernel shapes
     rng = np.random.default_rng(18)
-    x = Tensor(_rand((2, 3, 7, 9), rng), requires_grad=True)
+    x = Tensor(_rand((2, 7, 9, 3), rng), requires_grad=True)
     k = Tensor(_rand((4, 3) + kernel, rng))
     out = tz.conv2d(x, k, pad)
     g = _rand(out.shape, rng)
@@ -297,7 +305,7 @@ def test_grad_matmul_batched():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(9)
-    x = Tensor(_rand((2, 2, 5, 6), rng), requires_grad=True)
+    x = Tensor(_rand((2, 5, 6, 2), rng), requires_grad=True)
     k = Tensor(_rand((3, 2, 3, 3), rng), requires_grad=True)
     _gc(lambda: tz.tsum(tz.sigmoid(tz.conv2d(x, k, (1, 1)))), x, k)
 
@@ -429,7 +437,7 @@ def test_grad_divide_mean_transpose():
 
 def test_ops_are_pure_and_deterministic():
     rng = np.random.default_rng(16)
-    x = _rand((1, 4, 5, 6), rng, np.float32)
+    x = _rand((1, 5, 6, 4), rng, np.float32)
     k = _rand((2, 4, 3, 3), rng, np.float32)
     x_t = Tensor(x.copy())
     first = tz.conv2d(Tensor(x), Tensor(k), (1, 1)).data
