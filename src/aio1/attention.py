@@ -136,11 +136,11 @@ def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, windows,
     if w.rpb.shape[0] != cfg.num_heads:
         raise ConfigError(f"bias table has {w.rpb.shape[0]} heads, "
                           f"config {cfg.num_heads}")
-    q = tz.matmul(x, w.wq) + w.bq
-    k = tz.matmul(x, w.wk) + w.bk
-    v = tz.matmul(x, w.wv) + w.bv
+    q = tz.linear(x, w.wq, w.bq)
+    k = tz.linear(x, w.wk, w.bk)
+    v = tz.linear(x, w.wv, w.bv)
     out = tz.neighborhood_attention(q, k, v, w.rpb, windows, attn_dropout, rng)
-    return tz.matmul(out, w.wo) + w.bo
+    return tz.linear(out, w.wo, w.bo)
 
 
 def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,

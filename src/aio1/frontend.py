@@ -190,8 +190,7 @@ TIME_REACH = 2
 
 
 def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...],
-                     dropout_rate: float = 0.2,
-                     rng: np.random.Generator | None = None) -> Tensor:
+                     dropout_rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Per-stem embeddings ``[S, T, C]`` from spectrograms ``[S, T, bands]``.
 
     All stems share the same weights; time resolution is preserved (the
@@ -204,11 +203,9 @@ def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...]
     convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
              (w.conv3_w, w.conv3_b, (0, 1)))
     for (kw_, kb, pad), pool in zip(convs, pool_widths):
-        h = tz.conv2d(h, kw_, pad)
-        h = h + kb
-        h = tz.elu(h)
+        h = tz.elu(tz.conv2d(h, kw_, kb, pad))
         h = tz.dropout(h, dropout_rate, rng)
         h = tz.maxpool(h, axis=2, width=pool)
     # [S, T, F, c3] -> [S, T, c3 * F], channel-major like the rows of proj_w
     h = h.transpose(0, 1, 3, 2).reshape(s, t, -1)
-    return tz.matmul(h, w.proj_w) + w.proj_b
+    return tz.linear(h, w.proj_w, w.proj_b)

@@ -273,10 +273,9 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
     u = tz.concat([branch_a, branch_b], axis=-1)            # [S, T, 2C]
 
     h = tz.layer_norm(u, bw.norm2_g, bw.norm2_b)
-    h = tz.matmul(h, bw.mlp_w1) + bw.mlp_b1
-    h = tz.gelu(h)
+    h = tz.gelu(tz.linear(h, bw.mlp_w1, bw.mlp_b1))
     h = tz.dropout(h, cfg.dropout_mlp, rng)
-    h = tz.matmul(h, bw.mlp_w2) + bw.mlp_b2
+    h = tz.linear(h, bw.mlp_w2, bw.mlp_b2)
     y = x + tz.dropout(h, cfg.dropout_skip, rng)
 
     if cfg.use_instrument_attention and bw.inst is not None:
@@ -309,7 +308,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
         stop = start + _TILE_FRAMES
         lo = max(start - TIME_REACH, 0)
         h = frontend_forward(Tensor(x[:, lo:min(stop + TIME_REACH, t)]), w,
-                             cfg.pool_widths)
+                             cfg.pool_widths, cfg.dropout_conv)
         out[:, done:stop] = h.data[:, done - lo:stop - lo]
         done = stop
     return Tensor(out)
@@ -342,10 +341,10 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     hd = weights.heads
     t = h.shape[0]
     return {
-        "beat": (tz.matmul(h, hd.beat_w) + hd.beat_b).reshape(t),
-        "downbeat": (tz.matmul(h, hd.downbeat_w) + hd.downbeat_b).reshape(t),
-        "boundary": (tz.matmul(h, hd.boundary_w) + hd.boundary_b).reshape(t),
-        "labels": tz.matmul(h, hd.label_w) + hd.label_b,
+        "beat": tz.linear(h, hd.beat_w, hd.beat_b).reshape(t),
+        "downbeat": tz.linear(h, hd.downbeat_w, hd.downbeat_b).reshape(t),
+        "boundary": tz.linear(h, hd.boundary_w, hd.boundary_b).reshape(t),
+        "labels": tz.linear(h, hd.label_w, hd.label_b),
     }
 
 

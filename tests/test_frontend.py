@@ -65,7 +65,7 @@ def test_stem_spectrogram_validation():
 def _forward(x, bands=27, channels=(4, 5, 6), pools=(3, 3, 3), dim=8, seed=0):
     rng = np.random.default_rng(seed)
     w = init_frontend_weights(bands, channels, pools, dim, rng)
-    return frontend_forward(Tensor(x), w, pools), w
+    return frontend_forward(Tensor(x), w, pools, 0.0), w
 
 
 @pytest.mark.parametrize("frames", [1, 50, 700])
@@ -89,7 +89,7 @@ def test_per_stem_independence():
     base, w = _forward(x)
     x2 = x.copy()
     x2[1] += rng.random((30, 27)).astype(np.float32)
-    changed = frontend_forward(Tensor(x2), w, (3, 3, 3)).data
+    changed = frontend_forward(Tensor(x2), w, (3, 3, 3), 0.0).data
     np.testing.assert_array_equal(changed[0], base.data[0])
     np.testing.assert_array_equal(changed[2], base.data[2])
     assert not np.allclose(changed[1], base.data[1])
@@ -99,7 +99,7 @@ def test_zero_input_constant_embedding():
     out, w = _forward(np.zeros((2, 25, 27), np.float32))
     w.conv2_b.data[:] = 0.3            # nonzero bias: still frame-constant
     w.proj_b.data[:] = np.arange(8) * 0.1
-    out = frontend_forward(Tensor(np.zeros((2, 25, 27), np.float32)), w, (3, 3, 3))
+    out = frontend_forward(Tensor(np.zeros((2, 25, 27), np.float32)), w, (3, 3, 3), 0.0)
     per_frame = out.data[0]
     np.testing.assert_allclose(per_frame,
                                np.broadcast_to(per_frame[0], per_frame.shape),
@@ -126,7 +126,7 @@ def test_frontend_grad_check():
     tensors = [x] + [t for _, t in tz.named(w, "frontend")]
 
     def loss():
-        return tz.tsum(tz.sigmoid(frontend_forward(x, w, (3, 3, 1))))
+        return tz.tsum(tz.sigmoid(frontend_forward(x, w, (3, 3, 1), 0.0)))
 
     err = grad_check(loss, tensors)
     assert err < 1e-4, err
@@ -170,5 +170,5 @@ def test_frontend_matches_loop_reference(bands, channels, pools):
     for bias in (w.conv1_b, w.conv2_b, w.conv3_b, w.proj_b):
         bias.data[:] = rng.standard_normal(bias.shape)
     x = rng.standard_normal((2, 7, bands))
-    got = frontend_forward(Tensor(x), w, pools).data
+    got = frontend_forward(Tensor(x), w, pools, 0.0).data
     np.testing.assert_allclose(got, frontend_loops(x, w, pools), rtol=0, atol=1e-10)

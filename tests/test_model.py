@@ -256,6 +256,30 @@ def test_model_forward_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+# the bound bench/workloads.py holds float32 inference to (F64_ATOL)
+F64_ATOL = 1e-4
+
+
+def test_float32_forward_within_tolerance_of_float64():
+    cfg = small_config()
+    w32 = init_weights(cfg, seed=21)
+    # nonzero biases, so the fused bias adds change the outputs
+    rng = np.random.default_rng(22)
+    for name, t in w32.named_tensors():
+        if name.endswith("bias"):
+            t.data[...] = rng.standard_normal(t.shape)
+    w64 = init_weights(cfg, seed=21, dtype=np.float64)
+    for (_, src), (_, dst) in zip(w32.named_tensors(), w64.named_tensors()):
+        dst.data[...] = src.data
+    spec = random_spec(cfg, 600, seed=23)
+    got = model_forward(spec, w32, cfg)
+    want = model_forward(StemSpectrogram(spec.values.astype(np.float64), cfg.fps),
+                         w64, cfg)
+    for key in ("beat", "downbeat", "boundary", "labels"):
+        diff = np.abs(getattr(got, key) - getattr(want, key)).max()
+        assert diff <= F64_ATOL, (key, diff)
+
+
 def test_dropout_identity_at_inference_stochastic_in_training():
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
@@ -400,7 +424,7 @@ def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
             tiled = model._frontend(x, w, cfg, None)
         assert len(calls) == -(-frames // 256)
         assert max(calls) <= 256 + 2 * TIME_REACH
-        whole = frontend_forward(Tensor(x), w, cfg.pool_widths)
+        whole = frontend_forward(Tensor(x), w, cfg.pool_widths, cfg.dropout_conv)
         np.testing.assert_array_equal(tiled.data, whole.data)
 
 
@@ -450,7 +474,7 @@ def test_tiled_frontend_memory_grows_only_by_its_output():
         return model._frontend(x, w, cfg, None)
 
     def whole(x):
-        return frontend_forward(Tensor(x), w, cfg.pool_widths)
+        return frontend_forward(Tensor(x), w, cfg.pool_widths, cfg.dropout_conv)
 
     (p1, _), (p4, out4) = peak_and_output(tiled, 1000), peak_and_output(tiled, 4000)
     assert p4 - p1 <= out4

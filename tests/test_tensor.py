@@ -1,6 +1,8 @@
 """Tensor core: forward semantics against naive references, gradients
 against central finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,11 @@ def test_matmul_shape_error():
 # conv2d
 # ---------------------------------------------------------------------------
 
+def _no_bias(k):
+    """A zero bias for the kernels ``k``: the bare cross-correlation."""
+    return Tensor(np.zeros(k.shape[0], dtype=k.dtype))
+
+
 def conv2d_loops(x, k, padding):
     """Channels-first loop reference: ``x`` is ``[cin, h, w]``."""
     cin, h, w = x.shape
@@ -80,14 +87,14 @@ def test_conv2d_1x1_identity():
     rng = np.random.default_rng(2)
     x = _rand((1, 4, 5, 1), rng)
     k = np.ones((1, 1, 1, 1))
-    out = tz.conv2d(Tensor(x), Tensor(k))
+    out = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k))
     np.testing.assert_allclose(out.data, x)
 
 
 def test_conv2d_ones_kernel_counts():
     x = np.ones((1, 6, 6, 1), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = tz.conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data[0, :, :, 0]
+    out = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), padding=(1, 1)).data[0, :, :, 0]
     assert out[3, 3] == 9.0
     assert out[0, 0] == 4.0
 
@@ -102,20 +109,22 @@ def test_conv2d_matches_loops():
         pad = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         x = _rand((h, w, cin), rng, np.float32)
         k = _rand((cout, cin, kh, kw), rng, np.float32)
-        got = tz.conv2d(Tensor(x[None]), Tensor(k), pad).data[0]
+        got = tz.conv2d(Tensor(x[None]), Tensor(k), _no_bias(k), pad).data[0]
         want = conv2d_loops(x.transpose(2, 0, 1), k, pad).transpose(1, 2, 0)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(DimensionError, match="kernel larger"):
-        tz.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 5, 5))))
+        tz.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 5, 5))),
+                  _no_bias(np.zeros((1, 1, 5, 5))))
 
 
 def test_conv2d_channel_mismatch():
     # channels are the last input axis
     with pytest.raises(DimensionError, match="channel mismatch"):
-        tz.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((1, 5, 3, 3))))
+        tz.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((1, 5, 3, 3))),
+                  _no_bias(np.zeros((1, 5, 3, 3))))
 
 
 @pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 3), (0, 1))],
@@ -125,7 +134,7 @@ def test_conv2d_input_gradient_is_the_adjoint(kernel, pad):
     rng = np.random.default_rng(18)
     x = Tensor(_rand((2, 7, 9, 3), rng), requires_grad=True)
     k = Tensor(_rand((4, 3) + kernel, rng))
-    out = tz.conv2d(x, k, pad)
+    out = tz.conv2d(x, k, _no_bias(k.data), pad)
     g = _rand(out.shape, rng)
     out.backward(g)
     lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
@@ -249,6 +258,127 @@ def test_non_finite_output_raises():
 
 
 # ---------------------------------------------------------------------------
+# fused ops and the float32 GELU
+# ---------------------------------------------------------------------------
+
+def _elu_where(x, g):
+    """The ``np.where`` ELU and its input gradient, the form ``tz.elu``
+    replaced."""
+    one = x.dtype.type(1.0)
+    out = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    return out, g * np.where(x > 0, one, out + one)
+
+
+def _forward_and_grads(fn, tensors, g):
+    for t in tensors:
+        t.requires_grad, t.grad = True, None
+    out = fn()
+    out.backward(g)
+    return out.data, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_equals_the_where_form(dtype):
+    rng = np.random.default_rng(30)
+    x = np.concatenate([_rand(5000, rng, dtype) * 4,
+                        np.array([0.0, -0.0, 1e-30, -1e-30, -100.0], dtype)])
+    g = _rand(x.shape, rng, dtype)
+    xt = Tensor(x)
+    out, (dx,) = _forward_and_grads(lambda: tz.elu(xt), [xt], g)
+    want, want_dx = _elu_where(x, g)
+    assert out.dtype == dx.dtype == dtype
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(dx, want_dx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_equals_matmul_then_add(dtype):
+    rng = np.random.default_rng(31)
+    x = Tensor(_rand((3, 40, 12), rng, dtype))
+    w = Tensor(_rand((12, 7), rng, dtype))
+    b = Tensor(_rand(7, rng, dtype))
+    g = _rand((3, 40, 7), rng, dtype)
+    fused = _forward_and_grads(lambda: tz.linear(x, w, b), [x, w, b], g)
+    composed = _forward_and_grads(lambda: tz.matmul(x, w) + b, [x, w, b], g)
+    np.testing.assert_array_equal(fused[0], composed[0])
+    for got, want in zip(fused[1], composed[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_biased_conv2d_equals_conv2d_then_add(dtype):
+    rng = np.random.default_rng(32)
+    x = Tensor(_rand((2, 9, 11, 3), rng, dtype))
+    k = Tensor(_rand((4, 3, 3, 3), rng, dtype))
+    b = Tensor(_rand(4, rng, dtype))
+    g = _rand((2, 9, 11, 4), rng, dtype)
+    fused = _forward_and_grads(lambda: tz.conv2d(x, k, b, (1, 1)), [x, k, b], g)
+    composed = _forward_and_grads(lambda: tz.conv2d(x, k, _no_bias(k.data), (1, 1)) + b,
+                                  [x, k, b], g)
+    np.testing.assert_array_equal(fused[0], composed[0])
+    for got, want in zip(fused[1], composed[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fused_bias_shape_checked():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    with pytest.raises(DimensionError, match="linear bias"):
+        tz.linear(x, w, Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError, match="conv2d bias"):
+        tz.conv2d(Tensor(np.zeros((1, 3, 3, 1))), Tensor(np.zeros((2, 1, 1, 1))),
+                  Tensor(np.zeros(3)))
+
+
+def test_overflowing_linear_names_linear():
+    x = Tensor(np.full((2, 3), 1e30, np.float32))
+    w = Tensor(np.full((3, 2), 1e30, np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="linear"):
+        tz.linear(x, w, Tensor(np.zeros(2, np.float32)))
+
+
+def test_non_finite_leaf_fails_at_the_first_op_that_computes():
+    # shape-only ops move values without checking them
+    x = Tensor(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    moved = tz.take(tz.concat([x.reshape(4, 1), x.transpose().reshape(4, 1)]), [0, 1, 5])
+    with pytest.raises(NumericError, match="matmul"):
+        tz.matmul(moved, Tensor(np.ones((1, 2))))
+
+
+def _gelu64(x):
+    from scipy.special import erf
+    x = x.astype(np.float64)
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+# max |error| of the float32 GELU against float64 x * Phi(x); the float32
+# scipy erf path measures 4.5e-7 on the same inputs
+GELU_F32_ATOL = 5e-7
+
+
+def test_gelu_float32_against_float64_erf():
+    edges = np.array([1e-30, 1e20, 3.4e38], np.float32)
+    x = np.concatenate([np.linspace(-12, 12, 1_000_001, dtype=np.float32),
+                        edges, -edges, np.array([0.0, -0.0], np.float32)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tz.gelu(Tensor(x)).data
+    assert got.dtype == np.float32 and np.isfinite(got).all()
+    assert np.abs(got - _gelu64(x)).max() <= GELU_F32_ATOL
+    assert got[-1] == got[-2] == 0.0
+
+
+def test_gelu_float32_gradient_against_float64():
+    rng = np.random.default_rng(33)
+    x = np.concatenate([np.linspace(-12, 12, 40_001), rng.standard_normal(40_000)])
+    g = rng.standard_normal(x.shape)
+    x32, x64 = Tensor(x, dtype=np.float32), Tensor(x)
+    dx32 = _forward_and_grads(lambda: tz.gelu(x32), [x32], g.astype(np.float32))[1][0]
+    dx64 = _forward_and_grads(lambda: tz.gelu(x64), [x64], g)[1][0]
+    assert dx32.dtype == np.float32
+    np.testing.assert_allclose(dx32, dx64, rtol=0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # grad_check: every differentiable primitive
 # ---------------------------------------------------------------------------
 
@@ -307,7 +437,16 @@ def test_grad_conv2d():
     rng = np.random.default_rng(9)
     x = Tensor(_rand((2, 5, 6, 2), rng), requires_grad=True)
     k = Tensor(_rand((3, 2, 3, 3), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv2d(x, k, (1, 1)))), x, k)
+    b = Tensor(_rand(3, rng), requires_grad=True)
+    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv2d(x, k, b, (1, 1)))), x, k, b)
+
+
+def test_grad_linear():
+    rng = np.random.default_rng(35)
+    x = Tensor(_rand((2, 4, 5), rng), requires_grad=True)
+    w = Tensor(_rand((5, 3), rng), requires_grad=True)
+    b = Tensor(_rand(3, rng), requires_grad=True)
+    _gc(lambda: tz.tsum(tz.sigmoid(tz.linear(x, w, b))), x, w, b)
 
 
 def test_grad_maxpool():
@@ -440,8 +579,8 @@ def test_ops_are_pure_and_deterministic():
     x = _rand((1, 5, 6, 4), rng, np.float32)
     k = _rand((2, 4, 3, 3), rng, np.float32)
     x_t = Tensor(x.copy())
-    first = tz.conv2d(Tensor(x), Tensor(k), (1, 1)).data
-    second = tz.conv2d(Tensor(x), Tensor(k), (1, 1)).data
+    first = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), (1, 1)).data
+    second = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), (1, 1)).data
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(x_t.data, x)
 
