@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as tz
 from .attention import AttentionConfig, AttentionWeights, init_attention_weights, na1d, na2d
-from .errors import ConfigError, InputError, ParameterError
+from .errors import ConfigError, InputError
 from .frontend import (FPS, TIME_REACH, FrontendWeights, StemSpectrogram,
                        check_frontend_plan, filterbank, frontend_forward,
                        init_frontend_weights)
@@ -315,19 +315,15 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
 
 
 def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
-                   training: bool = False,
                    rng: np.random.Generator | None = None) -> dict[str, Tensor]:
     """Raw head outputs from spectrogram values ``[S, T, bands]``.
 
-    ``training=True`` draws dropout from ``rng``, which it requires;
-    ``training=False`` is inference and ignores ``rng``; if it also records
-    no graph, the front end runs over fixed time tiles with a 2-frame halo,
-    so its memory does not grow with the track; the outputs equal one
+    An ``rng`` means training: every dropout site draws its mask from it.
+    Without one the pass is inference; if it also records no graph, the
+    front end runs over fixed time tiles with a 2-frame halo, so its
+    memory does not grow with the track, and the outputs equal one
     whole-track call.
     """
-    if training and rng is None:
-        raise ParameterError("training-mode dropout needs an explicit rng")
-    rng = rng if training else None
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:
         raise InputError(f"expected non-empty [S, T, bands], got {x.shape}")
@@ -358,7 +354,7 @@ def model_forward(spec: StemSpectrogram, weights: ModelWeights,
         raise InputError(
             f"model expects {cfg.num_stems} stems, got {spec.num_stems}")
     with tz.no_grad():
-        logits = forward_logits(spec.values, weights, cfg, training=False)
+        logits = forward_logits(spec.values, weights, cfg)
         acts = FrameActivations(
             beat=tz.sigmoid(logits["beat"]).data.astype(np.float32),
             downbeat=tz.sigmoid(logits["downbeat"]).data.astype(np.float32),

@@ -298,11 +298,10 @@ def label_segments(labels: np.ndarray, boundaries: np.ndarray, duration: float,
     return segments
 
 
-def analyze_activations(acts, dbn_cfg: DbnConfig | None = None,
-                        vocab: tuple[str, ...] | None = None) -> AnalysisResult:
+def analyze_activations(acts, vocab: tuple[str, ...] | None = None) -> AnalysisResult:
     """Full decode of one track's activations into an AnalysisResult."""
     vocab = vocab or DEFAULT_VOCAB
-    beats, downbeats = dbn_decode(acts.beat, acts.downbeat, acts.fps, dbn_cfg)
+    beats, downbeats = dbn_decode(acts.beat, acts.downbeat, acts.fps)
     boundaries = pick_boundaries(acts.boundary, acts.fps)
     duration = acts.num_frames / acts.fps
     segments = label_segments(acts.labels, boundaries, duration, vocab)

@@ -7,14 +7,16 @@ The loss is binary cross-entropy with logits for the three event tasks
 plus categorical cross-entropy for labels, each averaged over frames
 and summed with per-task weights.
 
-Optimization is rectified Adam with decoupled weight decay; a running
-average of weight snapshots (kept in float64 sums so the average is the
-exact arithmetic mean) starts after a warm fraction of the epoch budget
-and becomes the returned model. The learning rate decays on validation
-plateaus and switches to the averaging-phase rate when snapshot
-collection starts. Every random choice (shuffling, chunk offsets,
-dropout) is drawn from one seeded generator, so runs are reproducible
-bit for bit.
+``train_step`` is one rectified-Adam step (decoupled weight decay) on
+one chunk; its graph is freed when it returns. ``train`` is the epoch
+loop around it. The rate is multiplied by ``DECAY_FACTOR`` (0.3) after
+every ``PLATEAU_EPOCHS`` (5) epochs without a better validation loss,
+training stops after ``PATIENCE_EPOCHS`` (30), and from a warm fraction
+of the epoch budget on, the rate switches to the averaging-phase rate
+and a running average of weight snapshots (float64 sums, so the exact
+mean) becomes the returned model. Every random choice (shuffling, chunk
+offsets, dropout) is drawn from one seeded generator, so runs are
+reproducible bit for bit.
 
 A synthetic-track generator stands in for real data: each track plants
 a tempo grid with accented bar starts and a few timbre sections whose
@@ -39,28 +41,28 @@ from .postproc import Segment
 from .tensor import Tensor
 
 
+DECAY_FACTOR, PLATEAU_EPOCHS, PATIENCE_EPOCHS = 0.3, 5, 30
+# beats/downbeats mark WIDEN_FRAMES neighbors each side at WIDEN_WEIGHT;
+# a boundary ramp has a half-width of BOUNDARY_RAMP_S seconds
+WIDEN_FRAMES, WIDEN_WEIGHT, BOUNDARY_RAMP_S = 2, 0.5, 0.5
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.005
     swa_lr: float = 0.15
-    decay_factor: float = 0.3
     weight_decay: float = 0.00025
-    patience_epochs: int = 30
-    plateau_epochs: int = 5
     chunk_seconds: float = 300.0
     max_epochs: int = 100
     swa_start_frac: float = 0.25
-    widen_frames: int = 2
-    widen_weight: float = 0.5
-    boundary_ramp_seconds: float = 0.5
     loss_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.lr, self.swa_lr, self.decay_factor, self.weight_decay) <= 0:
+        if min(self.lr, self.swa_lr, self.weight_decay) <= 0:
             raise ConfigError("rates must be positive")
-        if self.patience_epochs < 1 or self.max_epochs < 1:
-            raise ConfigError("patience and max_epochs must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -76,8 +78,7 @@ class TrainingTargets:
 
 
 def build_targets(ann: Annotation, fps: float, frames: int,
-                  cfg: TrainConfig, vocab: tuple[str, ...] = DEFAULT_VOCAB
-                  ) -> TrainingTargets:
+                  vocab: tuple[str, ...] = DEFAULT_VOCAB) -> TrainingTargets:
     """Soft per-frame targets from an annotation."""
     beat = np.zeros(frames, dtype=np.float32)
     downbeat = np.zeros(frames, dtype=np.float32)
@@ -87,10 +88,10 @@ def build_targets(ann: Annotation, fps: float, frames: int,
         f = int(round(time_s * fps))
         if not 0 <= f < frames:
             raise InputError(f"event at {time_s:.3f}s outside the track")
-        for off in range(-cfg.widen_frames, cfg.widen_frames + 1):
+        for off in range(-WIDEN_FRAMES, WIDEN_FRAMES + 1):
             j = f + off
             if 0 <= j < frames:
-                w = 1.0 if off == 0 else cfg.widen_weight
+                w = 1.0 if off == 0 else WIDEN_WEIGHT
                 target[j] = max(target[j], w)
 
     for b in ann.beats:
@@ -98,7 +99,7 @@ def build_targets(ann: Annotation, fps: float, frames: int,
         if b.bar_position == 1:
             place(downbeat, b.time)
 
-    ramp = max(int(round(cfg.boundary_ramp_seconds * fps)), 1)
+    ramp = max(int(round(BOUNDARY_RAMP_S * fps)), 1)
     for seg in ann.segments[1:]:
         f = int(round(seg.start * fps))
         if not 0 <= f < frames:
@@ -214,15 +215,12 @@ class SwaAverage:
                 acc += d
         self.count += 1
 
-    def mean_arrays(self) -> list[np.ndarray]:
+    def weights(self, like: ModelWeights) -> ModelWeights:
         if not self.count:
             raise InputError("no snapshots collected")
-        return [s / self.count for s in self.sums]
-
-    def weights(self, like: ModelWeights) -> ModelWeights:
         out = like.copy()
-        for (_, t), mean in zip(out.named_tensors(), self.mean_arrays()):
-            t.data[:] = mean.astype(t.data.dtype)
+        for (_, t), acc in zip(out.named_tensors(), self.sums):
+            t.data[:] = (acc / self.count).astype(t.data.dtype)
         return out
 
 
@@ -298,95 +296,96 @@ def make_toy_dataset(seed: int, n_tracks: int, duration_s: float,
 # training loop
 # ---------------------------------------------------------------------------
 
+def train_step(weights: ModelWeights, state: RAdamState, values: np.ndarray,
+               targets: TrainingTargets, model_cfg: ModelConfig,
+               cfg: TrainConfig, lr: float, rng: np.random.Generator) -> float:
+    """One step on one chunk: clear the gradients, forward with dropout
+    drawn from ``rng``, loss, backward, RAdam update; returns the loss.
+    The graph is local to this call, so it is freed when the step returns."""
+    params = weights.parameters()
+    for p in params:
+        p.grad = None
+    # the rng goes 4th and positional: bench/tracer.py reads args[3] to
+    # tell a training forward from a validation one
+    logits = forward_logits(values, weights, model_cfg, rng)
+    loss = multitask_loss(logits, targets, cfg.loss_weights)
+    loss.backward()
+    radam_step(params, state, lr, cfg.weight_decay)
+    return loss.item()
+
+
 def train(model_cfg: ModelConfig, cfg: TrainConfig,
           dataset: list[tuple[StemSpectrogram, Annotation]],
           validation: list[tuple[StemSpectrogram, Annotation]]
           ) -> tuple[ModelWeights, list[dict]]:
     """Seeded training loop; returns averaged weights and the history.
 
-    Epoch structure: shuffle, per-track random chunk (when longer than
-    the chunk budget), forward/loss/backward/step; then validation loss,
-    plateau-driven learning-rate decay, snapshot averaging after the warm
-    fraction, and early stopping on stalled validation.
+    Each epoch runs one ``train_step`` per shuffled track, on a random
+    chunk when the track is longer than the budget, then the validation
+    loss, the schedule and snapshot averaging. A non-finite value in a
+    step or in validation raises ``TrainingDiverged`` naming the epoch.
     """
     cfg.validate()
     if not dataset:
         raise InputError("empty training set")
     rng = np.random.default_rng(cfg.seed)
     weights = init_weights(model_cfg, cfg.seed)
-    params = weights.parameters()
-    state = RAdamState.for_params(params)
+    state = RAdamState.for_params(weights.parameters())
     swa = SwaAverage()
     swa_start = max(1, math.ceil(cfg.swa_start_frac * cfg.max_epochs))
 
     fps = model_cfg.fps
     chunk_frames = int(round(cfg.chunk_seconds * fps))
-    full_targets = [build_targets(ann, fps, spec.num_frames, cfg,
-                                  model_cfg.label_vocab)
-                    for spec, ann in dataset]
-    val_targets = [build_targets(ann, fps, spec.num_frames, cfg,
-                                 model_cfg.label_vocab)
-                   for spec, ann in validation]
+    full_targets, val_targets = (
+        [build_targets(ann, fps, spec.num_frames, model_cfg.label_vocab)
+         for spec, ann in tracks] for tracks in (dataset, validation))
 
     lr = cfg.lr
     best_val = math.inf
     epochs_since_best = 0
-    plateau_counter = 0
     history: list[dict] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
         swa_active = epoch >= swa_start
-        if swa_active and epoch == swa_start:
+        if epoch == swa_start:
             lr = cfg.swa_lr
         order = rng.permutation(len(dataset))
         train_losses = []
-        for idx in order:
-            spec, _ = dataset[idx]
-            targets = full_targets[idx]
-            values = spec.values
-            if spec.num_frames > chunk_frames:
-                start = int(rng.integers(0, spec.num_frames - chunk_frames + 1))
-                values = values[:, start:start + chunk_frames]
-                targets = targets.slice(start, start + chunk_frames)
-            for p in params:
-                p.grad = None
-            try:
-                logits = forward_logits(values, weights, model_cfg,
-                                        training=True, rng=rng)
-                loss = multitask_loss(logits, targets, cfg.loss_weights)
-                loss.backward()
-            except tz.NumericError as exc:
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}: {exc}") from exc
-            radam_step(params, state, lr, cfg.weight_decay)
-            train_losses.append(loss.item())
-
-        with tz.no_grad():
-            val_losses = [
-                multitask_loss(forward_logits(spec.values, weights, model_cfg,
-                                              training=False),
-                               tgt, cfg.loss_weights).item()
-                for (spec, _), tgt in zip(validation, val_targets)]
-        val_loss = float(np.mean(val_losses)) if val_losses else float(
-            np.mean(train_losses))
+        try:
+            for idx in order:
+                spec, _ = dataset[idx]
+                targets = full_targets[idx]
+                values = spec.values
+                if spec.num_frames > chunk_frames:
+                    start = int(rng.integers(0, spec.num_frames - chunk_frames + 1))
+                    values = values[:, start:start + chunk_frames]
+                    targets = targets.slice(start, start + chunk_frames)
+                train_losses.append(train_step(weights, state, values, targets,
+                                               model_cfg, cfg, lr, rng))
+            with tz.no_grad():
+                val_losses = [
+                    multitask_loss(forward_logits(spec.values, weights, model_cfg),
+                                   tgt, cfg.loss_weights).item()
+                    for (spec, _), tgt in zip(validation, val_targets)]
+        except tz.NumericError as exc:
+            raise TrainingDiverged(
+                f"non-finite values at epoch {epoch}: {exc}") from exc
+        val_loss = float(np.mean(val_losses or train_losses))
 
         if val_loss < best_val - 1e-9:
             best_val = val_loss
             epochs_since_best = 0
-            plateau_counter = 0
         else:
             epochs_since_best += 1
-            plateau_counter += 1
-        if plateau_counter >= cfg.plateau_epochs:
-            lr *= cfg.decay_factor
-            plateau_counter = 0
+            if epochs_since_best % PLATEAU_EPOCHS == 0:
+                lr *= DECAY_FACTOR
         if swa_active:
             swa.update(weights)
         history.append({"epoch": epoch,
                         "train_loss": round(float(np.mean(train_losses)), 6),
                         "val_loss": round(val_loss, 6),
                         "lr": lr, "swa_active": swa_active})
-        if epochs_since_best >= cfg.patience_epochs:
+        if epochs_since_best >= PATIENCE_EPOCHS:
             break
 
     final = swa.weights(weights) if swa.count else weights

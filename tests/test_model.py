@@ -9,7 +9,7 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.errors import ConfigError, InputError, ParameterError
+from aio1.errors import ConfigError, InputError
 from aio1.frontend import TIME_REACH, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
@@ -258,6 +258,10 @@ def test_model_forward_deterministic():
 
 # the bound bench/workloads.py holds float32 inference to (F64_ATOL)
 F64_ATOL = 1e-4
+# float32 head logits against float64 on the same weights. Untrained
+# probabilities barely vary, so the F64_ATOL check alone lets through a
+# tanh GELU (2.3e-5 off here); the float32 path measures 3.4e-7
+LOGIT_ATOL = 2e-6
 
 
 def test_float32_forward_within_tolerance_of_float64():
@@ -278,35 +282,27 @@ def test_float32_forward_within_tolerance_of_float64():
     for key in ("beat", "downbeat", "boundary", "labels"):
         diff = np.abs(getattr(got, key) - getattr(want, key)).max()
         assert diff <= F64_ATOL, (key, diff)
+    with tz.no_grad():
+        got = forward_logits(spec.values, w32, cfg)
+        want = forward_logits(spec.values.astype(np.float64), w64, cfg)
+    for key in got:
+        diff = np.abs(got[key].data - want[key].data).max()
+        assert diff <= LOGIT_ATOL, (key, diff)
 
 
 def test_dropout_identity_at_inference_stochastic_in_training():
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
     vals = random_spec(cfg, 80, seed=8).values
-    base = forward_logits(vals, w, cfg, training=False)["beat"].data
-    again = forward_logits(vals, w, cfg, training=False)["beat"].data
+    base = forward_logits(vals, w, cfg)["beat"].data
+    again = forward_logits(vals, w, cfg)["beat"].data
     np.testing.assert_array_equal(base, again)
-    rng1 = np.random.default_rng(1)
-    rng2 = np.random.default_rng(1)
-    t1 = forward_logits(vals, w, cfg, training=True, rng=rng1)["beat"].data
-    t2 = forward_logits(vals, w, cfg, training=True, rng=rng2)["beat"].data
+    t1 = forward_logits(vals, w, cfg, np.random.default_rng(1))["beat"].data
+    t2 = forward_logits(vals, w, cfg, np.random.default_rng(1))["beat"].data
     np.testing.assert_array_equal(t1, t2)
-    t3 = forward_logits(vals, w, cfg, training=True,
-                        rng=np.random.default_rng(2))["beat"].data
+    assert not np.array_equal(t1, base)
+    t3 = forward_logits(vals, w, cfg, np.random.default_rng(2))["beat"].data
     assert not np.array_equal(t1, t3)
-    # an rng alone turns no dropout on
-    ignored = forward_logits(vals, w, cfg, training=False,
-                             rng=np.random.default_rng(1))["beat"].data
-    np.testing.assert_array_equal(ignored, base)
-
-
-def test_training_forward_without_rng_raises():
-    cfg = tiny_config()
-    w = init_weights(cfg, seed=0)
-    vals = random_spec(cfg, 40, seed=8).values
-    with pytest.raises(ParameterError, match="rng"):
-        forward_logits(vals, w, cfg, training=True, rng=None)
 
 
 def test_empty_input_rejected():

@@ -1,18 +1,22 @@
 """Training pieces: targets, loss gradients, RAdam, snapshot averaging
 and seeded reproducibility."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from aio1 import tensor as tz
+from aio1.errors import TrainingDiverged
 from aio1.metrics import Annotation, Beat
-from aio1.model import forward_logits, init_weights, tiny_config
+from aio1.model import init_weights, tiny_config
 from aio1.postproc import Segment
 from aio1.tensor import Tensor
-from aio1.training import (RAdamState, SwaAverage, TrainConfig, build_targets,
-                           make_toy_dataset, multitask_loss, radam_step, train)
+from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
+                           RAdamState, SwaAverage, TrainConfig, build_targets,
+                           make_toy_dataset, multitask_loss, radam_step, train,
+                           train_step)
 
 
 def test_build_targets_ramps_and_labels():
@@ -20,8 +24,8 @@ def test_build_targets_ramps_and_labels():
     ann = Annotation(beats=[Beat(0.5, 1), Beat(1.0, 2), Beat(1.5, 1)],
                      segments=[Segment(0.0, 1.2, "intro"), Segment(1.2, 3.0, "chorus")],
                      duration=3.0)
-    cfg = TrainConfig(widen_frames=2, widen_weight=0.5, boundary_ramp_seconds=0.1)
-    t = build_targets(ann, 100.0, 300, cfg, vocab)
+    t = build_targets(ann, 100.0, 300, vocab)
+    # WIDEN_FRAMES = 2 neighbors each side at WIDEN_WEIGHT = 0.5
     beat = np.zeros(300)
     for f in (50, 100, 150):
         beat[f - 2:f + 3] = [0.5, 0.5, 1.0, 0.5, 0.5]
@@ -29,9 +33,10 @@ def test_build_targets_ramps_and_labels():
     down = beat.copy()
     down[98:103] = 0.0                      # bar position 2 is no downbeat
     np.testing.assert_array_equal(t.downbeat, down)
-    # a triangle of half-width 10 frames around the one inner boundary
+    # BOUNDARY_RAMP_S = 0.5: a triangle of half-width 50 frames around the
+    # one inner boundary
     ramp = np.zeros(300)
-    ramp[110:131] = 1.0 - np.abs(np.arange(110, 131) - 120) / 10
+    ramp[70:171] = 1.0 - np.abs(np.arange(70, 171) - 120) / 50
     np.testing.assert_allclose(t.boundary, ramp, rtol=0, atol=1e-7)
     np.testing.assert_array_equal(t.labels, [0] * 120 + [2] * 180)
     part = t.slice(100, 130)
@@ -58,13 +63,13 @@ def _masked_form_loss(logits, targets, weights):
 
 @pytest.mark.filterwarnings("error")
 def test_build_targets_ramp_under_half_a_frame_marks_the_boundary_alone():
-    ann = Annotation(beats=[Beat(0.5, 1)],
-                     segments=[Segment(0.0, 1.2, "intro"), Segment(1.2, 3.0, "verse")],
-                     duration=3.0)
-    cfg = TrainConfig(boundary_ramp_seconds=0.004)     # rounds to 0 frames
-    t = build_targets(ann, 100.0, 300, cfg)
-    want = np.zeros(300)
-    want[120] = 1.0
+    ann = Annotation(beats=[Beat(10.0, 1)],
+                     segments=[Segment(0.0, 60.0, "intro"), Segment(60.0, 150.0, "verse")],
+                     duration=150.0)
+    # at 0.5 fps the 0.5 s ramp is a quarter frame, which rounds to 0 frames
+    t = build_targets(ann, 0.5, 75)
+    want = np.zeros(75)
+    want[30] = 1.0
     np.testing.assert_array_equal(t.boundary, want)
 
 
@@ -72,8 +77,7 @@ def test_loss_is_bit_identical_to_the_masked_form():
     cfg = tiny_config()
     spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
                                  num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
-    targets = build_targets(ann, cfg.fps, spec.num_frames, TrainConfig(),
-                            cfg.label_vocab)
+    targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab)
     rng = np.random.default_rng(6)
     t, vocab = spec.num_frames, len(cfg.label_vocab)
     logits = {name: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
@@ -92,19 +96,43 @@ def test_loss_is_bit_identical_to_the_masked_form():
         np.testing.assert_array_equal(got_grads[k], v.grad, err_msg=k)
 
 
-def test_fresh_model_backprops_into_every_weight():
-    cfg = tiny_config()
+def _step_from_seed(cfg):
+    """A fresh model after one ``train_step`` on a seeded chunk."""
     spec, ann = make_toy_dataset(4, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
                                  num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
-    targets = build_targets(ann, cfg.fps, spec.num_frames, TrainConfig(),
+    targets = build_targets(ann, cfg.fps, spec.num_frames,
                             cfg.label_vocab).slice(0, 300)
     weights = init_weights(cfg, seed=2)
-    logits = forward_logits(spec.values[:, :300], weights, cfg, training=True,
-                            rng=np.random.default_rng(3))
-    multitask_loss(logits, targets).backward()
+    state = RAdamState.for_params(weights.parameters())
+    tcfg = TrainConfig()
+    loss = train_step(weights, state, spec.values[:, :300], targets, cfg, tcfg,
+                      tcfg.lr, np.random.default_rng(3))
+    return weights, loss
+
+
+def test_fresh_model_backprops_into_every_weight():
+    weights, loss = _step_from_seed(tiny_config())
+    assert isinstance(loss, float) and math.isfinite(loss)
     for name, t in weights.named_tensors():
         assert t.grad is not None, name
         assert t.grad.shape == t.data.shape and np.isfinite(t.grad).all(), name
+
+
+def test_train_step_is_seeded_and_frees_its_graph():
+    cfg = tiny_config()
+    gc.collect()
+    (w1, loss1), (w2, loss2) = _step_from_seed(cfg), _step_from_seed(cfg)
+    # no collection in between: the graph must go when the step returns
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, Tensor) and o._backward is not None]
+    assert loss1 == loss2
+    start = init_weights(cfg, seed=2)
+    for (name, a), (_, b), (_, s) in zip(w1.named_tensors(), w2.named_tensors(),
+                                         start.named_tensors()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+        np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
+    assert any(not np.array_equal(a.data, s.data)
+               for (_, a), (_, s) in zip(w1.named_tensors(), start.named_tensors()))
 
 
 def numpy_radam(p, g, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -180,3 +208,41 @@ def test_seeded_train_runs_are_bit_identical():
     start = init_weights(cfg, tcfg.seed)
     assert any(not np.array_equal(a.data, b.data)
                for (_, a), (_, b) in zip(w1.named_tensors(), start.named_tensors()))
+
+
+def _one_track_run(tcfg):
+    cfg = tiny_config()
+    data = make_toy_dataset(3, 2, 10.0, fps=cfg.fps, bands=cfg.bands,
+                            num_stems=cfg.num_stems, vocab=cfg.label_vocab)
+    return train(cfg, tcfg, data[:1], data[1:])
+
+
+def test_schedule_decays_on_plateaus_switches_rate_and_stops():
+    # at these rates the weights cannot move, so validation loss is flat
+    # from epoch 1 on: every later epoch is one more without improvement
+    tcfg = TrainConfig(lr=1e-30, swa_lr=2e-30, chunk_seconds=1.0, max_epochs=40,
+                       swa_start_frac=0.5, seed=1)
+    _, history = _one_track_run(tcfg)
+    assert [h["epoch"] for h in history] == list(range(1, 2 + PATIENCE_EPOCHS))
+    assert len({h["val_loss"] for h in history}) == 1
+    assert [h["swa_active"] for h in history] == [
+        e >= 20 for e in range(1, 2 + PATIENCE_EPOCHS)]
+    # epochs 6, 11, ..., 31 end a run of PLATEAU_EPOCHS without improvement
+    decays = range(1 + PLATEAU_EPOCHS, 2 + PATIENCE_EPOCHS, PLATEAU_EPOCHS)
+    lr, want = tcfg.lr, []
+    for epoch in range(1, 2 + PATIENCE_EPOCHS):
+        if epoch == 20:                     # swa_start_frac * max_epochs
+            lr = tcfg.swa_lr
+        if epoch in decays:
+            lr *= DECAY_FACTOR
+        want.append(lr)
+    assert [h["lr"] for h in history] == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_divergence_in_validation_raises_training_diverged():
+    # the first step blows the weights up; the validation forward that
+    # follows is the first op to overflow
+    tcfg = TrainConfig(lr=1e20, swa_lr=1e20, chunk_seconds=1.0, max_epochs=5)
+    with pytest.raises(TrainingDiverged, match="epoch 1"):
+        _one_track_run(tcfg)
