@@ -7,6 +7,14 @@ trainable weight is a leaf tensor with ``requires_grad`` set; its
 pure function: inputs are never mutated and identical inputs produce
 bit-identical outputs.
 
+Each op records one backward closure that maps its output's gradient to
+a tuple of gradients, one per parent in order, with None where a parent
+needs none. :meth:`Tensor.backward` alone writes ``grad``: it adopts a
+node's first gradient and adds any later one out of place, so no
+gradient array is written once handed over and one buffer may go to two
+parents. A node's ``grad`` is dropped as soon as its closure has run;
+only leaves keep theirs, and a second backward adds to them.
+
 Every op that computes new values raises :class:`NumericError` as soon
 as it produces a NaN or Inf, so a diverging computation fails at the op
 that broke, not three modules later. The shape-only ops (``reshape``,
@@ -46,6 +54,9 @@ FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
+# an op's backward: output gradient -> one gradient (or None) per parent
+Backward = Callable[[np.ndarray], tuple]
+
 
 @contextmanager
 def no_grad():
@@ -83,7 +94,8 @@ class Tensor:
 
     ``data`` is held by reference; callers must not mutate arrays they
     hand in (the one sanctioned exception is the in-place perturbation
-    done by the finite-difference gradient check in the tests).
+    done by the finite-difference gradient check in the tests). After a
+    backward only leaves hold a ``grad``; an op's output holds None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -93,13 +105,13 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Backward | None = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
-                 backward: Callable[[np.ndarray], None], op: str | None) -> "Tensor":
+                 backward: Backward, op: str | None) -> "Tensor":
         """A node holding ``data``, made by ``op`` from ``parents``.
 
         Shape-only ops pass ``op=None`` and skip the finite check: they
@@ -146,25 +158,13 @@ class Tensor:
 
     # -- backprop ---------------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
-    def _accumulate_owned(self, g: np.ndarray) -> None:
-        """Accumulate a gradient buffer the calling backward closure created
-        (or received as the finished gradient of its output node) exclusively
-        for this tensor; adopted without a defensive copy when possible.
-        Callers must never hand the same buffer to two parents this way."""
-        if (self.grad is None and g.dtype == self.data.dtype
-                and g.flags.c_contiguous):
-            self.grad = g
-        else:
-            self._accumulate(g)
-
     def backward(self, gradient: np.ndarray | None = None) -> None:
-        """Backpropagate from this node through the recorded graph."""
+        """Backpropagate from this node through the recorded graph.
+
+        ``gradient`` (ones for a scalar) is this node's first or next
+        gradient; like ``data`` it is held by reference. Every node's
+        ``grad`` except a leaf's is None again on return.
+        """
         if not self.requires_grad:
             raise ParameterError("backward() on a tensor that requires no grad")
         if gradient is None:
@@ -187,10 +187,20 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(gradient, dtype=self.data.dtype))
+
+        def receive(node: Tensor, g) -> None:
+            # order="C" keeps a 0-d gradient 0-d, unlike ascontiguousarray
+            g = np.asarray(g, dtype=node.data.dtype, order="C")
+            node.grad = g if node.grad is None else node.grad + g
+
+        receive(self, gradient)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            g, node.grad = node.grad, None
+            for p, pg in zip(node._parents, node._backward(g)):
+                if pg is not None and p.requires_grad:
+                    receive(p, pg)
 
     # -- operator sugar ----------------------------------------------------------
 
@@ -298,10 +308,7 @@ def add(a: Tensor, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return Tensor._from_op(out_data, (a, b), backward, "add")
 
@@ -312,10 +319,8 @@ def mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate_owned(_unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, "mul")
 
@@ -330,7 +335,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        a._accumulate_owned(np.ascontiguousarray(g).reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return Tensor._from_op(out_data, (a,), backward, None)
 
@@ -343,7 +348,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         inv = np.argsort(axes)
 
     def backward(g):
-        a._accumulate_owned(np.ascontiguousarray(np.transpose(g, inv)))
+        return (np.transpose(g, inv),)
 
     return Tensor._from_op(out_data, (a,), backward, None)
 
@@ -358,10 +363,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
+        return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._from_op(out_data, tuple(tensors), backward, None)
 
@@ -396,9 +398,7 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         n = a.data.shape[axis]
         acc = _scatter_rows(idx.reshape(-1), gm.reshape(idx.size, -1), n)
         dx = acc.reshape((n,) + a.data.shape[:axis] + a.data.shape[axis + 1:])
-        if axis:
-            dx = np.ascontiguousarray(np.moveaxis(dx, 0, axis))
-        a._accumulate_owned(dx)
+        return (np.moveaxis(dx, 0, axis),)
 
     return Tensor._from_op(out_data, (a,), backward, None)
 
@@ -409,7 +409,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate_owned(np.broadcast_to(g, a.data.shape).copy())
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor._from_op(np.asarray(out_data), (a,), backward, "sum")
 
@@ -436,13 +436,13 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
             f"{op} inner dimensions differ: {a.data.shape} x {b.data.shape}")
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
+    ga = gb = None
     if a.requires_grad:
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        a._accumulate_owned(np.ascontiguousarray(_unbroadcast(ga, a.data.shape)))
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
     if b.requires_grad:
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        b._accumulate_owned(np.ascontiguousarray(_unbroadcast(gb, b.data.shape)))
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+    return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -463,9 +463,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data += b.data
 
     def backward(g):
-        if b.requires_grad:
-            b._accumulate_owned(_unbroadcast(g, b.data.shape))
-        _matmul_backward(x, w, g)
+        return _matmul_backward(x, w, g) + (_unbroadcast(g, b.data.shape),)
 
     return Tensor._from_op(out_data, (x, w, b), backward, "linear")
 
@@ -509,12 +507,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
     out_data += bias.data
 
     def backward(g):
-        if bias.requires_grad:
-            bias._accumulate_owned(_unbroadcast(g, bias.data.shape))
         gcols = g.reshape(-1, cout)
+        dx = dk = None
         if kernels.requires_grad:
             dk = (gcols.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-            kernels._accumulate_owned(dk)
         if x.requires_grad:
             # the adjoint of im2col: each window column adds back into the
             # input pixel it was copied from
@@ -523,7 +519,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
-            x._accumulate_owned(dxp[:, ph:ph + h, pw:pw + w])
+            dx = dxp[:, ph:ph + h, pw:pw + w]
+        return dx, dk, _unbroadcast(g, bias.data.shape)
 
     return Tensor._from_op(out_data, (x, kernels, bias), backward, "conv2d")
 
@@ -558,7 +555,7 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
                           np.expand_dims(g, axis + 1), axis=axis + 1)
         # pad copies sit after the original in its window, so the first
         # maximum is never one of them
-        x._accumulate_owned(buf.reshape(xd.shape)[at[:axis] + (slice(length),)])
+        return (buf.reshape(xd.shape)[at[:axis] + (slice(length),)],)
 
     return Tensor._from_op(out_data, (x,), backward, "maxpool")
 
@@ -581,15 +578,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
-        if bias.requires_grad:
-            bias._accumulate_owned(np.ascontiguousarray(g).reshape(-1, c).sum(axis=0))
+        dx = dgain = None
         if gain.requires_grad:
-            gain._accumulate_owned((g * xhat).reshape(-1, c).sum(axis=0))
+            dgain = (g * xhat).reshape(-1, c).sum(axis=0)
         if x.requires_grad:
             gy = g * gain.data
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate_owned((gy - m1 - xhat * m2) * inv)
+            dx = (gy - m1 - xhat * m2) * inv
+        return dx, dgain, np.ascontiguousarray(g).reshape(-1, c).sum(axis=0)
 
     return Tensor._from_op(out_data, (x, gain, bias), backward, "layer_norm")
 
@@ -610,7 +607,7 @@ def elu(x: Tensor) -> Tensor:
         slope = np.minimum(out_data, 0)
         slope += 1
         slope *= g
-        x._accumulate_owned(slope)
+        return (slope,)
 
     return Tensor._from_op(out_data, (x,), backward, "elu")
 
@@ -678,7 +675,7 @@ def gelu(x: Tensor) -> Tensor:
     # exact erf form; the tanh approximation is too loose for grad checks
     if x.data.dtype == np.float32:
         def backward(g):
-            x._accumulate_owned(_gelu_f32(x.data, g))
+            return (_gelu_f32(x.data, g),)
 
         return Tensor._from_op(_gelu_f32(x.data), (x,), backward, "gelu")
 
@@ -689,7 +686,7 @@ def gelu(x: Tensor) -> Tensor:
     def backward(g):
         dens = np.exp(-0.5 * x.data * x.data) / np.asarray(
             math.sqrt(2.0 * math.pi), dtype=x.data.dtype)
-        x._accumulate_owned(g * (phi + x.data * dens))
+        return (g * (phi + x.data * dens),)
 
     return Tensor._from_op(out_data, (x,), backward, "gelu")
 
@@ -698,7 +695,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = _sigmoid_np(x.data)
 
     def backward(g):
-        x._accumulate_owned(g * out_data * (1.0 - out_data))
+        return (g * out_data * (1.0 - out_data),)
 
     return Tensor._from_op(out_data, (x,), backward, "sigmoid")
 
@@ -719,7 +716,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate_owned(out_data * (g - dot))
+        return (out_data * (g - dot),)
 
     return Tensor._from_op(out_data, (x,), backward, "softmax")
 
@@ -732,7 +729,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     sm = np.exp(out_data)
 
     def backward(g):
-        x._accumulate_owned(g - sm * g.sum(axis=axis, keepdims=True))
+        return (g - sm * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._from_op(out_data, (x,), backward, "log_softmax")
 
@@ -856,15 +853,9 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
                               gh.transpose(0, 1, 3, 2, 4), order="C")
             dk += _scatter_rows(keys, dkg.reshape(keys.size, c), batch * n_all)
             dv += _scatter_rows(keys, dvg.reshape(keys.size, c), batch * n_all)
-        if q.requires_grad:
-            dq *= scale
-            q._accumulate_owned(dq.reshape(q.data.shape))
-        if k.requires_grad:
-            k._accumulate_owned(dk.reshape(k.data.shape))
-        if v.requires_grad:
-            v._accumulate_owned(dv.reshape(v.data.shape))
-        if rpb.requires_grad:
-            rpb._accumulate_owned(drpb.astype(dtype).reshape(heads, table))
+        dq *= scale
+        return (dq.reshape(q.data.shape), dk.reshape(k.data.shape),
+                dv.reshape(v.data.shape), drpb.reshape(heads, table))
 
     return Tensor._from_op(out.reshape(q.data.shape), (q, k, v, rpb), backward,
                            "neighborhood_attention")
@@ -881,7 +872,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
     def backward(g):
-        logits._accumulate_owned(g * (_sigmoid_np(z) - t))
+        return (g * (_sigmoid_np(z) - t),)
 
     return Tensor._from_op(out_data, (logits,), backward, "bce_with_logits")
 

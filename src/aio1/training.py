@@ -192,7 +192,7 @@ def radam_step(params: list[Tensor], state: RAdamState, lr: float,
             update = lr * m_hat
         if weight_decay:
             update = update + (lr * weight_decay) * p.data
-        p.data = (p.data - update).astype(p.data.dtype)
+        p.data = p.data - update
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ class SwaAverage:
     def update(self, weights: ModelWeights) -> None:
         tensors = [t.data for _, t in weights.named_tensors()]
         if not self.sums:
-            self.sums = [np.asarray(d, dtype=np.float64).copy() for d in tensors]
+            self.sums = [d.astype(np.float64) for d in tensors]
         else:
             for acc, d in zip(self.sums, tensors):
                 acc += d
@@ -352,21 +352,24 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
         order = rng.permutation(len(dataset))
         train_losses = []
         try:
-            for idx in order:
-                spec, _ = dataset[idx]
-                targets = full_targets[idx]
-                values = spec.values
-                if spec.num_frames > chunk_frames:
-                    start = int(rng.integers(0, spec.num_frames - chunk_frames + 1))
-                    values = values[:, start:start + chunk_frames]
-                    targets = targets.slice(start, start + chunk_frames)
-                train_losses.append(train_step(weights, state, values, targets,
-                                               model_cfg, cfg, lr, rng))
-            with tz.no_grad():
-                val_losses = [
-                    multitask_loss(forward_logits(spec.values, weights, model_cfg),
-                                   tgt, cfg.loss_weights).item()
-                    for (spec, _), tgt in zip(validation, val_targets)]
+            # a non-finite value raises NumericError; numpy's overflow
+            # warning on the way there would only repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for idx in order:
+                    spec, _ = dataset[idx]
+                    targets = full_targets[idx]
+                    values = spec.values
+                    if spec.num_frames > chunk_frames:
+                        start = int(rng.integers(0, spec.num_frames - chunk_frames + 1))
+                        values = values[:, start:start + chunk_frames]
+                        targets = targets.slice(start, start + chunk_frames)
+                    train_losses.append(train_step(weights, state, values, targets,
+                                                   model_cfg, cfg, lr, rng))
+                with tz.no_grad():
+                    val_losses = [
+                        multitask_loss(forward_logits(spec.values, weights, model_cfg),
+                                       tgt, cfg.loss_weights).item()
+                        for (spec, _), tgt in zip(validation, val_targets)]
         except tz.NumericError as exc:
             raise TrainingDiverged(
                 f"non-finite values at epoch {epoch}: {exc}") from exc

@@ -8,7 +8,9 @@ import pytest
 
 from aio1 import tensor as tz
 from aio1.errors import DimensionError, NumericError, ParameterError
+from aio1.model import forward_logits, init_weights, tiny_config
 from aio1.tensor import Tensor
+from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
 
 from gradcheck import grad_check
 
@@ -568,6 +570,77 @@ def test_grad_divide_mean_transpose():
         return tz.tmean(h * h) + tz.tsum(tz.sigmoid(tz.tmean(h, axis=0)))
 
     _gc(loss, a, b)
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: only leaves keep a grad, accumulation is out of place
+# ---------------------------------------------------------------------------
+
+def _graph(root):
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def test_backward_leaves_grads_on_the_weights_only():
+    cfg = tiny_config()
+    spec, ann = make_toy_dataset(4, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                                 num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
+    targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(0, 300)
+    weights = init_weights(cfg, seed=2)
+    logits = forward_logits(spec.values[:, :300], weights, cfg, np.random.default_rng(3))
+    loss = multitask_loss(logits, targets, TrainConfig().loss_weights)
+    loss.backward()
+    nodes = _graph(loss)
+    ops = [t for t in nodes if t._backward is not None]
+    assert len(ops) > 100
+    assert all(t.grad is None for t in ops)
+    for name, t in weights.named_tensors():
+        assert t.grad is not None and t.grad.shape == t.data.shape, name
+    assert {id(t) for _, t in weights.named_tensors()} <= {id(t) for t in nodes}
+
+
+@pytest.mark.parametrize("shared_first", [True, False])
+def test_a_buffer_given_to_two_leaves_is_never_written(shared_first):
+    rng = np.random.default_rng(20)
+    a, b = (Tensor(_rand((3, 4), rng), requires_grad=True) for _ in range(2))
+    g = _rand((3, 4), rng)
+    g_before = g.copy()
+    # add hands its incoming gradient to both a and b; a then gets 3 g more
+    shared, extra = tz.add(a, b), a * 3.0
+    out = tz.add(shared, extra) if shared_first else tz.add(extra, shared)
+    out.backward(g)
+    np.testing.assert_array_equal(b.grad, g_before)
+    np.testing.assert_array_equal(a.grad, g_before + 3.0 * g_before)
+    np.testing.assert_array_equal(g, g_before)
+
+
+def test_a_repeated_parent_gets_both_contributions():
+    rng = np.random.default_rng(21)
+    x = Tensor(_rand(5, rng), requires_grad=True)
+    tz.tsum(tz.mul(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    x.grad = None
+    w = _rand(10, rng)
+    tz.tsum(tz.concat([x, x]) * Tensor(w)).backward()
+    np.testing.assert_array_equal(x.grad, w[:5] + w[5:])
+
+
+def test_a_second_backward_adds_into_the_leaves():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    y = x * 2.0
+    tz.tsum(y).backward()
+    # the shared node y kept no gradient from the first pass
+    tz.tsum(y).backward()
+    np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
+    x.backward(np.ones(4))
+    np.testing.assert_array_equal(x.grad, np.full(4, 5.0))
+    tz.tsum(x).backward()
+    np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_schedule_decays_on_plateaus_switches_rate_and_stops():
     assert [h["lr"] for h in history] == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_divergence_in_validation_raises_training_diverged():
     # the first step blows the weights up; the validation forward that
     # follows is the first op to overflow
