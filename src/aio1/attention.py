@@ -2,17 +2,20 @@
 
 Both kernels project their input to queries, keys and values and hand
 them to the fused :func:`aio1.tensor.neighborhood_attention` op with a
-cached set of windows:
+short list of window slots (:class:`aio1.tensor.Slot`), each giving every
+frame one key frame and bias column:
 
 * ``na1d`` — attention over time, restricted to the ``k`` nearest frames
   of the query's dilation coset. Windows near the sequence edges shift
   inward instead of padding with zeros, so every query attends to exactly
-  ``min(k, coset size)`` real frames. Window slots no frame can fill
-  (cosets shorter than the kernel) are not computed.
+  ``min(k, coset size)`` real frames. Slots no frame can fill (cosets
+  shorter than the kernel) are not computed.
 * ``na2d`` — attention over the (stem, time) grid with a square kernel.
-  The time axis keeps the inward-shift rule; the stem axis is centred on
-  the query's stem, and stems beyond the grid are left out of the window
-  rather than attended to, so edge stems attend over narrower windows.
+  Its slots are the undilated time slots crossed with the stem shifts
+  of a window centred on the query's stem. A query whose stem plus the
+  shift falls beyond the grid leaves that slot out, so edge stems attend
+  over narrower windows. Keys and values are gathered once per time slot
+  and shifted along stems by slicing; no grid-sized table is built.
 
 Each attention head owns one learned scalar bias per relative offset
 reachable inside a window (``2k-1`` offsets in 1-D, ``(2k-1)^2`` in 2-D,
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
 
@@ -90,107 +93,80 @@ def init_attention_weights(embed_dim: int, cfg: AttentionConfig,
 # window geometry
 # ---------------------------------------------------------------------------
 
-# The window caches hold about two track lengths of the default preset's
-# 12 dilations (a training chunk and a validation track). One 10-minute
-# length pins about 55 MB of 1-D tables and 64 MB of grid windows, and a
-# 1-D table rebuilds in under 0.1 s even at that length.
+# The cache holds about two track lengths of the default preset's 12
+# dilations (a training chunk and a validation track). One 10-minute
+# length (60,000 frames) pins 55 MB of tables, and a table rebuilds in
+# 6-11 ms at that length.
 @lru_cache(maxsize=32)
-def _window_table(length: int, kernel_size: int, dilation: int) -> tz.WindowGroup:
-    """Windows of every frame as one group ``min(k, largest coset)`` slots
-    wide.
+def _window_table(length: int, kernel_size: int, dilation: int) -> tuple[tz.Slot, ...]:
+    """Window slots of every frame, ``min(k, largest coset)`` of them.
 
     Frame ``i`` attends to the run of ``k`` members of its coset ``{j : j
     == i (mod d)}`` centred on ``i`` where possible and shifted inward at
     the edges, or to the whole coset when it holds at most ``k`` frames.
-    Rows of shorter cosets pad with the query index, masked.
+    Slot ``j`` holds every frame's ``j``-th key; frames of shorter cosets
+    point the slots they lack at themselves, masked.
     """
     i = np.arange(length)
     residue = i % dilation
     coset = (length - residue + dilation - 1) // dilation
     start = np.clip(i // dilation - (kernel_size - 1) // 2, 0,
                     np.maximum(coset - kernel_size, 0))
-    slot = np.arange(min(kernel_size, -(-length // dilation)))
-    valid = slot < np.minimum(coset, kernel_size)[:, None]
-    idx = np.where(valid, residue[:, None] + (start[:, None] + slot) * dilation,
-                   i[:, None])
-    rel = (idx - i[:, None]) // dilation + kernel_size - 1
-    return _frozen_group(slice(0, length), idx, rel, None if valid.all() else valid)
-
-
-def _frozen_group(rows, idx, rel, valid) -> tz.WindowGroup:
-    """A cached group whose arrays nobody may write."""
+    slot = np.arange(min(kernel_size, -(-length // dilation)))[:, None]
+    valid = slot < np.minimum(coset, kernel_size)
+    idx = np.where(valid, residue + (start + slot) * dilation, i)       # [W, T]
+    rel = (idx - i) // dilation + kernel_size - 1
     for arr in (idx, rel, valid):
-        if arr is not None:
-            arr.flags.writeable = False
-    return tz.WindowGroup(rows, idx, rel, valid)
+        arr.flags.writeable = False
+    return tuple(tz.Slot(0, idx[j], rel[j], None if valid[j].all() else valid[j])
+                 for j in range(len(slot)))
+
+
+def _grid_slots(num_stems: int, frames: int, kernel_size: int) -> list[tz.Slot]:
+    """The undilated time slots crossed with the stem shifts of a centred
+    ``k``-stem window that fit in the grid, each with its bias column in
+    the ``k*k`` kernel. The slots of one time column share its keys."""
+    span = 2 * kernel_size - 1
+    reach = min((kernel_size - 1) // 2, num_stems - 1)
+    return [tz.Slot(shift, t.idx, t.rel + (shift + kernel_size - 1) * span, t.valid)
+            for t in _window_table(frames, kernel_size, 1)
+            for shift in range(-reach, reach + 1)]
 
 
 # ---------------------------------------------------------------------------
 # attention over time and over the (stem, time) grid
 # ---------------------------------------------------------------------------
 
-def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, windows,
+def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, slots,
             attn_dropout: float, rng: np.random.Generator | None) -> Tensor:
-    """Project ``[..., N, C]`` to queries, keys and values, attend over
-    ``windows``, and project back."""
+    """Project to queries, keys and values, attend over ``slots``, project back."""
     if w.rpb.shape[0] != cfg.num_heads:
         raise ConfigError(f"bias table has {w.rpb.shape[0]} heads, "
                           f"config {cfg.num_heads}")
     q = tz.linear(x, w.wq, w.bq)
     k = tz.linear(x, w.wk, w.bk)
     v = tz.linear(x, w.wv, w.bv)
-    out = tz.neighborhood_attention(q, k, v, w.rpb, windows, attn_dropout, rng)
+    out = tz.neighborhood_attention(q, k, v, w.rpb, slots, attn_dropout, rng)
     return tz.linear(out, w.wo, w.bo)
 
 
 def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> Tensor:
     """Dilated neighborhood attention over the time axis of ``[..., T, C]``."""
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise DimensionError(f"na1d expects [..., T, C] with T >= 1, got {x.shape}")
     cfg.validate(x.shape[-1])
-    table = _window_table(x.shape[-2], cfg.kernel_size, cfg.dilation)
-    return _attend(x, w, cfg, (table,), attn_dropout, rng)
-
-
-@lru_cache(maxsize=2)
-def _grid_windows(num_stems: int, frames: int,
-                  kernel_size: int) -> tuple[tz.WindowGroup, ...]:
-    """Windows for the (stem, time) grid, flattened to ``N = S*T`` cells.
-
-    Time uses nearest-neighbor windows. The stem axis is a centred window
-    whose out-of-range stems are left out, so a stem's rows share one
-    width: its in-range stems times the time window. Consecutive stems of
-    equal width form one group. Slots keep the bias index of the full
-    ``k*k`` kernel.
-    """
-    half = (kernel_size - 1) // 2
-    span = 2 * kernel_size - 1
-    t_idx = _window_table(frames, kernel_size, 1).idx           # all real
-    dt = t_idx - np.arange(frames)[:, None] + kernel_size - 1
-    groups = []
-    for s in range(num_stems):
-        offs = np.arange(max(-half, -s), min(half, num_stems - 1 - s) + 1)
-        shape = (frames, offs.size * t_idx.shape[1])
-        idx = ((s + offs)[None, :, None] * frames + t_idx[:, None, :]).reshape(shape)
-        rel = ((offs + kernel_size - 1)[None, :, None] * span
-               + dt[:, None, :]).reshape(shape)
-        if groups and groups[-1][1].shape[1] == idx.shape[1]:
-            first, idx0, rel0 = groups.pop()
-            idx, rel = np.concatenate([idx0, idx]), np.concatenate([rel0, rel])
-        else:
-            first = s
-        groups.append((first, idx, rel))
-    return tuple(_frozen_group(slice(first * frames, first * frames + len(idx)),
-                               idx, rel, None)
-                 for first, idx, rel in groups)
+    slots = _window_table(x.shape[-2], cfg.kernel_size, cfg.dilation)
+    return _attend(x, w, cfg, slots, attn_dropout, rng)
 
 
 def na2d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> Tensor:
     """Square-kernel neighborhood attention over ``[S, T, C]``."""
+    if x.ndim != 3 or 0 in x.shape[:2]:
+        raise DimensionError(f"na2d expects [S, T, C] with S, T >= 1, got {x.shape}")
     cfg.validate(x.shape[-1])
     if cfg.dilation != 1:
         raise ConfigError("grid attention runs undilated")
-    s, t, c = x.shape
-    windows = _grid_windows(s, t, cfg.kernel_size)
-    out = _attend(x.reshape(s * t, c), w, cfg, windows, attn_dropout, rng)
-    return out.reshape(s, t, c)
+    slots = _grid_slots(x.shape[0], x.shape[1], cfg.kernel_size)
+    return _attend(x, w, cfg, slots, attn_dropout, rng)

@@ -25,8 +25,9 @@ with it.
 The primitives are the ones the model runs: matrix multiply and the
 biased :func:`linear`, 2-D cross-correlation with a fused bias, max
 pooling, layer normalisation, the ELU, GELU, sigmoid and softmax
-activations, gather/reshape plumbing, windowed multi-head attention
-(:func:`neighborhood_attention`), dropout and the losses. The GELU is
+activations, gather/reshape plumbing, multi-head attention over window
+slots (:func:`neighborhood_attention`, whose graph keeps only its
+probabilities and dropout mask), dropout and the losses. The GELU is
 the exact-erf one. In float64 it uses ``scipy.special.erf``; in float32
 it evaluates a rational erf (Abramowitz & Stegun 7.1.26) in cache-sized
 chunks, within 5e-7 of the float64 ``x * Phi(x)`` (tested on [-12, 12]
@@ -531,7 +532,8 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
     The axis splits in place into ``(windows, width)``, a view of the input.
     A trailing remainder is padded by repeating the last element, so no
     frames are dropped. Gradient routes to the first maximal index of
-    each window; that index is found only when the gradient arrives.
+    each window: the backward walks the window's slots in order, and a
+    slot equal to the maximum takes the gradient while no earlier one has.
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
@@ -549,10 +551,14 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
         np.maximum(out_data, windows[at + (j,)], out=out_data)
 
     def backward(g):
-        arg = windows.argmax(axis=axis + 1)  # first max on ties
-        buf = np.zeros(windows.shape, dtype=g.dtype)
-        np.put_along_axis(buf, np.expand_dims(arg, axis + 1),
-                          np.expand_dims(g, axis + 1), axis=axis + 1)
+        buf = np.empty(windows.shape, dtype=g.dtype)
+        free = np.ones(out_data.shape, dtype=bool)
+        hit = np.empty_like(free)
+        for j in range(width):
+            np.equal(windows[at + (j,)], out_data, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=buf[at + (j,)])
         # pad copies sit after the original in its window, so the first
         # maximum is never one of them
         return (buf.reshape(xd.shape)[at[:axis] + (slice(length),)],)
@@ -738,122 +744,140 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # neighborhood attention
 # ---------------------------------------------------------------------------
 
-class WindowGroup(NamedTuple):
-    """Query rows ``rows`` that share one window width ``W``.
+class Slot(NamedTuple):
+    """One window slot of every query row ``(b, t)`` of ``[B, T, C]``:
+    the row reads key row ``(b + shift, idx[t])`` and bias column
+    ``rel[t]``. ``valid [T]`` flags the frames whose slot is real, or is
+    None when all are; a row whose ``b + shift`` falls outside ``[0, B)``
+    leaves the slot out. Consecutive slots sharing one ``idx`` array
+    share its gathers."""
 
-    ``idx [n, W]`` holds the key row of every window slot and ``rel
-    [n, W]`` its column in the bias table; ``valid [n, W]`` flags the
-    real slots, or is None when every slot is real. Every row keeps at
-    least one real slot.
-    """
-
-    rows: slice
+    shift: int
     idx: np.ndarray
     rel: np.ndarray
     valid: np.ndarray | None
 
 
 def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
-                           windows: Sequence[WindowGroup], attn_dropout: float = 0.0,
+                           slots: Sequence[Slot], attn_dropout: float = 0.0,
                            rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head softmax attention of each query row over its window.
+    """Multi-head softmax attention of each query row over its window slots.
 
-    ``q``, ``k`` and ``v`` are ``[..., N, C]`` with shared leading axes;
-    ``rpb`` is ``[H, table]``, one learned bias per head and relative
-    offset, and fixes the head count ``H``. ``windows`` covers the ``N``
-    query rows. Each head's logits are its ``C/H`` channels of query and
-    key dotted, scaled by ``1/sqrt(C/H)``, plus the slot's bias; padded
-    slots get probability 0. Inverted dropout at ``attn_dropout``, drawn
-    from ``rng``, applies to the probabilities; ``rng=None`` is inference.
-    The graph keeps only the probabilities and the dropout mask: the
-    backward gathers the window keys and values again and scatter-adds
-    their gradients by row.
+    ``q``, ``k`` and ``v`` are ``[..., T, C]``; the leading axes fold into
+    one axis ``B`` that slot shifts move along. ``rpb`` is ``[H, table]``,
+    one learned bias per head and relative offset, and fixes the head
+    count ``H``. Every query row needs at least one real slot. Each head's
+    logit is its ``C/H`` channels of query and key dotted, scaled by
+    ``1/sqrt(C/H)``, plus the slot's bias; slots left out get probability
+    0. Inverted dropout at ``attn_dropout`` applies to the probabilities,
+    its mask drawn from ``rng`` for the rows each slot reaches, in slot
+    order; ``rng=None`` is inference.
+
+    The op runs slot by slot: it gathers a key column with ``np.take``,
+    multiplies it by the queries and sums each head's channels with a
+    GEMM against a ``[C, H]`` block indicator. The softmax runs across the
+    slot axis, and values accumulate the same way. The graph keeps only
+    the ``[slots, B, T, H]`` probabilities and the dropout mask: the
+    backward gathers keys and values again and scatter-adds their
+    gradients by row. In float32, outputs of unit-scale inputs stay
+    within 1e-6 of the float64 op.
     """
     for t in (k, v, rpb):
         _require_same_dtype(q, t, "neighborhood_attention")
     if not q.data.shape == k.data.shape == v.data.shape:
         raise DimensionError("neighborhood_attention: q, k and v shapes differ")
     heads, table = rpb.data.shape
-    n_all, c = q.data.shape[-2:]
+    frames, c = q.data.shape[-2:]
     if c % heads:
         raise DimensionError(f"{heads} heads do not divide {c} channels")
-    dh = c // heads
     dtype = q.data.dtype
-    drop = rng is not None and attn_dropout > 0.0
-    inv_keep = dtype.type(1.0 / (1.0 - attn_dropout)) if drop else None
-
-    # leading axes fold into one batch axis B
-    scale = dtype.type(1.0 / math.sqrt(dh))
     batch = math.prod(q.data.shape[:-2])
-    qs = q.data.reshape(batch, n_all, c) * scale
-    kd = k.data.reshape(qs.shape)
-    vd = v.data.reshape(qs.shape)
+    qd, kd, vd = (t.data.reshape(batch, frames, c) for t in (q, k, v))
+    reach = []                          # per slot: query rows, their key rows
+    for s in slots:
+        lo = min(max(0, -s.shift), batch)
+        hi = max(lo, min(batch, batch - s.shift))
+        reach.append((slice(lo, hi), slice(lo + s.shift, hi + s.shift)))
+    reached = np.array([[r.start <= b < r.stop for b in range(batch)] for r, _ in reach])
+    starts = [j == 0 or s.idx is not slots[j - 1].idx for j, s in enumerate(slots)]
+    # a GEMM with this [C, H] block indicator sums each head's channels,
+    # one with its transpose repeats each head's weight over its channels
+    onehot = np.repeat(np.eye(heads, dtype=dtype), c // heads, axis=0)
+    scaled = onehot * dtype.type(1.0 / math.sqrt(c // heads))
 
-    def gather(arr, grp):
-        # [B, n, W, C] -> [B, n, H, W, dh]
-        n, width = grp.idx.shape
-        g = np.take(arr, grp.idx, axis=1).reshape(batch, n, width, heads, dh)
-        return g.transpose(0, 1, 3, 2, 4)
+    def walk(src):
+        # per slot: index, rows, key rows, column, src gathered per column
+        col = -1
+        for j, slot in enumerate(slots):
+            if starts[j]:
+                col += 1
+                gathered = np.take(src, slot.idx, axis=1)
+            rows, keys = reach[j]
+            yield j, rows, keys, col, gathered[keys]
 
-    def head_rows(arr, grp):
-        # rows of [B, N, C] -> [B, n, H, 1, dh]
-        return arr[:, grp.rows].reshape(batch, -1, heads, 1, dh)
+    def spread(p, indicator, out):
+        # [b, T, H] -> [b, T, C] into out, each head's weight on its channels
+        np.matmul(p.reshape(-1, heads), indicator.T, out=out.reshape(-1, c))
+        return out
 
-    out = np.zeros_like(qs)
-    kept = []
-    for grp in windows:
-        bias = np.take(rpb.data, grp.rel, axis=1).transpose(1, 0, 2)  # [n, H, W]
-        if grp.valid is not None:
-            bias = np.where(grp.valid[:, None, :], bias, -np.inf)
-        logits = (head_rows(qs, grp) @ gather(kd, grp).swapaxes(-1, -2))[..., 0, :]
-        logits += bias
-        # a running max and a matrix-vector sum beat numpy's reductions
-        # over a last axis this short
-        top = logits[..., 0].copy()
-        for j in range(1, logits.shape[-1]):
-            np.maximum(top, logits[..., j], out=top)
-        logits -= top[..., None]
-        probs = np.exp(logits, out=logits)                          # [B, n, H, W]
-        probs /= (probs @ np.ones(probs.shape[-1], dtype=dtype))[..., None]
-        keep = None
-        if drop:
-            keep = rng.random(probs.shape, dtype=np.float32) >= attn_dropout
-            used = probs * keep * inv_keep
-        else:
-            used = probs
-        out[:, grp.rows] = (used[..., None, :] @ gather(vd, grp)).reshape(batch, -1, c)
-        kept.append((probs, keep))
+    logits = np.empty((len(slots), batch, frames, heads), dtype=dtype)
+    prod = np.empty_like(qd)
+    for j, rows, _, _, kg in walk(kd):
+        np.multiply(qd[rows], kg, out=prod[rows])
+        np.matmul(prod[rows].reshape(-1, c), scaled, out=logits[j, rows].reshape(-1, heads))
+    bias = np.take(rpb.data.T, np.stack([s.rel for s in slots]), axis=0)    # [n, T, H]
+    for j, slot in enumerate(slots):
+        if slot.valid is not None:
+            bias[j, ~slot.valid] = -np.inf
+    logits[~reached] = -np.inf
+    logits += bias[:, None]
+    logits -= logits.max(axis=0)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=0)
+    keep = inv_keep = None
+    if rng is not None and attn_dropout > 0.0:      # rows a slot leaves out draw none
+        keep = np.zeros(probs.shape, dtype=bool)
+        draw = rng.random((reached.sum(), frames, heads), dtype=np.float32)
+        keep[reached] = draw >= attn_dropout
+        inv_keep = dtype.type(1.0 / (1.0 - attn_dropout))
+    used = probs if keep is None else probs * keep * inv_keep
+    out = np.zeros(qd.shape, dtype)
+    for j, rows, _, _, vg in walk(vd):
+        w = spread(used[j, rows], onehot, prod[rows])
+        w *= vg
+        out[rows] += w
 
     def backward(g):
-        g3 = g.reshape(qs.shape)
-        dq = np.zeros_like(qs)
-        dk = np.zeros((batch * n_all, c), dtype=dtype)
-        dv = np.zeros_like(dk)
-        drpb = np.zeros(heads * table)
-        for grp, (probs, keep) in zip(windows, kept):
-            n = grp.idx.shape[0]
-            kg, vg = gather(kd, grp), gather(vd, grp)
-            gh = head_rows(g3, grp)
-            used = probs if keep is None else probs * keep * inv_keep
-            dprobs = (gh @ vg.swapaxes(-1, -2))[..., 0, :]         # [B, n, H, W]
-            if keep is not None:
-                dprobs *= keep
-                dprobs *= inv_keep
-            dlogits = probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
-            bias_col = np.arange(heads)[:, None] * table + grp.rel[:, None, :]
-            drpb += np.bincount(bias_col.reshape(-1), weights=dlogits.sum(axis=0).reshape(-1),
-                                minlength=heads * table)
-            dq[:, grp.rows] = (dlogits[..., None, :] @ kg).reshape(batch, n, c)
-            # every (batch, row, slot) scatters into its key row
-            keys = (np.arange(batch)[:, None, None] * n_all + grp.idx).reshape(-1)
-            # [B, n, H, W] x [B, n, H, dh] -> [B, n, W, H, dh], one row per slot
-            dkg = np.multiply(dlogits.transpose(0, 1, 3, 2)[..., None],
-                              head_rows(qs, grp).transpose(0, 1, 3, 2, 4), order="C")
-            dvg = np.multiply(used.transpose(0, 1, 3, 2)[..., None],
-                              gh.transpose(0, 1, 3, 2, 4), order="C")
-            dk += _scatter_rows(keys, dkg.reshape(keys.size, c), batch * n_all)
-            dv += _scatter_rows(keys, dvg.reshape(keys.size, c), batch * n_all)
-        dq *= scale
+        g = g.reshape(qd.shape)
+        used = probs if keep is None else probs * keep * inv_keep
+        cols = np.stack([s.idx for s, first in zip(slots, starts) if first])
+        dprobs = np.zeros(probs.shape, dtype)
+        dq = np.zeros(qd.shape, dtype)
+        dkg = np.zeros((len(cols), batch, frames, c), dtype=dtype)
+        dvg = np.zeros(dkg.shape, dtype)
+        prod = np.empty_like(qd)
+        for j, rows, keys, col, vg in walk(vd):
+            np.multiply(g[rows], vg, out=prod[rows])
+            np.matmul(prod[rows].reshape(-1, c), onehot, out=dprobs[j, rows].reshape(-1, heads))
+            w = spread(used[j, rows], onehot, prod[rows])
+            w *= g[rows]
+            dvg[col, keys] += w
+        if keep is not None:
+            dprobs *= keep * inv_keep
+        dprobs -= (probs * dprobs).sum(axis=0)
+        dlogits = np.multiply(probs, dprobs, out=dprobs)
+        index = np.arange(heads) * table + np.stack([s.rel for s in slots])[..., None]
+        drpb = np.bincount(index.reshape(-1), weights=dlogits.sum(axis=1).reshape(-1),
+                           minlength=heads * table)
+        for j, rows, keys, col, kg in walk(kd):
+            w = spread(dlogits[j, rows], scaled, prod[rows])
+            dq[rows] += w * kg
+            w *= qd[rows]
+            dkg[col, keys] += w
+        # every (column, batch, frame) scatters into its key row
+        keys = (np.arange(batch)[:, None] * frames + cols[:, None, :]).reshape(-1)
+        dk = _scatter_rows(keys, dkg.reshape(keys.size, c), batch * frames)
+        dv = _scatter_rows(keys, dvg.reshape(keys.size, c), batch * frames)
         return (dq.reshape(q.data.shape), dk.reshape(k.data.shape),
                 dv.reshape(v.data.shape), drpb.reshape(heads, table))
 

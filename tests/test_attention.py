@@ -2,6 +2,7 @@
 neighborhood attention kernels."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from aio1 import attention as at
 from aio1 import tensor as tz
 from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d
-from aio1.errors import ConfigError
+from aio1.errors import ConfigError, DimensionError
 from aio1.model import default_config
 from aio1.tensor import Tensor
 
@@ -85,15 +86,15 @@ def test_window_table_equals_per_frame_windows():
             idx[i, :len(win)] = win
             valid[i, :len(win)] = True
         rel = (idx - np.arange(length)[:, None]) // d + k - 1
-        table = at._window_table(length, k, d)
+        slots = at._window_table(length, k, d)
         case = f"length {length}, k {k}, d {d}"
-        assert table.rows == slice(0, length), case
-        assert np.array_equal(table.idx, idx), case
-        assert np.array_equal(table.rel, rel), case
-        want_valid = None if valid.all() else valid
-        assert (table.valid is None) == (want_valid is None), case
-        if want_valid is not None:
-            assert np.array_equal(table.valid, want_valid), case
+        assert len(slots) == width and all(s.shift == 0 for s in slots), case
+        assert np.array_equal(np.stack([s.idx for s in slots], axis=1), idx), case
+        assert np.array_equal(np.stack([s.rel for s in slots], axis=1), rel), case
+        for j, s in enumerate(slots):
+            assert (s.valid is None) == valid[:, j].all(), case
+            if s.valid is not None:
+                assert np.array_equal(s.valid, valid[:, j]), case
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +371,39 @@ def test_fused_attention_matches_composed_reference(case):
 
 def test_grid_windows_leave_out_stems_beyond_the_grid():
     # four stems, k = 5: edge stems see 3 stems, inner stems 4, of 5 frames
-    widths = [g.idx.shape[1] for g in at._grid_windows(4, 40, 5)]
-    rows = [(g.rows.start, g.rows.stop) for g in at._grid_windows(4, 40, 5)]
-    assert widths == [15, 20, 15]
-    assert rows == [(0, 40), (40, 120), (120, 160)]
-    assert all(g.valid is None for g in at._grid_windows(4, 40, 5))
+    s, t, c = 4, 40, 8
+    slots = at._grid_slots(s, t, 5)
+    reached = [sum(0 <= b + slot.shift < s for slot in slots) for b in range(s)]
+    assert reached == [15, 20, 20, 15]
+    assert all(slot.valid is None for slot in slots)
+    # the op matches attention over exactly those keys, so no slot outside
+    # the grid gets weight
+    rng = np.random.default_rng(33)
+    q, k, v = (rng.standard_normal((s, t, c)) for _ in range(3))
+    rpb = np.zeros((2, 81))
+    out = tz.neighborhood_attention(*(Tensor(a) for a in (q, k, v, rpb)), slots).data
+    for b, i in itertools.product(range(s), (0, 1, 17, 39)):
+        keys = [(b + slot.shift, slot.idx[i]) for slot in slots if 0 <= b + slot.shift < s]
+        kk = np.array([k[key] for key in keys]).reshape(len(keys), 2, 4)
+        vv = np.array([v[key] for key in keys]).reshape(len(keys), 2, 4)
+        logits = np.einsum("hc,nhc->hn", q[b, i].reshape(2, 4), kk) / 2.0
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        want = np.einsum("hn,nhc->hc", p, vv).reshape(c)
+        np.testing.assert_allclose(out[b, i], want, rtol=0, atol=1e-12)
 
 
 def test_window_table_drops_slots_no_frame_fills():
     # dilation 2048 on 2,000 frames: every coset holds one frame
-    table = at._window_table(2000, 5, 2048)
-    assert table.idx.shape == (2000, 1) and table.valid is None
-    np.testing.assert_array_equal(table.idx[:, 0], np.arange(2000))
+    slots = at._window_table(2000, 5, 2048)
+    assert len(slots) == 1 and slots[0].valid is None
+    np.testing.assert_array_equal(slots[0].idx, np.arange(2000))
     # dilation 512: cosets of 4 or 3 frames, 4 slots, the short rows masked
-    table = at._window_table(2000, 5, 512)
-    assert table.idx.shape == (2000, 4)
-    np.testing.assert_array_equal(table.valid.sum(axis=1),
-                                  [4 if i % 512 < 2000 - 3 * 512 else 3
-                                   for i in range(2000)])
+    slots = at._window_table(2000, 5, 512)
+    assert len(slots) == 4
+    real = sum(np.ones(2000, int) if s.valid is None else s.valid for s in slots)
+    np.testing.assert_array_equal(real, [4 if i % 512 < 2000 - 3 * 512 else 3
+                                         for i in range(2000)])
 
 
 def test_window_caches_hold_two_lengths_and_stay_bounded():
@@ -407,12 +423,10 @@ def test_window_caches_hold_two_lengths_and_stay_bounded():
 
     attend([50, 61, 72, 83, 94, 105])
     assert at._window_table.cache_info().currsize <= 32
-    assert at._grid_windows.cache_info().currsize <= 2
     # a training chunk and a validation track, alternating, stay cached
-    before = at._window_table.cache_info().misses, at._grid_windows.cache_info().misses
+    before = at._window_table.cache_info().misses
     attend([94, 105, 94])
-    assert (at._window_table.cache_info().misses,
-            at._grid_windows.cache_info().misses) == before
+    assert at._window_table.cache_info().misses == before
 
 
 def test_head_count_must_match_the_bias_table():
@@ -420,3 +434,47 @@ def test_head_count_must_match_the_bias_table():
     x = Tensor(np.zeros((6, 8), np.float32))
     with pytest.raises(ConfigError, match="heads"):
         na1d(x, w, AttentionConfig(kernel_size=3, num_heads=2))
+
+
+def test_na1d_rejects_input_without_a_time_axis():
+    w = _weights(8, AttentionConfig(5, 1, 2), 34)
+    with pytest.raises(DimensionError, match=r"\[\.\.\., T, C\]"):
+        na1d(Tensor(np.zeros(8, np.float32)), w, AttentionConfig(5, 1, 2))
+
+
+def test_na1d_rejects_an_empty_time_axis():
+    w = _weights(8, AttentionConfig(5, 1, 2), 34)
+    with pytest.raises(DimensionError, match="T >= 1"):
+        na1d(Tensor(np.zeros((4, 0, 8), np.float32)), w, AttentionConfig(5, 1, 2))
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (2, 4, 9, 8)])
+def test_na2d_rejects_input_that_is_not_a_grid(shape):
+    w = _weights(8, AttentionConfig(5, 1, 2), 35, two_d=True)
+    with pytest.raises(DimensionError, match=r"\[S, T, C\]"):
+        na2d(Tensor(np.zeros(shape, np.float32)), w, AttentionConfig(5, 1, 2))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_graph_keeps_only_probabilities_and_dropout_mask(grid):
+    # the default layout at a training chunk's length: 4 stems, 700
+    # frames, 24 channels, 4 heads, kernel 5
+    s, t, c, heads = 4, 700, 24, 4
+    slots = at._grid_slots(s, t, 5) if grid else at._window_table(t, 5, 1)
+    rng = np.random.default_rng(36)
+    q, k, v = (Tensor(rng.standard_normal((s, t, c)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    rpb = Tensor(np.zeros((heads, 81 if grid else 9), np.float32), requires_grad=True)
+    drop_rng = np.random.default_rng(37)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = tz.neighborhood_attention(q, k, v, rpb, slots, 0.1, drop_rng)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    real = sum(0 <= b + slot.shift < s for slot in slots for b in range(s)) * t * heads
+    # a float32 probability and a one-byte mask entry per real slot
+    assert held <= 1.5 * real * (4 + 1)
+    out.backward(np.ones(out.shape, np.float32))
+    assert q.grad.shape == k.grad.shape == v.grad.shape == (s, t, c)

@@ -177,8 +177,9 @@ def test_maxpool_gradient_one_hot():
     np.testing.assert_array_equal(x.grad, [0, 1, 1, 0, 1, 0])
 
 
-def argmax_maxpool(x, axis, width):
-    """The forward-argmax max pool: gather each window's first maximum."""
+def argmax_maxpool(x, axis, width, g):
+    """The forward-argmax max pool: gather each window's first maximum,
+    and route the upstream gradient ``g`` to it."""
     xd = np.moveaxis(x, axis, -1)
     pad = (-xd.shape[-1]) % width
     if pad:
@@ -187,19 +188,21 @@ def argmax_maxpool(x, axis, width):
     arg = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
     grad = np.zeros(windows.shape)
-    np.put_along_axis(grad, arg[..., None], 1.0, axis=-1)
+    np.put_along_axis(grad, arg[..., None], np.moveaxis(g, axis, -1)[..., None], axis=-1)
     grad = grad.reshape(xd.shape)[..., :np.moveaxis(x, axis, -1).shape[-1]]
     return np.moveaxis(out, -1, axis), np.moveaxis(grad, -1, axis)
 
 
 @pytest.mark.parametrize("axis,width", [(0, 2), (1, 3), (2, 3), (2, 1), (1, 4)])
 def test_maxpool_matches_argmax_pool_with_ties(axis, width):
-    # values from a handful of levels, so most windows hold ties
+    # values from a handful of levels, so most windows hold ties; a random
+    # upstream gradient shows which value reached which input
     rng = np.random.default_rng(40 + width)
     x = Tensor(rng.integers(-2, 3, (5, 7, 9)).astype(np.float32), requires_grad=True)
     out = tz.maxpool(x, axis=axis, width=width)
-    tz.tsum(out).backward()
-    want_out, want_grad = argmax_maxpool(x.data, axis, width)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(g)
+    want_out, want_grad = argmax_maxpool(x.data, axis, width, g)
     np.testing.assert_array_equal(out.data, want_out)
     np.testing.assert_array_equal(x.grad, want_grad)
 
@@ -492,15 +495,18 @@ def test_grad_log_softmax_and_bce():
     _gc(loss, z)
 
 
-def _two_window_groups():
-    """Rows 0-2 attend over two slots, the middle one padded; rows 3-5
-    over three slots, with repeated keys."""
-    first = tz.WindowGroup(slice(0, 3), np.array([[0, 1], [1, 1], [2, 5]]),
-                           np.array([[0, 1], [1, 2], [2, 3]]),
-                           np.array([[True, True], [True, False], [True, True]]))
-    second = tz.WindowGroup(slice(3, 6), np.array([[3, 4, 0], [4, 4, 2], [5, 1, 3]]),
-                            np.array([[0, 4, 1], [3, 2, 2], [4, 0, 1]]), None)
-    return (first, second)
+def _slots():
+    """Six frames over four slots. Frames 0-2 fill two of the first three
+    slots, and frame 1 only one: its second slot is padded. Frames 3-5
+    fill all three, frame 4 with a repeated key. The last slot reads the
+    next batch row, so the last row of a batch has no key there."""
+    shared = np.array([0, 1, 2, 0, 2, 3])
+    return (tz.Slot(0, np.array([0, 1, 2, 3, 4, 5]), np.array([0, 1, 2, 0, 3, 4]), None),
+            tz.Slot(0, np.array([1, 1, 5, 4, 4, 1]), np.array([1, 2, 3, 4, 2, 0]),
+                    np.array([True, False, True, True, True, True])),
+            tz.Slot(0, shared, np.array([0, 0, 0, 1, 2, 1]),
+                    np.array([False, False, False, True, True, True])),
+            tz.Slot(1, shared, np.array([3, 1, 4, 2, 0, 3]), None))
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.4])
@@ -508,10 +514,10 @@ def test_grad_neighborhood_attention(dropout):
     rng = np.random.default_rng(15)
     q, k, v = (Tensor(_rand((2, 6, 4), rng), requires_grad=True) for _ in range(3))
     rpb = Tensor(_rand((2, 5), rng), requires_grad=True)
-    windows = _two_window_groups()
+    slots = _slots()
 
     def loss():
-        out = tz.neighborhood_attention(q, k, v, rpb, windows, dropout,
+        out = tz.neighborhood_attention(q, k, v, rpb, slots, dropout,
                                         np.random.default_rng(16))
         return tz.tsum(tz.sigmoid(out))
 
@@ -522,9 +528,9 @@ def test_neighborhood_attention_without_rng_runs_no_dropout():
     rng = np.random.default_rng(18)
     q, k, v = (Tensor(_rand((2, 6, 4), rng)) for _ in range(3))
     rpb = Tensor(_rand((2, 5), rng))
-    windows = _two_window_groups()
-    plain = tz.neighborhood_attention(q, k, v, rpb, windows, 0.0).data
-    unseeded = tz.neighborhood_attention(q, k, v, rpb, windows, 0.4, None).data
+    slots = _slots()
+    plain = tz.neighborhood_attention(q, k, v, rpb, slots, 0.0).data
+    unseeded = tz.neighborhood_attention(q, k, v, rpb, slots, 0.4, None).data
     assert np.array_equal(unseeded, plain)
 
 
@@ -544,7 +550,7 @@ def test_neighborhood_attention_padded_slot_gets_no_weight():
     rng = np.random.default_rng(17)
     q, k, v = (Tensor(_rand((6, 4), rng)) for _ in range(3))
     rpb = Tensor(_rand((2, 5), rng))
-    out = tz.neighborhood_attention(q, k, v, rpb, _two_window_groups())
+    out = tz.neighborhood_attention(q, k, v, rpb, _slots())
     # row 1's only real slot is key 1, so each head returns v[1]
     np.testing.assert_allclose(out.data[1], v.data[1], atol=1e-12)
 
@@ -556,7 +562,7 @@ def test_neighborhood_attention_overflow_raises_at_the_op():
     rpb = Tensor(np.zeros((2, 5)))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="neighborhood_attention"):
-        tz.neighborhood_attention(q, k, v, rpb, _two_window_groups())
+        tz.neighborhood_attention(q, k, v, rpb, _slots())
 
 
 def test_grad_divide_mean_transpose():
