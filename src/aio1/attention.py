@@ -2,8 +2,9 @@
 
 Both kernels project their input to queries, keys and values and hand
 them to the fused :func:`aio1.tensor.neighborhood_attention` op with a
-short list of window slots (:class:`aio1.tensor.Slot`), each giving every
-frame one key frame and bias column:
+short list of window slots (:class:`aio1.tensor.Slot`), built on every call
+(about 2 ms at 2,000 frames for the 12 default dilations), each giving
+every frame one key frame and bias column:
 
 * ``na1d`` — attention over time, restricted to the ``k`` nearest frames
   of the query's dilation coset. Windows near the sequence edges shift
@@ -25,7 +26,6 @@ indexed by the dilation-normalised offset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,11 +93,6 @@ def init_attention_weights(embed_dim: int, cfg: AttentionConfig,
 # window geometry
 # ---------------------------------------------------------------------------
 
-# The cache holds about two track lengths of the default preset's 12
-# dilations (a training chunk and a validation track). One 10-minute
-# length (60,000 frames) pins 55 MB of tables, and a table rebuilds in
-# 6-11 ms at that length.
-@lru_cache(maxsize=32)
 def _window_table(length: int, kernel_size: int, dilation: int) -> tuple[tz.Slot, ...]:
     """Window slots of every frame, ``min(k, largest coset)`` of them.
 
@@ -116,8 +111,6 @@ def _window_table(length: int, kernel_size: int, dilation: int) -> tuple[tz.Slot
     valid = slot < np.minimum(coset, kernel_size)
     idx = np.where(valid, residue + (start + slot) * dilation, i)       # [W, T]
     rel = (idx - i) // dilation + kernel_size - 1
-    for arr in (idx, rel, valid):
-        arr.flags.writeable = False
     return tuple(tz.Slot(0, idx[j], rel[j], None if valid[j].all() else valid[j])
                  for j in range(len(slot)))
 

@@ -97,20 +97,11 @@ class StemSpectrogram:
 
     values: np.ndarray                      # [stems, frames, bands]
     fps: float
-    stems: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.stems is None:
-            s = self.values.shape[0]
-            self.stems = STEM_NAMES if s == len(STEM_NAMES) else tuple(
-                f"stem{i}" for i in range(s))
 
     def validate(self) -> None:
         v = self.values
         if v.ndim != 3:
             raise InputError(f"expected [stems, frames, bands], got {v.shape}")
-        if len(self.stems) != v.shape[0]:
-            raise InputError("stem names do not match the value tensor")
         if not np.isfinite(v).all():
             raise InputError("spectrogram contains non-finite values")
 
@@ -131,7 +122,7 @@ def stems_from_audio(waveforms: dict[str, np.ndarray]) -> StemSpectrogram:
     specs = [compute_logspec(waveforms[s]) for s in STEM_NAMES]
     frames = min(s.shape[0] for s in specs)
     values = np.stack([s[:frames] for s in specs])
-    return StemSpectrogram(values=values, fps=FPS, stems=STEM_NAMES)
+    return StemSpectrogram(values=values, fps=FPS)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ with it.
 The primitives are the ones the model runs: matrix multiply and the
 biased :func:`linear`, 2-D cross-correlation with a fused bias, max
 pooling, layer normalisation, the ELU, GELU, sigmoid and softmax
-activations, gather/reshape plumbing, multi-head attention over window
-slots (:func:`neighborhood_attention`, whose graph keeps only its
-probabilities and dropout mask), dropout and the losses. The GELU is
+activations, gather/reshape plumbing, attention over window slots
+(:func:`neighborhood_attention`), :func:`dropout` and the losses. Dropout
+keeps a bool mask from one float32 draw per call, in call order. The GELU is
 the exact-erf one. In float64 it uses ``scipy.special.erf``; in float32
 it evaluates a rational erf (Abramowitz & Stegun 7.1.26) in cache-sized
 chunks, within 5e-7 of the float64 ``x * Phi(x)`` (tested on [-12, 12]
@@ -769,9 +769,9 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     count ``H``. Every query row needs at least one real slot. Each head's
     logit is its ``C/H`` channels of query and key dotted, scaled by
     ``1/sqrt(C/H)``, plus the slot's bias; slots left out get probability
-    0. Inverted dropout at ``attn_dropout`` applies to the probabilities,
-    its mask drawn from ``rng`` for the rows each slot reaches, in slot
-    order; ``rng=None`` is inference.
+    0. Inverted dropout at ``attn_dropout`` scales the probabilities by the
+    bool mask of :func:`_dropout_mask`, drawn once for the rows each slot
+    reaches, in slot order; ``rng=None`` is inference.
 
     The op runs slot by slot: it gathers a key column with ``np.take``,
     multiplies it by the queries and sums each head's channels with a
@@ -799,6 +799,11 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
         hi = max(lo, min(batch, batch - s.shift))
         reach.append((slice(lo, hi), slice(lo + s.shift, hi + s.shift)))
     reached = np.array([[r.start <= b < r.stop for b in range(batch)] for r, _ in reach])
+    drawn, scale = _dropout_mask((reached.sum(), frames, heads), attn_dropout, rng, dtype)
+    keep = None                         # the drawn rows, laid out like the probabilities
+    if drawn is not None:
+        keep = np.zeros(reached.shape + (frames, heads), dtype=bool)
+        keep[reached] = drawn
     starts = [j == 0 or s.idx is not slots[j - 1].idx for j, s in enumerate(slots)]
     # a GEMM with this [C, H] block indicator sums each head's channels,
     # one with its transpose repeats each head's weight over its channels
@@ -834,13 +839,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     logits -= logits.max(axis=0)
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=0)
-    keep = inv_keep = None
-    if rng is not None and attn_dropout > 0.0:      # rows a slot leaves out draw none
-        keep = np.zeros(probs.shape, dtype=bool)
-        draw = rng.random((reached.sum(), frames, heads), dtype=np.float32)
-        keep[reached] = draw >= attn_dropout
-        inv_keep = dtype.type(1.0 / (1.0 - attn_dropout))
-    used = probs if keep is None else probs * keep * inv_keep
+    used = probs if keep is None else probs * keep * scale
     out = np.zeros(qd.shape, dtype)
     for j, rows, _, _, vg in walk(vd):
         w = spread(used[j, rows], onehot, prod[rows])
@@ -849,7 +848,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
 
     def backward(g):
         g = g.reshape(qd.shape)
-        used = probs if keep is None else probs * keep * inv_keep
+        used = probs if keep is None else probs * keep * scale
         cols = np.stack([s.idx for s, first in zip(slots, starts) if first])
         dprobs = np.zeros(probs.shape, dtype)
         dq = np.zeros(qd.shape, dtype)
@@ -863,7 +862,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
             w *= g[rows]
             dvg[col, keys] += w
         if keep is not None:
-            dprobs *= keep * inv_keep
+            dprobs *= keep * scale
         dprobs -= (probs * dprobs).sum(axis=0)
         dlogits = np.multiply(probs, dprobs, out=dprobs)
         index = np.arange(heads) * table + np.stack([s.rel for s in slots])[..., None]
@@ -901,10 +900,26 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor._from_op(out_data, (logits,), backward, "bce_with_logits")
 
 
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+                  dtype: np.dtype) -> tuple[np.ndarray | None, np.floating | None]:
+    """``(rng.random(shape, dtype=float32) >= rate, dtype(1 / (1 - rate)))``, the
+    keep mask and scale; ``(None, None)``, with no draw, without ``rng`` or at rate 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return None, None
+    return rng.random(shape, dtype=np.float32) >= rate, dtype.type(1.0 / (1.0 - rate))
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout from ``rng``; identity when it is None (inference)."""
-    if rng is None or rate <= 0.0:
+    """Inverted dropout ``x * scale * keep``, one node keeping the bool mask of one
+    ``rng.random(x.shape)`` draw; ``x`` itself when ``rng`` is None (inference)."""
+    keep, scale = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)
+    if keep is None:
         return x
-    keep = (rng.random(x.data.shape, dtype=np.float32) >= rate).astype(x.data.dtype)
-    keep /= np.asarray(1.0 - rate, dtype=x.data.dtype)
-    return mul(x, Tensor(keep))
+
+    def scaled(a):
+        out = a * scale
+        return np.multiply(out, keep, out=out)
+
+    return Tensor._from_op(scaled(x.data), (x,), lambda g: (scaled(g),), "dropout")

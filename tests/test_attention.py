@@ -11,7 +11,6 @@ from aio1 import attention as at
 from aio1 import tensor as tz
 from aio1.attention import AttentionConfig, init_attention_weights, na1d, na2d
 from aio1.errors import ConfigError, DimensionError
-from aio1.model import default_config
 from aio1.tensor import Tensor
 
 from attention_oracle import (ContractViolation, composed_na1d, composed_na2d,
@@ -404,29 +403,6 @@ def test_window_table_drops_slots_no_frame_fills():
     real = sum(np.ones(2000, int) if s.valid is None else s.valid for s in slots)
     np.testing.assert_array_equal(real, [4 if i % 512 < 2000 - 3 * 512 else 3
                                          for i in range(2000)])
-
-
-def test_window_caches_hold_two_lengths_and_stay_bounded():
-    cfg = default_config()
-    dilations = sorted({d for l in range(cfg.num_blocks) for d in cfg.block_dilations(l)})
-    assert len(dilations) == 12
-    w1 = _weights(8, AttentionConfig(5, 1, 2), 31)
-    w2 = _weights(8, AttentionConfig(5, 1, 2), 32, two_d=True)
-
-    def attend(lengths):
-        with tz.no_grad():
-            for t in lengths:
-                x = Tensor(np.zeros((4, t, 8), np.float32))
-                for d in dilations:
-                    na1d(x, w1, AttentionConfig(5, d, 2))
-                na2d(x, w2, AttentionConfig(5, 1, 2))
-
-    attend([50, 61, 72, 83, 94, 105])
-    assert at._window_table.cache_info().currsize <= 32
-    # a training chunk and a validation track, alternating, stay cached
-    before = at._window_table.cache_info().misses
-    attend([94, 105, 94])
-    assert at._window_table.cache_info().misses == before
 
 
 def test_head_count_must_match_the_bias_table():

@@ -345,8 +345,7 @@ def test_no_demix_sums_stems():
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
     spec = random_spec(cfg, 100, seed=10)
-    summed = StemSpectrogram(values=spec.values.sum(axis=0, keepdims=True),
-                             fps=cfg.fps, stems=("mix",))
+    summed = StemSpectrogram(values=spec.values.sum(axis=0, keepdims=True), fps=cfg.fps)
     a = model_forward(spec, w, replace(cfg, use_demix=False))
     b = model_forward(summed, w, replace(cfg, use_demix=False, num_stems=1))
     np.testing.assert_allclose(a.beat, b.beat, atol=1e-6)

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics against naive references, gradients
 against central finite differences."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -544,6 +545,56 @@ def test_dropout_with_rng_keeps_the_expectation():
     out = tz.dropout(x, 0.5, np.random.default_rng(19)).data
     assert set(np.unique(out)) == {0.0, 2.0}
     assert abs(out.mean() - 1.0) < 0.05
+
+
+def test_grad_dropout():
+    x = Tensor(_rand((5, 7), np.random.default_rng(20)), requires_grad=True)
+    # a fresh generator per evaluation repeats the mask
+    _gc(lambda: tz.tsum(tz.sigmoid(tz.dropout(x, 0.3, np.random.default_rng(21)))), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.4])
+def test_dropout_equals_the_float_mask_product(dtype, rate):
+    rng = np.random.default_rng(22)
+    x = Tensor(_rand((6, 50), rng, dtype), requires_grad=True)
+    g = _rand((6, 50), rng, dtype)
+    u = np.random.default_rng(23).random(x.shape, dtype=np.float32)
+    mask = (u >= rate).astype(dtype) / dtype(1 - rate)
+    out, (dx,) = _forward_and_grads(
+        lambda: tz.dropout(x, rate, np.random.default_rng(23)), [x], g)
+    assert out.dtype == dtype and dx.dtype == dtype
+    assert np.array_equal(out, x.data * mask)
+    assert np.array_equal(dx, g * mask)
+
+
+def test_dropout_graph_keeps_a_one_byte_mask():
+    x = Tensor(np.ones((4, 700, 192), np.float32), requires_grad=True)
+    rng = np.random.default_rng(24)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = tz.dropout(x, 0.1, rng)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * x.size
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.2])
+def test_dropout_rejects_a_rate_outside_unit_interval(rate):
+    x = Tensor(np.ones((3, 4)))
+    with pytest.raises(ParameterError, match="dropout rate"):
+        tz.dropout(x, rate, np.random.default_rng(25))
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.2])
+def test_neighborhood_attention_rejects_a_rate_outside_unit_interval(rate):
+    rng = np.random.default_rng(26)
+    q, k, v = (Tensor(_rand((2, 6, 4), rng)) for _ in range(3))
+    rpb = Tensor(_rand((2, 5), rng))
+    with pytest.raises(ParameterError, match="dropout rate"):
+        tz.neighborhood_attention(q, k, v, rpb, _slots(), rate, np.random.default_rng(27))
 
 
 def test_neighborhood_attention_padded_slot_gets_no_weight():
