@@ -10,9 +10,12 @@ whose centers are spaced ``BANDS_PER_OCTAVE`` = 12 per octave from
 low-frequency centers are merged, which is what leaves 81 bands),
 followed by ``log(1 + x)``.
 
-The feature extractor applies three conv + ELU + frequency-pool stages
-with weights shared across stems, then a linear map down to the embedding
-size. Time resolution is never reduced; only the frequency axis shrinks.
+The feature extractor applies three conv + ELU + frequency-pool stages,
+with dropout before each pool when training, and weights shared across
+stems, then a linear map down to the embedding size. Each stage is one
+``tz.conv_block`` graph node, which keeps its ELU output, its bool dropout
+mask and its pooled output, but no im2col columns and no conv or dropout
+output. Time resolution is never reduced; only the frequency axis shrinks.
 Activations are channels last, ``[stems, frames, bands, channels]``. At
 inference the model runs it over fixed-size time tiles with a 2-frame halo
 (``aio1.model._frontend``), so its memory does not grow with the track.
@@ -194,9 +197,7 @@ def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...]
     convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
              (w.conv3_w, w.conv3_b, (0, 1)))
     for (kw_, kb, pad), pool in zip(convs, pool_widths):
-        h = tz.elu(tz.conv2d(h, kw_, kb, pad))
-        h = tz.dropout(h, dropout_rate, rng)
-        h = tz.maxpool(h, axis=2, width=pool)
+        h = tz.conv_block(h, kw_, kb, pad, dropout_rate, rng, pool)
     # [S, T, F, c3] -> [S, T, c3 * F], channel-major like the rows of proj_w
     h = h.transpose(0, 1, 3, 2).reshape(s, t, -1)
     return tz.linear(h, w.proj_w, w.proj_b)

@@ -20,13 +20,15 @@ as it produces a NaN or Inf, so a diverging computation fails at the op
 that broke, not three modules later. The shape-only ops (``reshape``,
 ``transpose``, ``concat``, ``take``) only view or copy values and skip
 the check; a non-finite leaf is caught by the first op that computes
-with it.
+with it. :func:`conv_block` leaves its checks to the conv and pool it
+calls.
 
 The primitives are the ones the model runs: matrix multiply and the
 biased :func:`linear`, 2-D cross-correlation with a fused bias, max
 pooling, layer normalisation, the ELU, GELU, sigmoid and softmax
 activations, gather/reshape plumbing, attention over window slots
-(:func:`neighborhood_attention`), :func:`dropout` and the losses. Dropout
+(:func:`neighborhood_attention`), :func:`dropout`, the fused front-end
+layer :func:`conv_block` and the losses. Dropout
 keeps a bool mask from one float32 draw per call, in call order. The GELU is
 the exact-erf one. In float64 it uses ``scipy.special.erf``; in float32
 it evaluates a rational erf (Abramowitz & Stegun 7.1.26) in cache-sized
@@ -116,7 +118,8 @@ class Tensor:
         """A node holding ``data``, made by ``op`` from ``parents``.
 
         Shape-only ops pass ``op=None`` and skip the finite check: they
-        only view or copy values that a checked op already made.
+        only view or copy values that a checked op already made, as does
+        :func:`conv_block`, whose pool has checked its output.
         """
         if op is not None:
             _check_finite(data, op)
@@ -469,6 +472,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x, w, b), backward, "linear")
 
 
+def _im2col(xd: np.ndarray, kh: int, kw: int, padding: tuple[int, int]) -> np.ndarray:
+    """The ``[n * oh * ow, kh * kw * cin]`` windows of ``xd [n, h, w, cin]``,
+    zero-padded by ``padding``. The ``(kh, kw, cin)`` column order makes the
+    copy move runs of cin values, cheaper than a strided contraction."""
+    ph, pw = padding
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(-1, kh * kw * xd.shape[3])
+
+
+def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
+                     g: np.ndarray) -> tuple:
+    """:func:`conv2d`'s gradients of x, kernels and bias. The kernel gradient
+    rebuilds the im2col matrix from x and drops it before the dx product."""
+    n, h, w, cin = x.data.shape
+    cout, _, kh, kw = kernels.data.shape
+    ph, pw = padding
+    oh, ow = g.shape[1:3]
+    gcols = g.reshape(-1, cout)
+    dx = dk = None
+    if kernels.requires_grad:
+        dk = gcols.T @ _im2col(x.data, kh, kw, padding)
+        dk = dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    if x.requires_grad:
+        # the adjoint of im2col: each window column adds back into the
+        # input pixel it was copied from
+        kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
+        dcols = (gcols @ kmat).reshape(n, oh, ow, kh, kw, cin)
+        dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
+        dx = dxp[:, ph:ph + h, pw:pw + w]
+    return dx, dk, _unbroadcast(g, (cout,))
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
            padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation (no kernel flip), channels last, plus a
@@ -476,7 +516,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
 
     ``x`` is ``[n, h, w, cin]``, ``kernels`` is ``[cout, cin, kh, kw]`` and
     ``bias`` is ``[cout]``. The output is ``[n, h + 2*pad_h - kh + 1,
-    w + 2*pad_w - kw + 1, cout]``.
+    w + 2*pad_w - kw + 1, cout]``. It is one im2col GEMM; the graph keeps
+    no im2col matrix, because the backward rebuilds it from ``x``.
     """
     _require_same_dtype(x, kernels, "conv2d")
     _require_same_dtype(x, bias, "conv2d")
@@ -497,33 +538,42 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
 
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # im2col + GEMM in (kh, kw, cin) column order: the copy moves runs of
-    # cin values and costs less than a strided contraction
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    cols = cols.reshape(n * oh * ow, kh * kw * cin)
-    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out_data = (cols @ kmat.T).reshape(n, oh, ow, cout)
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
+    out_data = _im2col(x.data, kh, kw, padding) @ kmat.T
+    out_data = out_data.reshape(n, oh, ow, cout)
     out_data += bias.data
+    return Tensor._from_op(out_data, (x, kernels, bias),
+                           lambda g: _conv2d_backward(x, kernels, padding, g), "conv2d")
 
-    def backward(g):
-        gcols = g.reshape(-1, cout)
-        dx = dk = None
-        if kernels.requires_grad:
-            dk = (gcols.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        if x.requires_grad:
-            # the adjoint of im2col: each window column adds back into the
-            # input pixel it was copied from
-            dcols = (gcols @ kmat).reshape(n, oh, ow, kh, kw, cin)
-            dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
-            dx = dxp[:, ph:ph + h, pw:pw + w]
-        return dx, dk, _unbroadcast(g, bias.data.shape)
 
-    return Tensor._from_op(out_data, (x, kernels, bias), backward, "conv2d")
+def _pool_windows(xd: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """``xd`` with ``axis`` split in place into ``(windows, width)``; a
+    trailing remainder is first padded by repeating the last element."""
+    pad = (-xd.shape[axis]) % width
+    if pad:
+        xd = np.pad(xd, [(0, pad if i == axis else 0) for i in range(xd.ndim)], mode="edge")
+    return xd.reshape(xd.shape[:axis] + (-1, width) + xd.shape[axis + 1:])
+
+
+def _maxpool_backward(windows: np.ndarray, out: np.ndarray, g: np.ndarray,
+                      axis: int, length: int) -> np.ndarray:
+    """The gradient of a max-pool with output ``out`` over the
+    :func:`_pool_windows` of an axis of ``length``. It goes to each window's
+    first maximum: walking the slots in order, a slot equal to the maximum
+    takes it while no earlier one has."""
+    at = (slice(None),) * (axis + 1)
+    buf = np.empty(windows.shape, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    hit = np.empty_like(free)
+    for j in range(windows.shape[axis + 1]):
+        np.equal(windows[at + (j,)], out, out=hit)
+        hit &= free
+        free ^= hit
+        np.multiply(g, hit, out=buf[at + (j,)])
+    # pad copies sit after the original in its window, so the first
+    # maximum is never one of them
+    merged = buf.reshape(windows.shape[:axis] + (-1,) + windows.shape[axis + 2:])
+    return merged[at[:axis] + (slice(length),)]
 
 
 def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
@@ -532,18 +582,13 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
     The axis splits in place into ``(windows, width)``, a view of the input.
     A trailing remainder is padded by repeating the last element, so no
     frames are dropped. Gradient routes to the first maximal index of
-    each window: the backward walks the window's slots in order, and a
-    slot equal to the maximum takes the gradient while no earlier one has.
+    each window (:func:`_maxpool_backward`).
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
     axis %= x.ndim
-    xd = x.data
-    length = xd.shape[axis]
-    pad = (-length) % width
-    if pad:
-        xd = np.pad(xd, [(0, pad if i == axis else 0) for i in range(xd.ndim)], mode="edge")
-    windows = xd.reshape(xd.shape[:axis] + (-1, width) + xd.shape[axis + 1:])
+    length = x.data.shape[axis]
+    windows = _pool_windows(x.data, axis, width)
     # a running max beats numpy's reduction over an axis this short
     at = (slice(None),) * (axis + 1)
     out_data = windows[at + (0,)].copy()
@@ -551,17 +596,7 @@ def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
         np.maximum(out_data, windows[at + (j,)], out=out_data)
 
     def backward(g):
-        buf = np.empty(windows.shape, dtype=g.dtype)
-        free = np.ones(out_data.shape, dtype=bool)
-        hit = np.empty_like(free)
-        for j in range(width):
-            np.equal(windows[at + (j,)], out_data, out=hit)
-            hit &= free
-            free ^= hit
-            np.multiply(g, hit, out=buf[at + (j,)])
-        # pad copies sit after the original in its window, so the first
-        # maximum is never one of them
-        return (buf.reshape(xd.shape)[at[:axis] + (slice(length),)],)
+        return (_maxpool_backward(windows, out_data, g, axis, length),)
 
     return Tensor._from_op(out_data, (x,), backward, "maxpool")
 
@@ -601,21 +636,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # activations
 # ---------------------------------------------------------------------------
 
+def _elu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(a, 0) + expm1(min(a, 0))`` into ``out``, which may be ``a``: one
+    of the two terms is always 0, so this equals ``np.where(a > 0, a,
+    expm1(a))`` bit for bit, in less time."""
+    neg = np.minimum(a, 0)
+    np.expm1(neg, out=neg)
+    out = np.maximum(a, 0, out=out)
+    out += neg
+    return out
+
+
+def _elu_slope(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g * elu'(x)`` from the ELU output: 1 for x > 0, elu(x) + 1 otherwise."""
+    slope = np.minimum(out, 0)
+    slope += 1
+    slope *= g
+    return slope
+
+
 def elu(x: Tensor) -> Tensor:
-    # expm1(min(x, 0)) + max(x, 0): one of the two terms is always 0, so
-    # this equals np.where(x > 0, x, expm1(x)) bit for bit, in less time
-    out_data = np.minimum(x.data, 0)
-    np.expm1(out_data, out=out_data)
-    out_data += np.maximum(x.data, 0)
-
-    def backward(g):
-        # elu'(x) = 1 for x > 0, elu(x) + 1 otherwise
-        slope = np.minimum(out_data, 0)
-        slope += 1
-        slope *= g
-        return (slope,)
-
-    return Tensor._from_op(out_data, (x,), backward, "elu")
+    out_data = _elu(x.data)
+    return Tensor._from_op(out_data, (x,), lambda g: (_elu_slope(out_data, g),), "elu")
 
 
 # Phi(-a) = erfc(a / sqrt 2) / 2 ~ t (c5 t^4 + ... + c1) exp(-a^2 / 2) for
@@ -911,15 +953,57 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator 
     return rng.random(shape, dtype=np.float32) >= rate, dtype.type(1.0 / (1.0 - rate))
 
 
+def _dropout_scale(a: np.ndarray, keep: np.ndarray, scale: np.floating) -> np.ndarray:
+    """``a * scale * keep`` in a new array."""
+    out = a * scale
+    return np.multiply(out, keep, out=out)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout ``x * scale * keep``, one node keeping the bool mask of one
     ``rng.random(x.shape)`` draw; ``x`` itself when ``rng`` is None (inference)."""
     keep, scale = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)
     if keep is None:
         return x
+    return Tensor._from_op(_dropout_scale(x.data, keep, scale), (x,),
+                           lambda g: (_dropout_scale(g, keep, scale),), "dropout")
 
-    def scaled(a):
-        out = a * scale
-        return np.multiply(out, keep, out=out)
 
-    return Tensor._from_op(scaled(x.data), (x,), lambda g: (scaled(g),), "dropout")
+# ---------------------------------------------------------------------------
+# fused front-end layer
+# ---------------------------------------------------------------------------
+
+def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int],
+               rate: float, rng: np.random.Generator | None, pool: int) -> Tensor:
+    """``maxpool(dropout(elu(conv2d(x, kernels, bias, padding)), rate, rng),
+    axis=2, width=pool)`` as one node, bit-identical to that chain.
+
+    The forward calls this module's :func:`conv2d` and :func:`maxpool` by
+    name, under :func:`no_grad`: the benchmark tracer times the front end
+    by swapping those two module attributes, and a non-finite conv output
+    still fails as ``conv2d``. The ELU runs in place on the conv output,
+    and the dropout mask is drawn between the ELU and the pool, at the
+    chain's point in the ``rng`` stream. Besides its input, the graph
+    keeps only the ELU output, the bool mask and the pooled output. The
+    backward recomputes the dropout output from the first two, routes the
+    pool gradient to each window's first maximum, applies the mask and the
+    ELU slope, and rebuilds the im2col matrix from ``x`` for the kernel
+    gradient.
+    """
+    with no_grad():
+        act = conv2d(x, kernels, bias, padding).data
+        _elu(act, out=act)
+        keep, scale = _dropout_mask(act.shape, rate, rng, act.dtype)
+        dropped = act if keep is None else _dropout_scale(act, keep, scale)
+        out_data = maxpool(Tensor(dropped), 2, pool).data
+
+    def backward(g):
+        dropped = act if keep is None else _dropout_scale(act, keep, scale)
+        g = _maxpool_backward(_pool_windows(dropped, 2, pool), out_data, g, 2, act.shape[2])
+        del dropped  # freed before the conv backward builds its columns
+        if keep is not None:
+            g = _dropout_scale(g, keep, scale)
+        return _conv2d_backward(x, kernels, padding, _elu_slope(act, g))
+
+    # maxpool has checked the values
+    return Tensor._from_op(out_data, (x, kernels, bias), backward, None)

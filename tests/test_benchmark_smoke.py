@@ -41,5 +41,6 @@ def test_traced_train_default_times_every_layer():
     assert "not found" not in out.stderr, out.stderr
     metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
     for name in ("train.forward_s", "train.val_s", "block0.dina1_s", "block0.dina2_s",
-                 "block0.inst_s", "block0.mlp_s", "frontend.conv1_s"):
+                 "block0.inst_s", "block0.mlp_s", "frontend.conv1_s", "frontend.conv2_s",
+                 "frontend.conv3_s", "frontend.pool_s"):
         assert metrics[name]["value"] > 0, name

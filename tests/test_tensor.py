@@ -13,6 +13,7 @@ from aio1.model import forward_logits, init_weights, tiny_config
 from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
 
+from frontend_oracle import conv_block_chain
 from gradcheck import grad_check
 
 
@@ -630,6 +631,90 @@ def test_grad_divide_mean_transpose():
 
 
 # ---------------------------------------------------------------------------
+# fused front-end layer
+# ---------------------------------------------------------------------------
+
+def _block_args(dtype, rate, seeded):
+    """A small layer input ``[2, 6, 10, 3]`` with a 3x3 conv to 4 channels;
+    its 10 bands leave a pool remainder at width 3."""
+    rng = np.random.default_rng(40)
+    x = Tensor(_rand((2, 6, 10, 3), rng, dtype))
+    k = Tensor(_rand((4, 3, 3, 3), rng, dtype))
+    b = Tensor(_rand(4, rng, dtype))
+    return x, k, b, (1, 1), rate, (np.random.default_rng(41) if seeded else None), 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate,seeded", [(0.4, True), (0.4, False), (0.0, True)],
+                         ids=["dropout", "no-rng", "rate-0"])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv_block_equals_the_four_node_chain(dtype, rate, seeded, x_grad):
+    results = []
+    for block in (tz.conv_block, conv_block_chain):
+        x, k, b, pad, rate, rng, pool = _block_args(dtype, rate, seeded)
+        g = _rand((2, 6, 4, 4), np.random.default_rng(42), dtype)
+        tensors = [x, k, b] if x_grad else [k, b]
+        out, grads = _forward_and_grads(lambda: block(x, k, b, pad, rate, rng, pool),
+                                        tensors, g)
+        assert out.dtype == dtype and all(d.dtype == dtype for d in grads)
+        # both leave the generator at the same point of its stream
+        results.append((out, grads, x.grad, None if rng is None else rng.random()))
+    (out, grads, xg, nxt), (want, want_grads, want_xg, want_nxt) = results
+    np.testing.assert_array_equal(out, want)
+    for got, exp in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, exp)
+    if not x_grad:
+        assert xg is None and want_xg is None
+    assert nxt == want_nxt
+    if rate and seeded:
+        assert (out == 0).any()             # the mask did drop values
+
+
+def test_grad_conv_block():
+    x, k, b, pad, _, _, pool = _block_args(np.float64, 0.0, False)
+    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
+
+
+def test_conv_block_overflow_names_conv2d():
+    x, k, b, pad, rate, rng, pool = _block_args(np.float32, 0.2, True)
+    x.data[:] = 1e30
+    k.data[:] = 1e30
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv2d"):
+        tz.conv_block(x, k, b, pad, rate, rng, pool)
+
+
+def _held_by(make):
+    """Bytes still allocated once ``make()`` has returned its tensor."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return held
+
+
+def test_conv_block_graph_keeps_no_im2col_columns():
+    # the default preset's conv2 at a 7 s chunk: [4, 700, 27, 32] -> 48 channels
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.standard_normal((4, 700, 27, 32), dtype=np.float32), requires_grad=True)
+    k = Tensor(rng.uniform(-0.06, 0.06, (48, 32, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(48, np.float32), requires_grad=True)
+    values = 4 * 700 * 27 * 48
+    # the float32 ELU output, its bool mask and the pooled output, a third
+    # of the bands: 6.33 bytes per conv output value, measured 6.334. The
+    # chain keeps the conv, ELU and dropout outputs as well (14.33)
+    bound = 1.02 * values * (4 + 1 + 4 / 3)
+    fused = _held_by(lambda: tz.conv_block(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3))
+    chain = _held_by(lambda: conv_block_chain(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3))
+    assert fused <= bound < chain, (fused / values, chain / values)
+    # and a bare conv2d node keeps its output alone, no im2col columns
+    assert _held_by(lambda: tz.conv2d(x, k, b, (1, 1))) <= 1.02 * values * 4
+
+
+# ---------------------------------------------------------------------------
 # gradient ownership: only leaves keep a grad, accumulation is out of place
 # ---------------------------------------------------------------------------
 
@@ -654,7 +739,9 @@ def test_backward_leaves_grads_on_the_weights_only():
     loss.backward()
     nodes = _graph(loss)
     ops = [t for t in nodes if t._backward is not None]
-    assert len(ops) > 100
+    # the exact size of this graph: each front-end layer is one conv_block
+    # node (the conv2d/elu/dropout/maxpool chain made it 212 and 109)
+    assert (len(nodes), len(ops)) == (203, 100)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name

@@ -10,13 +10,15 @@ import pytest
 from aio1 import tensor as tz
 from aio1.errors import TrainingDiverged
 from aio1.metrics import Annotation, Beat
-from aio1.model import init_weights, tiny_config
+from aio1.model import default_config, forward_logits, init_weights, tiny_config
 from aio1.postproc import Segment
 from aio1.tensor import Tensor
 from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
                            RAdamState, SwaAverage, TrainConfig, build_targets,
                            make_toy_dataset, multitask_loss, radam_step, train,
                            train_step)
+
+from frontend_oracle import conv_block_chain
 
 
 def test_build_targets_ramps_and_labels():
@@ -208,6 +210,29 @@ def test_seeded_train_runs_are_bit_identical():
     start = init_weights(cfg, tcfg.seed)
     assert any(not np.array_equal(a.data, b.data)
                for (_, a), (_, b) in zip(w1.named_tensors(), start.named_tensors()))
+
+
+def test_fused_front_end_gives_the_four_node_chain_gradients(monkeypatch):
+    cfg = default_config()
+    spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                                 num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
+    # a 3 s chunk
+    targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(200, 500)
+    runs = []
+    for block in (tz.conv_block, conv_block_chain):
+        monkeypatch.setattr(tz, "conv_block", block)
+        weights = init_weights(cfg, seed=6)
+        # dropout on at every site, drawn from one seeded generator
+        logits = forward_logits(spec.values[:, 200:500], weights, cfg,
+                                np.random.default_rng(8))
+        loss = multitask_loss(logits, targets, TrainConfig().loss_weights)
+        loss.backward()
+        runs.append((loss.data, list(weights.named_tensors())))
+    (loss, fused), (want_loss, chain) = runs
+    np.testing.assert_array_equal(loss, want_loss)
+    for (name, a), (_, b) in zip(fused, chain):
+        assert a.grad is not None, name
+        np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
 
 def _one_track_run(tcfg):
