@@ -15,7 +15,10 @@ with dropout before each pool when training, and weights shared across
 stems, then a linear map down to the embedding size. Each stage is one
 ``tz.conv_block`` graph node, which keeps its ELU output, its bool dropout
 mask and its pooled output, but no im2col columns and no conv or dropout
-output. Time resolution is never reduced; only the frequency axis shrinks.
+output. Its conv copies the im2col windows in tiles of about 8,192 output
+positions, and its backward one group of kernel taps at a time, so
+neither holds the whole im2col matrix. Time resolution is never reduced;
+only the frequency axis shrinks.
 Activations are channels last, ``[stems, frames, bands, channels]``. At
 inference the model runs it over fixed-size time tiles with a 2-frame halo
 (``aio1.model._frontend``), so its memory does not grow with the track.

@@ -23,12 +23,13 @@ the check; a non-finite leaf is caught by the first op that computes
 with it. :func:`conv_block` leaves its checks to the conv and pool it
 calls.
 
-The primitives are the ones the model runs: matrix multiply and the
-biased :func:`linear`, 2-D cross-correlation with a fused bias, max
-pooling, layer normalisation, the ELU, GELU, sigmoid and softmax
-activations, gather/reshape plumbing, attention over window slots
+The primitives are the ones the model runs: the biased :func:`linear`,
+2-D cross-correlation with a fused bias (:func:`conv2d`, whose GEMMs run
+in row tiles and tap groups, never on a whole im2col matrix), max
+pooling, layer normalisation, the GELU, sigmoid and softmax activations,
+gather/reshape plumbing, attention over window slots
 (:func:`neighborhood_attention`), :func:`dropout`, the fused front-end
-layer :func:`conv_block` and the losses. Dropout
+layer :func:`conv_block`, which runs the ELU, and the losses. Dropout
 keeps a bool mask from one float32 draw per call, in call order. The GELU is
 the exact-erf one. In float64 it uses ``scipy.special.erf``; in float32
 it evaluates a rational erf (Abramowitz & Stegun 7.1.26) in cache-sized
@@ -449,13 +450,6 @@ def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
     return ga, gb
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy broadcasting over leading (batch) axes."""
-    _check_matmul(a, b, "matmul")
-    return Tensor._from_op(np.matmul(a.data, b.data), (a, b),
-                           lambda g: _matmul_backward(a, b, g), "matmul")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: the bias is added into the product."""
     _check_matmul(x, w, "linear")
@@ -472,40 +466,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x, w, b), backward, "linear")
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, padding: tuple[int, int]) -> np.ndarray:
-    """The ``[n * oh * ow, kh * kw * cin]`` windows of ``xd [n, h, w, cin]``,
-    zero-padded by ``padding``. The ``(kh, kw, cin)`` column order makes the
-    copy move runs of cin values, cheaper than a strided contraction."""
-    ph, pw = padding
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(-1, kh * kw * xd.shape[3])
+# output positions per forward GEMM tile: its im2col columns, 9 MiB for the
+# default conv2, are the only copy of the windows the forward makes
+_CONV_TILE = 8192
+# the fewest im2col columns in one backward GEMM: a product one column
+# wide runs as GEMV, which sums in another order than GEMM
+_GROUP_COLUMNS = 32
+# OpenBLAS may run a product of at most 100^3 multiply-adds through a
+# small-matrix kernel, which sums in another order than its GEMM kernel
+_SMALL_GEMM = 100 ** 3
+
+
+def _spans(length: int, step: int, least: int, work: int) -> list[int]:
+    """Bounds that split a GEMM axis of ``length`` entries, one the GEMM
+    does not sum over, into near-equal spans of about ``step`` entries.
+
+    A span has at least ``least`` entries and more than ``_SMALL_GEMM``
+    multiply-adds, at ``work`` per entry, or is the whole axis. So every
+    part runs through the same GEMM kernel as the whole product would, and
+    each output keeps its reduction order bit for bit.
+    """
+    least = max(least, _SMALL_GEMM // max(work, 1) + 1)
+    count = max(1, min(-(-length // step), length // least))
+    return [length * i // count for i in range(count + 1)]
 
 
 def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
                      g: np.ndarray) -> tuple:
-    """:func:`conv2d`'s gradients of x, kernels and bias. The kernel gradient
-    rebuilds the im2col matrix from x and drops it before the dx product."""
+    """:func:`conv2d`'s gradients of x, kernels and bias, one group of
+    kernel taps at a time: a group's im2col columns give its block of the
+    kernel gradient, and its block of ``g @ kmat`` adds back into the
+    input pixels its columns were copied from, in tap order."""
     n, h, w, cin = x.data.shape
     cout, _, kh, kw = kernels.data.shape
     ph, pw = padding
     oh, ow = g.shape[1:3]
     gcols = g.reshape(-1, cout)
-    dx = dk = None
-    if kernels.requires_grad:
-        dk = gcols.T @ _im2col(x.data, kh, kw, padding)
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if kernels.requires_grad else None
+    dk = np.empty_like(kmat) if kernels.requires_grad else None
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), g.dtype) if x.requires_grad else None
+    bounds = _spans(kh * kw, 1, -(-_GROUP_COLUMNS // cin), cin * gcols.size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        span = slice(lo * cin, hi * cin)
+        at = [(slice(None), slice(i, i + oh), slice(j, j + ow))
+              for i, j in (divmod(tap, kw) for tap in range(lo, hi))]
+        if dk is not None:
+            cols = np.stack([xp[a] for a in at], axis=3)     # [n, oh, ow, taps, cin]
+            dk[:, span] = gcols.T @ cols.reshape(gcols.shape[0], -1)
+        if dxp is not None:
+            dcols = (gcols @ kmat[:, span]).reshape(n, oh, ow, hi - lo, cin)
+            for t, a in enumerate(at):
+                dxp[a] += dcols[:, :, :, t]
+    dx = None if dxp is None else dxp[:, ph:ph + h, pw:pw + w]
+    if dk is not None:
         dk = dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-    if x.requires_grad:
-        # the adjoint of im2col: each window column adds back into the
-        # input pixel it was copied from
-        kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-        dcols = (gcols @ kmat).reshape(n, oh, ow, kh, kw, cin)
-        dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + oh, j:j + ow] += dcols[:, :, :, i, j]
-        dx = dxp[:, ph:ph + h, pw:pw + w]
     return dx, dk, _unbroadcast(g, (cout,))
 
 
@@ -516,8 +531,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
 
     ``x`` is ``[n, h, w, cin]``, ``kernels`` is ``[cout, cin, kh, kw]`` and
     ``bias`` is ``[cout]``. The output is ``[n, h + 2*pad_h - kh + 1,
-    w + 2*pad_w - kw + 1, cout]``. It is one im2col GEMM; the graph keeps
-    no im2col matrix, because the backward rebuilds it from ``x``.
+    w + 2*pad_w - kw + 1, cout]``. It is an im2col GEMM run in tiles of
+    about ``_CONV_TILE`` output positions, whole output rows of any stems:
+    each tile copies its ``(kh, kw, cin)`` windows and writes its product
+    straight into the output. The backward runs in groups of kernel taps,
+    column blocks of the im2col matrix. Neither holds the whole matrix,
+    and the graph keeps none of it. Both split the GEMMs only along axes
+    they do not sum over (:func:`_spans`), so every value equals that of
+    one whole-matrix GEMM bit for bit.
     """
     _require_same_dtype(x, kernels, "conv2d")
     _require_same_dtype(x, bias, "conv2d")
@@ -539,8 +560,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
     kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out_data = _im2col(x.data, kh, kw, padding) @ kmat.T
-    out_data = out_data.reshape(n, oh, ow, cout)
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    # [n, oh, ow, kh, kw, cin]: the (kh, kw, cin) order makes each copy
+    # move runs of cin values
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    out_data = np.empty((n, oh, ow, cout), dtype=x.data.dtype)
+    out_rows = out_data.reshape(n * oh, ow * cout)      # one row per (stem, output row)
+    bounds = _spans(n * oh, max(1, _CONV_TILE // ow), 1, ow * kmat.size)
+    cols = np.empty((max(np.diff(bounds)),) + windows.shape[2:], dtype=x.data.dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        for s in range(lo // oh, (hi - 1) // oh + 1):       # a tile may span stems
+            a, b = max(lo, s * oh), min(hi, s * oh + oh)
+            cols[a - lo:b - lo] = windows[s, a - s * oh:b - s * oh]
+        np.matmul(cols[:hi - lo].reshape(-1, kmat.shape[1]), kmat.T,
+                  out=out_rows[lo:hi].reshape(-1, cout))
     out_data += bias.data
     return Tensor._from_op(out_data, (x, kernels, bias),
                            lambda g: _conv2d_backward(x, kernels, padding, g), "conv2d")
@@ -653,11 +686,6 @@ def _elu_slope(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     slope += 1
     slope *= g
     return slope
-
-
-def elu(x: Tensor) -> Tensor:
-    out_data = _elu(x.data)
-    return Tensor._from_op(out_data, (x,), lambda g: (_elu_slope(out_data, g),), "elu")
 
 
 # Phi(-a) = erfc(a / sqrt 2) / 2 ~ t (c5 t^4 + ... + c1) exp(-a^2 / 2) for
@@ -987,8 +1015,8 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
     keeps only the ELU output, the bool mask and the pooled output. The
     backward recomputes the dropout output from the first two, routes the
     pool gradient to each window's first maximum, applies the mask and the
-    ELU slope, and rebuilds the im2col matrix from ``x`` for the kernel
-    gradient.
+    ELU slope, and hands the result to :func:`conv2d`'s backward, which
+    copies the input's windows one group of kernel taps at a time.
     """
     with no_grad():
         act = conv2d(x, kernels, bias, padding).data
@@ -1003,7 +1031,8 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
         del dropped  # freed before the conv backward builds its columns
         if keep is not None:
             g = _dropout_scale(g, keep, scale)
-        return _conv2d_backward(x, kernels, padding, _elu_slope(act, g))
+        g = _elu_slope(act, g)          # the pool's and the mask's gradients are freed
+        return _conv2d_backward(x, kernels, padding, g)
 
     # maxpool has checked the values
     return Tensor._from_op(out_data, (x, kernels, bias), backward, None)

@@ -23,6 +23,8 @@ from aio1.attention import AttentionConfig, AttentionWeights
 from aio1.errors import Aio1Error, ParameterError
 from aio1.tensor import Tensor
 
+from graph_ops import matmul
+
 
 class ContractViolation(Aio1Error, ValueError):
     """A structure handed to an oracle breaks its documented contract."""
@@ -169,9 +171,9 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
     lead = x.shape[:-2]
     nl = len(lead)
 
-    q = tz.matmul(x, w.wq) + w.bq
-    k = tz.matmul(x, w.wk) + w.bk
-    v = tz.matmul(x, w.wv) + w.bv
+    q = matmul(x, w.wq) + w.bq
+    k = matmul(x, w.wk) + w.bk
+    v = matmul(x, w.wv) + w.bv
 
     kg = tz.take(k, idx, axis=nl).reshape(*lead, n, width, heads, dh)
     vg = tz.take(v, idx, axis=nl).reshape(*lead, n, width, heads, dh)
@@ -185,7 +187,7 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
 
     out = (probs.reshape(*lead, n, width, heads, 1) * vg).sum(axis=nl + 1)
     out = out.reshape(*lead, n, c)
-    return tz.matmul(out, w.wo) + w.bo
+    return matmul(out, w.wo) + w.bo
 
 
 def composed_na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:

