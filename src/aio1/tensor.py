@@ -469,11 +469,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # output positions per forward GEMM tile: its im2col columns, 9 MiB for the
 # default conv2, are the only copy of the windows the forward makes
 _CONV_TILE = 8192
-# the fewest im2col columns in one backward GEMM: a product one column
-# wide runs as GEMV, which sums in another order than GEMM
+# the fewest im2col columns in one backward GEMM: numpy's matmul sends a
+# one-column product to cblas ?gemv, which sums in another order than
+# ?gemm (OpenBLAS 0.3.31, SkylakeX core: widths 2-40 matched); 32 keeps
+# conv1's nine 1-channel taps in one group
 _GROUP_COLUMNS = 32
-# OpenBLAS may run a product of at most 100^3 multiply-adds through a
-# small-matrix kernel, which sums in another order than its GEMM kernel
+# OpenBLAS 0.3.31 (SMALL_MATRIX_OPT builds, SkylakeX core) may run a
+# product of at most 100^3 multiply-adds through the small-matrix kernel
+# that ?gemm_small_kernel_permit_skylakex.c allows, which sums in another
+# order than its blocked GEMM kernel
 _SMALL_GEMM = 100 ** 3
 
 

@@ -1,11 +1,11 @@
 """``tz.conv2d`` runs its GEMMs in row tiles (forward) and tap groups
-(backward): outputs and gradients against the frozen whole-matrix conv,
-and the memory that tiling saves.
+(backward): outputs and gradients against the frozen whole-matrix conv.
+The memory that tiling saves is bounded in test_tensor.py, next to what
+the conv_block graph keeps.
 
-Bit equality holds only while BLAS never splits a GEMM's reduction, so CI
-runs this file with one and with two BLAS threads."""
-
-import tracemalloc
+Bit equality holds only while BLAS never splits a GEMM's reduction and
+runs each part through the same kernel as the whole product, so CI runs
+this file with one and with two BLAS threads."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,22 @@ from aio1.tensor import Tensor
 
 import frontend_oracle
 
-MiB = 2 ** 20
-
 # the default preset's three layers: (cin, cout, kernel, padding, bands)
 LAYERS = {
     "conv1": (1, 32, (3, 3), (1, 1), 81),
     "conv2": (32, 48, (3, 3), (1, 1), 27),
     "conv3": (48, 64, (1, 3), (0, 1), 9),
 }
+
+
+# the failure message of an equality check: a mismatch on another BLAS
+# is a platform difference first, not a conv bug
+_blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+BLAS_NOTE = (f"BLAS {_blas.get('name')} {_blas.get('version')} "
+             f"({_blas.get('openblas configuration', 'no OpenBLAS configuration')}). "
+             "tz._spans keeps each part of a split GEMM in the kernel OpenBLAS "
+             "0.3.31 (SkylakeX core) runs the whole product through; a BLAS "
+             "that picks kernels otherwise may sum the parts in another order")
 
 
 def _args(layer, stems, frames, dtype, x_grad):
@@ -58,12 +66,12 @@ def test_conv2d_equals_the_whole_matrix_gemm(dtype, layer, stems, x_grad, tile, 
     out, dx, dk, db = _run(tz.conv2d, x, k, b, pad)
     want, want_dx, want_dk, want_db = _run(frontend_oracle.conv2d, x, k, b, pad)
     assert out.dtype == dk.dtype == db.dtype == dtype
-    np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(dk, want_dk)
-    np.testing.assert_array_equal(db, want_db)
+    np.testing.assert_array_equal(out, want, err_msg=BLAS_NOTE)
+    np.testing.assert_array_equal(dk, want_dk, err_msg=BLAS_NOTE)
+    np.testing.assert_array_equal(db, want_db, err_msg=BLAS_NOTE)
     if x_grad:
         assert dx.dtype == dtype
-        np.testing.assert_array_equal(dx, want_dx)
+        np.testing.assert_array_equal(dx, want_dx, err_msg=BLAS_NOTE)
     else:
         assert dx is None and want_dx is None
     if tile is not None:
@@ -93,28 +101,3 @@ def test_spans_keep_every_gemm_above_the_small_matrix_bound(length, step, least,
     if len(sizes) > 1:
         assert sizes.min() >= least and sizes.min() * work > tz._SMALL_GEMM
         assert len(sizes) <= -(-length // step)
-
-
-def test_conv_block_memory_stays_below_the_whole_im2col_matrix():
-    # the default preset's conv2 at a 7 s chunk: [4, 700, 27, 32] -> 48 channels
-    rng = np.random.default_rng(43)
-    x = Tensor(rng.standard_normal((4, 700, 27, 32), dtype=np.float32), requires_grad=True)
-    k = Tensor(rng.uniform(-0.06, 0.06, (48, 32, 3, 3)).astype(np.float32), requires_grad=True)
-    b = Tensor(np.zeros(48, np.float32), requires_grad=True)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = tz.conv_block(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3)
-        forward = tracemalloc.get_traced_memory()[1] - base
-        g = np.ones_like(out.data)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out.backward(g)
-        backward = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # One im2col matrix of this layer is 83 MiB. With whole-matrix GEMMs
-    # the forward peaks at 97.0 MiB and the backward at 120.9 MiB above
-    # the graph; in row tiles and tap groups they read 36.9 and 61.5 MiB.
-    assert forward <= 48 * MiB, forward / MiB
-    assert backward <= 72 * MiB, backward / MiB

@@ -708,9 +708,26 @@ def test_conv_block_graph_keeps_no_im2col_columns():
     # of the bands: 6.33 bytes per conv output value, measured 6.334. The
     # chain keeps the conv, ELU and dropout outputs as well (14.33)
     bound = 1.02 * values * (4 + 1 + 4 / 3)
-    fused = _held_by(lambda: tz.conv_block(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = tz.conv_block(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3)
+        fused, forward = (m - base for m in tracemalloc.get_traced_memory())
+        g = np.ones_like(out.data)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out.backward(g)
+        backward = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
     chain = _held_by(lambda: conv_block_chain(x, k, b, (1, 1), 0.2, np.random.default_rng(44), 3))
     assert fused <= bound < chain, (fused / values, chain / values)
+    # One im2col matrix of this layer is 83 MiB. With whole-matrix GEMMs
+    # the forward peaks at 97.0 MiB and the backward at 120.9 MiB above
+    # the graph; in row tiles and tap groups they read 36.9 and 61.5 MiB.
+    assert forward <= 48 * 2 ** 20, forward / 2 ** 20
+    assert backward <= 72 * 2 ** 20, backward / 2 ** 20
     # and a bare conv2d node keeps its output alone, no im2col columns
     assert _held_by(lambda: tz.conv2d(x, k, b, (1, 1))) <= 1.02 * values * 4
 
