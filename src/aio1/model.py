@@ -355,11 +355,11 @@ def model_forward(spec: StemSpectrogram, weights: ModelWeights,
             f"model expects {cfg.num_stems} stems, got {spec.num_stems}")
     with tz.no_grad():
         logits = forward_logits(spec.values, weights, cfg)
-        acts = FrameActivations(
-            beat=tz.sigmoid(logits["beat"]).data.astype(np.float32),
-            downbeat=tz.sigmoid(logits["downbeat"]).data.astype(np.float32),
-            boundary=tz.sigmoid(logits["boundary"]).data.astype(np.float32),
-            labels=tz.softmax(logits["labels"], axis=-1).data.astype(np.float32),
-            fps=cfg.fps)
+    acts = FrameActivations(
+        beat=tz.sigmoid(logits["beat"].data).astype(np.float32),
+        downbeat=tz.sigmoid(logits["downbeat"].data).astype(np.float32),
+        boundary=tz.sigmoid(logits["boundary"].data).astype(np.float32),
+        labels=tz.softmax(logits["labels"].data, axis=-1).astype(np.float32),
+        fps=cfg.fps)
     acts.validate()
     return acts

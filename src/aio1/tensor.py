@@ -18,27 +18,35 @@ only leaves keep theirs, and a second backward adds to them.
 Every op that computes new values raises :class:`NumericError` as soon
 as it produces a NaN or Inf, so a diverging computation fails at the op
 that broke, not three modules later. The shape-only ops (``reshape``,
-``transpose``, ``concat``, ``take``) only view or copy values and skip
-the check; a non-finite leaf is caught by the first op that computes
-with it. :func:`conv_block` leaves its checks to the conv and pool it
-calls.
+``transpose``, ``concat``) only view or copy values and skip the check;
+a non-finite leaf is caught by the first op that computes with it.
+:func:`conv_block` leaves its checks to the conv and pool it calls.
 
-The primitives are the ones the model runs: the biased :func:`linear`,
-2-D cross-correlation with a fused bias (:func:`conv2d`, whose GEMMs run
-in row tiles and tap groups, never on a whole im2col matrix), max
-pooling, layer normalisation, the GELU, sigmoid and softmax activations,
-gather/reshape plumbing, attention over window slots
-(:func:`neighborhood_attention`), :func:`dropout`, the fused front-end
-layer :func:`conv_block`, which runs the ELU, and the losses. Dropout
-keeps a bool mask from one float32 draw per call, in call order. The GELU is
-the exact-erf one. In float64 it uses ``scipy.special.erf``; in float32
-it evaluates a rational erf (Abramowitz & Stegun 7.1.26) in cache-sized
-chunks, within 5e-7 of the float64 ``x * Phi(x)`` (tested on [-12, 12]
-and at magnitudes up to 3.4e38). The tests check the gradient of every
-primitive, and of the model built on top, against central finite
-differences in float64. Weight containers are dataclasses whose fields
-declare their names with :func:`param`, and :func:`named` lists them in
-one fixed order.
+A graph node exists only where training differentiates through one:
+elementwise ``add`` and ``mul``, the shape plumbing, sums and means, the
+biased :func:`linear`, layer normalisation, the GELU, attention over
+window slots (:func:`neighborhood_attention`), :func:`dropout`, the
+fused front-end layer :func:`conv_block`, which runs the ELU, and the
+two losses, :func:`bce_with_logits` and the per-frame label
+cross-entropy :func:`label_nll`. Dropout keeps a bool mask from one
+float32 draw per call, in call order.
+
+Four ops are array functions that build no node. :func:`conv_block`
+calls two of them: 2-D cross-correlation with a fused bias
+(:func:`conv2d`, whose GEMMs run in row tiles and tap groups, never on
+a whole im2col matrix) and max pooling (:func:`maxpool`); its backward
+calls their gradients, :func:`_conv2d_backward` and
+:func:`_maxpool_backward`. Inference applies the other two,
+:func:`sigmoid` and :func:`softmax`, to the logits.
+
+The GELU is the exact-erf one. In float64 it uses
+``scipy.special.erf``; in float32 it evaluates a rational erf
+(Abramowitz & Stegun 7.1.26) in cache-sized chunks, within 5e-7 of the
+float64 ``x * Phi(x)`` (tested on [-12, 12] and at magnitudes up to
+3.4e38). The tests check the gradient of every node, and of the model
+built on top, against central finite differences in float64. Weight
+containers are dataclasses whose fields declare their names with
+:func:`param`, and :func:`named` lists them in one fixed order.
 """
 
 from __future__ import annotations
@@ -167,8 +175,10 @@ class Tensor:
         """Backpropagate from this node through the recorded graph.
 
         ``gradient`` (ones for a scalar) is this node's first or next
-        gradient; like ``data`` it is held by reference. Every node's
-        ``grad`` except a leaf's is None again on return.
+        gradient; like ``data`` it is held by reference. A gradient, given
+        or returned by an op, whose shape differs from its node's raises
+        :class:`DimensionError`. Every node's ``grad`` except a leaf's is
+        None again on return.
         """
         if not self.requires_grad:
             raise ParameterError("backward() on a tensor that requires no grad")
@@ -196,6 +206,9 @@ class Tensor:
         def receive(node: Tensor, g) -> None:
             # order="C" keeps a 0-d gradient 0-d, unlike ascontiguousarray
             g = np.asarray(g, dtype=node.data.dtype, order="C")
+            if g.shape != node.data.shape:
+                raise DimensionError(f"backward: gradient of shape {g.shape} "
+                                     f"for a node of shape {node.data.shape}")
             node.grad = g if node.grad is None else node.grad + g
 
         receive(self, gradient)
@@ -297,10 +310,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _require_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise DimensionError(
-            f"{op}: mixed dtypes {a.data.dtype.name} vs {b.data.dtype.name}")
+def _require_same_dtype(a: Tensor | np.ndarray, b: Tensor | np.ndarray, op: str) -> None:
+    if a.dtype != b.dtype:
+        raise DimensionError(f"{op}: mixed dtypes {a.dtype.name} vs {b.dtype.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +359,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     out_data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+    inv = None if axes is None else np.argsort([ax % a.ndim for ax in axes])
 
     def backward(g):
         return (np.transpose(g, inv),)
@@ -385,27 +394,6 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     scatter = csc_matrix((np.ones(index.size, dtype=rows.dtype), index,
                           np.arange(index.size + 1)), shape=(n, index.size))
     return scatter @ rows
-
-
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices of ``a`` along ``axis``; duplicates allowed.
-
-    The backward pass scatter-adds into the source, so the same row may
-    be gathered many times.
-    """
-    idx = np.asarray(indices)
-    out_data = np.take(a.data, idx, axis=axis)
-
-    def backward(g):
-        # bring the gathered axes to the front, flatten everything else
-        gm = np.ascontiguousarray(np.moveaxis(
-            g, tuple(range(axis, axis + idx.ndim)), tuple(range(idx.ndim))))
-        n = a.data.shape[axis]
-        acc = _scatter_rows(idx.reshape(-1), gm.reshape(idx.size, -1), n)
-        dx = acc.reshape((n,) + a.data.shape[:axis] + a.data.shape[axis + 1:])
-        return (np.moveaxis(dx, 0, axis),)
-
-    return Tensor._from_op(out_data, (a,), backward, None)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -528,32 +516,32 @@ def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
     return dx, dk, _unbroadcast(g, (cout,))
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
-           padding: tuple[int, int] = (0, 0)) -> Tensor:
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+           padding: tuple[int, int] = (0, 0)) -> np.ndarray:
     """2-D cross-correlation (no kernel flip), channels last, plus a
-    per-channel bias added into the product.
+    per-channel bias added into the product, as an array function.
 
     ``x`` is ``[n, h, w, cin]``, ``kernels`` is ``[cout, cin, kh, kw]`` and
     ``bias`` is ``[cout]``. The output is ``[n, h + 2*pad_h - kh + 1,
     w + 2*pad_w - kw + 1, cout]``. It is an im2col GEMM run in tiles of
     about ``_CONV_TILE`` output positions, whole output rows of any stems:
     each tile copies its ``(kh, kw, cin)`` windows and writes its product
-    straight into the output. The backward runs in groups of kernel taps,
-    column blocks of the im2col matrix. Neither holds the whole matrix,
-    and the graph keeps none of it. Both split the GEMMs only along axes
-    they do not sum over (:func:`_spans`), so every value equals that of
-    one whole-matrix GEMM bit for bit.
+    straight into the output. Its gradients come from
+    :func:`_conv2d_backward`, which runs in groups of kernel taps, column
+    blocks of the im2col matrix. Neither holds the whole matrix. Both
+    split the GEMMs only along axes they do not sum over (:func:`_spans`),
+    so every value equals that of one whole-matrix GEMM bit for bit.
     """
     _require_same_dtype(x, kernels, "conv2d")
     _require_same_dtype(x, bias, "conv2d")
     if x.ndim != 4 or kernels.ndim != 4:
         raise DimensionError("conv2d expects [n,h,w,cin] input and [cout,cin,kh,kw] kernels")
-    n, h, w, cin = x.data.shape
-    cout, kcin, kh, kw = kernels.data.shape
+    n, h, w, cin = x.shape
+    cout, kcin, kh, kw = kernels.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kcin}")
-    if bias.data.shape != (cout,):
-        raise DimensionError(f"conv2d bias {bias.data.shape} does not match "
+    if bias.shape != (cout,):
+        raise DimensionError(f"conv2d bias {bias.shape} does not match "
                              f"{cout} output channels")
     ph, pw = padding
     if ph < 0 or pw < 0:
@@ -563,24 +551,24 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
 
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
-    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, -1)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     # [n, oh, ow, kh, kw, cin]: the (kh, kw, cin) order makes each copy
     # move runs of cin values
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    out_data = np.empty((n, oh, ow, cout), dtype=x.data.dtype)
-    out_rows = out_data.reshape(n * oh, ow * cout)      # one row per (stem, output row)
+    out = np.empty((n, oh, ow, cout), dtype=x.dtype)
+    out_rows = out.reshape(n * oh, ow * cout)           # one row per (stem, output row)
     bounds = _spans(n * oh, max(1, _CONV_TILE // ow), 1, ow * kmat.size)
-    cols = np.empty((max(np.diff(bounds)),) + windows.shape[2:], dtype=x.data.dtype)
+    cols = np.empty((max(np.diff(bounds)),) + windows.shape[2:], dtype=x.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         for s in range(lo // oh, (hi - 1) // oh + 1):       # a tile may span stems
             a, b = max(lo, s * oh), min(hi, s * oh + oh)
             cols[a - lo:b - lo] = windows[s, a - s * oh:b - s * oh]
         np.matmul(cols[:hi - lo].reshape(-1, kmat.shape[1]), kmat.T,
                   out=out_rows[lo:hi].reshape(-1, cout))
-    out_data += bias.data
-    return Tensor._from_op(out_data, (x, kernels, bias),
-                           lambda g: _conv2d_backward(x, kernels, padding, g), "conv2d")
+    out += bias
+    _check_finite(out, "conv2d")
+    return out
 
 
 def _pool_windows(xd: np.ndarray, axis: int, width: int) -> np.ndarray:
@@ -613,29 +601,25 @@ def _maxpool_backward(windows: np.ndarray, out: np.ndarray, g: np.ndarray,
     return merged[at[:axis] + (slice(length),)]
 
 
-def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
-    """Non-overlapping max over ``width`` along ``axis``.
+def maxpool(x: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """Non-overlapping max over ``width`` along ``axis``, as an array function.
 
     The axis splits in place into ``(windows, width)``, a view of the input.
     A trailing remainder is padded by repeating the last element, so no
-    frames are dropped. Gradient routes to the first maximal index of
-    each window (:func:`_maxpool_backward`).
+    frames are dropped. Its gradient (:func:`_maxpool_backward`) routes
+    to the first maximal index of each window.
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
     axis %= x.ndim
-    length = x.data.shape[axis]
-    windows = _pool_windows(x.data, axis, width)
+    windows = _pool_windows(x, axis, width)
     # a running max beats numpy's reduction over an axis this short
     at = (slice(None),) * (axis + 1)
-    out_data = windows[at + (0,)].copy()
+    out = windows[at + (0,)].copy()
     for j in range(1, width):
-        np.maximum(out_data, windows[at + (j,)], out=out_data)
-
-    def backward(g):
-        return (_maxpool_backward(windows, out_data, g, axis, length),)
-
-    return Tensor._from_op(out_data, (x,), backward, "maxpool")
+        np.maximum(out, windows[at + (j,)], out=out)
+    _check_finite(out, "maxpool")
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -771,16 +755,8 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward, "gelu")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid_np(x.data)
-
-    def backward(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return Tensor._from_op(out_data, (x,), backward, "sigmoid")
-
-
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, with no overflow in ``exp``."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -789,29 +765,10 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    zmax = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - zmax)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
-
-    return Tensor._from_op(out_data, (x,), backward, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    zmax = np.max(x.data, axis=axis, keepdims=True)
-    shifted = x.data - zmax
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    sm = np.exp(out_data)
-
-    def backward(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._from_op(out_data, (x,), backward, "log_softmax")
+def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax of an array along ``axis``."""
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -969,9 +926,30 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
     def backward(g):
-        return (g * (_sigmoid_np(z) - t),)
+        return (g * (sigmoid(z) - t),)
 
     return Tensor._from_op(out_data, (logits,), backward, "bce_with_logits")
+
+
+def label_nll(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Per-frame cross-entropy ``-log softmax(logits)[t, labels[t]]`` of
+    ``[T, V]`` logits against ``T`` class indices, as one node. It equals
+    the log-softmax, gather and negation chain bit for bit, gradients too."""
+    z = logits.data
+    rows = np.arange(z.shape[0])
+    labels = np.asarray(labels)
+    if z.ndim != 2 or labels.shape != rows.shape:
+        raise DimensionError(f"label_nll expects [T, V] logits and [T] labels, "
+                             f"got {z.shape} and {labels.shape}")
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def backward(g):
+        d = np.exp(lsm) * g[:, None]
+        d[rows, labels] -= g
+        return (d,)
+
+    return Tensor._from_op(-lsm[rows, labels], (logits,), backward, "label_nll")
 
 
 def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
@@ -1010,24 +988,23 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
     """``maxpool(dropout(elu(conv2d(x, kernels, bias, padding)), rate, rng),
     axis=2, width=pool)`` as one node, bit-identical to that chain.
 
-    The forward calls this module's :func:`conv2d` and :func:`maxpool` by
-    name, under :func:`no_grad`: the benchmark tracer times the front end
-    by swapping those two module attributes, and a non-finite conv output
-    still fails as ``conv2d``. The ELU runs in place on the conv output,
-    and the dropout mask is drawn between the ELU and the pool, at the
-    chain's point in the ``rng`` stream. Besides its input, the graph
+    The forward calls the array functions :func:`conv2d` and
+    :func:`maxpool` by module name: the benchmark tracer times the front
+    end by swapping those two module attributes, and a non-finite conv
+    output still fails as ``conv2d``. The ELU runs in place on the conv
+    output, and the dropout mask is drawn between the ELU and the pool, at
+    the chain's point in the ``rng`` stream. Besides its input, the graph
     keeps only the ELU output, the bool mask and the pooled output. The
     backward recomputes the dropout output from the first two, routes the
     pool gradient to each window's first maximum, applies the mask and the
-    ELU slope, and hands the result to :func:`conv2d`'s backward, which
+    ELU slope, and hands the result to :func:`_conv2d_backward`, which
     copies the input's windows one group of kernel taps at a time.
     """
-    with no_grad():
-        act = conv2d(x, kernels, bias, padding).data
-        _elu(act, out=act)
-        keep, scale = _dropout_mask(act.shape, rate, rng, act.dtype)
-        dropped = act if keep is None else _dropout_scale(act, keep, scale)
-        out_data = maxpool(Tensor(dropped), 2, pool).data
+    act = conv2d(x.data, kernels.data, bias.data, padding)
+    _elu(act, out=act)
+    keep, scale = _dropout_mask(act.shape, rate, rng, act.dtype)
+    dropped = act if keep is None else _dropout_scale(act, keep, scale)
+    out_data = maxpool(dropped, 2, pool)
 
     def backward(g):
         dropped = act if keep is None else _dropout_scale(act, keep, scale)

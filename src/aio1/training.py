@@ -133,12 +133,7 @@ def multitask_loss(logits: dict[str, Tensor], targets: TrainingTargets,
         term = tz.tmean(tz.bce_with_logits(logits[name], target)) * w
         total = term if total is None else total + term
 
-    lsm = tz.log_softmax(logits["labels"], axis=-1)
-    t = lsm.shape[0]
-    flat_idx = np.arange(t) * lsm.shape[1] + targets.labels
-    picked = tz.take(lsm.reshape(-1), flat_idx, axis=0)
-    total = total + tz.tmean(picked * -1.0) * weights[3]
-    return total
+    return total + tz.tmean(tz.label_nll(logits["labels"], targets.labels)) * weights[3]
 
 
 # ---------------------------------------------------------------------------

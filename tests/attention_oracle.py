@@ -23,7 +23,7 @@ from aio1.attention import AttentionConfig, AttentionWeights
 from aio1.errors import Aio1Error, ParameterError
 from aio1.tensor import Tensor
 
-from graph_ops import matmul
+from graph_ops import matmul, softmax, take
 
 
 class ContractViolation(Aio1Error, ValueError):
@@ -175,15 +175,15 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
     k = matmul(x, w.wk) + w.bk
     v = matmul(x, w.wv) + w.bv
 
-    kg = tz.take(k, idx, axis=nl).reshape(*lead, n, width, heads, dh)
-    vg = tz.take(v, idx, axis=nl).reshape(*lead, n, width, heads, dh)
+    kg = take(k, idx, axis=nl).reshape(*lead, n, width, heads, dh)
+    vg = take(v, idx, axis=nl).reshape(*lead, n, width, heads, dh)
     qh = q.reshape(*lead, n, 1, heads, dh)
 
     logits = (qh * kg).sum(axis=-1) * (1.0 / np.sqrt(dh))   # [..., N, W, H]
-    bias = tz.take(w.rpb, rel, axis=1)                      # [H, N, W]
+    bias = take(w.rpb, rel, axis=1)                      # [H, N, W]
     logits = logits + bias.transpose(1, 2, 0)
     pad = np.where(valid[..., None], 0.0, -1e30).astype(x.dtype)
-    probs = tz.softmax(logits + Tensor(pad), axis=-2)
+    probs = softmax(logits + Tensor(pad), axis=-2)
 
     out = (probs.reshape(*lead, n, width, heads, 1) * vg).sum(axis=nl + 1)
     out = out.reshape(*lead, n, c)

@@ -1,12 +1,14 @@
 """Frozen references for the front end's conv ops.
 
 * ``conv2d`` — 2-D cross-correlation as one GEMM over the whole im2col
-  matrix, with a backward that rebuilds that matrix for the kernel
-  gradient and makes the whole ``dcols`` matrix for the input gradient.
-  ``tz.conv2d`` runs the same GEMMs in tiles and tap groups, and its
-  outputs and gradients must equal these bit for bit.
+  matrix, an array function with ``tz.conv2d``'s signature.
+  ``conv2d_node`` makes it a graph node, with a backward that rebuilds
+  that matrix for the kernel gradient and makes the whole ``dcols``
+  matrix for the input gradient. ``tz.conv2d`` and
+  ``tz._conv2d_backward`` run the same GEMMs in tiles and tap groups,
+  and their outputs and gradients must equal these bit for bit.
 * ``conv_block_chain`` — the four-node front-end layer that
-  ``tz.conv_block`` fuses, built on that ``conv2d``.
+  ``tz.conv_block`` fuses, built on ``conv2d_node``.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from aio1 import tensor as tz
 from aio1.tensor import Tensor
 
-from graph_ops import elu
+from graph_ops import elu, maxpool
 
 
 def _im2col(xd, kh, kw, padding):
@@ -53,19 +55,24 @@ def _conv2d_backward(x, kernels, padding, g):
 
 def conv2d(x, kernels, bias, padding=(0, 0)):
     """``tz.conv2d`` as one whole-matrix im2col GEMM, for valid inputs."""
-    n, h, w, _ = x.data.shape
-    cout, _, kh, kw = kernels.data.shape
+    n, h, w, _ = x.shape
+    cout, _, kh, kw = kernels.shape
     ph, pw = padding
-    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = _im2col(x.data, kh, kw, padding) @ kmat.T
+    kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, -1)
+    out = _im2col(x, kh, kw, padding) @ kmat.T
     out = out.reshape(n, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, cout)
-    out += bias.data
-    return Tensor._from_op(out, (x, kernels, bias),
+    out += bias
+    return out
+
+
+def conv2d_node(x, kernels, bias, padding=(0, 0)):
+    """:func:`conv2d` as a graph node with the whole-matrix backward."""
+    return Tensor._from_op(conv2d(x.data, kernels.data, bias.data, padding), (x, kernels, bias),
                            lambda g: _conv2d_backward(x, kernels, padding, g), "conv2d")
 
 
 def conv_block_chain(x, kernels, bias, padding, rate, rng, pool):
     """``tz.conv_block`` built from one graph node per step: the
     whole-matrix conv2d, ELU, dropout and the frequency max-pool."""
-    h = elu(conv2d(x, kernels, bias, padding))
-    return tz.maxpool(tz.dropout(h, rate, rng), axis=2, width=pool)
+    h = elu(conv2d_node(x, kernels, bias, padding))
+    return maxpool(tz.dropout(h, rate, rng), axis=2, width=pool)

@@ -1,5 +1,5 @@
-"""``tz.conv2d`` runs its GEMMs in row tiles (forward) and tap groups
-(backward): outputs and gradients against the frozen whole-matrix conv.
+"""``tz.conv2d`` runs its GEMMs in row tiles and ``tz._conv2d_backward``
+in tap groups: outputs and gradients against the frozen whole-matrix conv.
 The memory that tiling saves is bounded in test_tensor.py, next to what
 the conv_block graph keeps.
 
@@ -14,6 +14,7 @@ from aio1 import tensor as tz
 from aio1.tensor import Tensor
 
 import frontend_oracle
+import graph_ops
 
 # the default preset's three layers: (cin, cout, kernel, padding, bands)
 LAYERS = {
@@ -63,8 +64,8 @@ def test_conv2d_equals_the_whole_matrix_gemm(dtype, layer, stems, x_grad, tile, 
     if tile is not None:
         monkeypatch.setattr(tz, "_CONV_TILE", tile)
     x, k, b, pad = _args(layer, stems, 131, dtype, x_grad)
-    out, dx, dk, db = _run(tz.conv2d, x, k, b, pad)
-    want, want_dx, want_dk, want_db = _run(frontend_oracle.conv2d, x, k, b, pad)
+    out, dx, dk, db = _run(graph_ops.conv2d, x, k, b, pad)
+    want, want_dx, want_dk, want_db = _run(frontend_oracle.conv2d_node, x, k, b, pad)
     assert out.dtype == dk.dtype == db.dtype == dtype
     np.testing.assert_array_equal(out, want, err_msg=BLAS_NOTE)
     np.testing.assert_array_equal(dk, want_dk, err_msg=BLAS_NOTE)

@@ -11,6 +11,7 @@ from aio1.frontend import (FFT_SIZE, SAMPLE_RATE, StemSpectrogram, compute_logsp
 from aio1.tensor import Tensor
 
 from gradcheck import grad_check
+from graph_ops import sigmoid
 
 
 def test_default_filterbank_has_81_bands():
@@ -126,7 +127,7 @@ def test_frontend_grad_check():
     tensors = [x] + [t for _, t in tz.named(w, "frontend")]
 
     def loss():
-        return tz.tsum(tz.sigmoid(frontend_forward(x, w, (3, 3, 1), 0.0)))
+        return tz.tsum(sigmoid(frontend_forward(x, w, (3, 3, 1), 0.0)))
 
     err = grad_check(loss, tensors)
     assert err < 1e-4, err

@@ -476,8 +476,8 @@ def test_tiled_frontend_memory_grows_only_by_its_output(monkeypatch):
     (p1, _), (p4, out4) = peak_and_output(tiled, 1000), peak_and_output(tiled, 4000)
     assert p4 - p1 <= out4
     # the measure tells the two apart: one whole-track call through the
-    # whole-matrix conv (conv_block calls tz.conv2d by module name) grows
-    # far more
+    # whole-matrix conv (conv_block calls the array function tz.conv2d by
+    # module name) grows far more
     monkeypatch.setattr(tz, "conv2d", frontend_oracle.conv2d)
     (w1, _), (w4, _) = peak_and_output(whole, 1000), peak_and_output(whole, 4000)
     assert w4 - w1 > 4 * out4

@@ -14,7 +14,7 @@ from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
 
 from frontend_oracle import conv_block_chain
-from graph_ops import elu, matmul
+from graph_ops import conv2d, elu, log_softmax, matmul, maxpool, sigmoid, softmax, take
 from gradcheck import grad_check
 
 
@@ -69,7 +69,7 @@ def test_matmul_shape_error():
 
 def _no_bias(k):
     """A zero bias for the kernels ``k``: the bare cross-correlation."""
-    return Tensor(np.zeros(k.shape[0], dtype=k.dtype))
+    return np.zeros(k.shape[0], dtype=k.dtype)
 
 
 def conv2d_loops(x, k, padding):
@@ -92,14 +92,14 @@ def test_conv2d_1x1_identity():
     rng = np.random.default_rng(2)
     x = _rand((1, 4, 5, 1), rng)
     k = np.ones((1, 1, 1, 1))
-    out = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k))
-    np.testing.assert_allclose(out.data, x)
+    out = tz.conv2d(x, k, _no_bias(k))
+    np.testing.assert_allclose(out, x)
 
 
 def test_conv2d_ones_kernel_counts():
     x = np.ones((1, 6, 6, 1), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), padding=(1, 1)).data[0, :, :, 0]
+    out = tz.conv2d(x, k, _no_bias(k), padding=(1, 1))[0, :, :, 0]
     assert out[3, 3] == 9.0
     assert out[0, 0] == 4.0
 
@@ -114,21 +114,21 @@ def test_conv2d_matches_loops():
         pad = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         x = _rand((h, w, cin), rng, np.float32)
         k = _rand((cout, cin, kh, kw), rng, np.float32)
-        got = tz.conv2d(Tensor(x[None]), Tensor(k), _no_bias(k), pad).data[0]
+        got = tz.conv2d(x[None], k, _no_bias(k), pad)[0]
         want = conv2d_loops(x.transpose(2, 0, 1), k, pad).transpose(1, 2, 0)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(DimensionError, match="kernel larger"):
-        tz.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 5, 5))),
+        tz.conv2d(np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 5, 5)),
                   _no_bias(np.zeros((1, 1, 5, 5))))
 
 
 def test_conv2d_channel_mismatch():
     # channels are the last input axis
     with pytest.raises(DimensionError, match="channel mismatch"):
-        tz.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((1, 5, 3, 3))),
+        tz.conv2d(np.zeros((1, 5, 5, 2)), np.zeros((1, 5, 3, 3)),
                   _no_bias(np.zeros((1, 5, 3, 3))))
 
 
@@ -139,7 +139,7 @@ def test_conv2d_input_gradient_is_the_adjoint(kernel, pad):
     rng = np.random.default_rng(18)
     x = Tensor(_rand((2, 7, 9, 3), rng), requires_grad=True)
     k = Tensor(_rand((4, 3) + kernel, rng))
-    out = tz.conv2d(x, k, _no_bias(k.data), pad)
+    out = conv2d(x, k, Tensor(_no_bias(k.data)), pad)
     g = _rand(out.shape, rng)
     out.backward(g)
     lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
@@ -153,28 +153,28 @@ def test_conv2d_input_gradient_is_the_adjoint(kernel, pad):
 def test_maxpool_width_one_identity():
     rng = np.random.default_rng(4)
     x = _rand((3, 6), rng)
-    out = tz.maxpool(Tensor(x), axis=1, width=1)
-    np.testing.assert_array_equal(out.data, x)
+    out = tz.maxpool(x, axis=1, width=1)
+    np.testing.assert_array_equal(out, x)
 
 
 def test_maxpool_basic():
-    out = tz.maxpool(Tensor([1.0, 3.0, 2.0, 0.0]), axis=0, width=2)
-    np.testing.assert_array_equal(out.data, [3.0, 2.0])
+    out = tz.maxpool(np.array([1.0, 3.0, 2.0, 0.0]), axis=0, width=2)
+    np.testing.assert_array_equal(out, [3.0, 2.0])
 
 
 def test_maxpool_pads_by_repeat():
-    out = tz.maxpool(Tensor([1.0, 3.0, 2.0]), axis=0, width=2)
-    np.testing.assert_array_equal(out.data, [3.0, 2.0])
+    out = tz.maxpool(np.array([1.0, 3.0, 2.0]), axis=0, width=2)
+    np.testing.assert_array_equal(out, [3.0, 2.0])
 
 
 def test_maxpool_width_error():
     with pytest.raises(ParameterError):
-        tz.maxpool(Tensor([1.0]), axis=0, width=0)
+        tz.maxpool(np.array([1.0]), axis=0, width=0)
 
 
 def test_maxpool_gradient_one_hot():
     x = Tensor(np.array([1.0, 3.0, 2.0, 0.0, 5.0, 5.0]), requires_grad=True)
-    out = tz.tsum(tz.maxpool(x, axis=0, width=2))
+    out = tz.tsum(maxpool(x, axis=0, width=2))
     out.backward()
     # ties go to the first maximal index
     np.testing.assert_array_equal(x.grad, [0, 1, 1, 0, 1, 0])
@@ -202,7 +202,7 @@ def test_maxpool_matches_argmax_pool_with_ties(axis, width):
     # upstream gradient shows which value reached which input
     rng = np.random.default_rng(40 + width)
     x = Tensor(rng.integers(-2, 3, (5, 7, 9)).astype(np.float32), requires_grad=True)
-    out = tz.maxpool(x, axis=axis, width=width)
+    out = maxpool(x, axis=axis, width=width)
     g = rng.standard_normal(out.shape).astype(np.float32)
     out.backward(g)
     want_out, want_grad = argmax_maxpool(x.data, axis, width, g)
@@ -242,19 +242,19 @@ def test_activation_fixed_points():
     z = Tensor(np.array([0.0]))
     assert elu(z).data[0] == 0.0
     assert tz.gelu(z).data[0] == 0.0
-    assert tz.sigmoid(z).data[0] == 0.5
+    assert tz.sigmoid(z.data)[0] == 0.5
 
 
 def test_softmax_constant_vector_uniform():
-    out = tz.softmax(Tensor(np.full(7, 2.5)))
-    np.testing.assert_allclose(out.data, 1.0 / 7.0, atol=1e-7)
+    out = tz.softmax(np.full(7, 2.5))
+    np.testing.assert_allclose(out, 1.0 / 7.0, atol=1e-7)
 
 
 def test_softmax_sums_to_one_and_monotone():
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = _rand((11,), rng)
-        p = tz.softmax(Tensor(x)).data
+        p = tz.softmax(x)
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9)
         order = np.argsort(x)
         assert (np.diff(p[order]) >= -1e-12).all()
@@ -320,8 +320,8 @@ def test_biased_conv2d_equals_conv2d_then_add(dtype):
     k = Tensor(_rand((4, 3, 3, 3), rng, dtype))
     b = Tensor(_rand(4, rng, dtype))
     g = _rand((2, 9, 11, 4), rng, dtype)
-    fused = _forward_and_grads(lambda: tz.conv2d(x, k, b, (1, 1)), [x, k, b], g)
-    composed = _forward_and_grads(lambda: tz.conv2d(x, k, _no_bias(k.data), (1, 1)) + b,
+    fused = _forward_and_grads(lambda: conv2d(x, k, b, (1, 1)), [x, k, b], g)
+    composed = _forward_and_grads(lambda: conv2d(x, k, Tensor(_no_bias(k.data)), (1, 1)) + b,
                                   [x, k, b], g)
     np.testing.assert_array_equal(fused[0], composed[0])
     for got, want in zip(fused[1], composed[1]):
@@ -333,8 +333,7 @@ def test_fused_bias_shape_checked():
     with pytest.raises(DimensionError, match="linear bias"):
         tz.linear(x, w, Tensor(np.zeros(3)))
     with pytest.raises(DimensionError, match="conv2d bias"):
-        tz.conv2d(Tensor(np.zeros((1, 3, 3, 1))), Tensor(np.zeros((2, 1, 1, 1))),
-                  Tensor(np.zeros(3)))
+        tz.conv2d(np.zeros((1, 3, 3, 1)), np.zeros((2, 1, 1, 1)), np.zeros(3))
 
 
 def test_overflowing_linear_names_linear():
@@ -347,7 +346,7 @@ def test_overflowing_linear_names_linear():
 def test_non_finite_leaf_fails_at_the_first_op_that_computes():
     # shape-only ops move values without checking them
     x = Tensor(np.array([[1.0, np.nan], [2.0, 3.0]]))
-    moved = tz.take(tz.concat([x.reshape(4, 1), x.transpose().reshape(4, 1)]), [0, 1, 5])
+    moved = take(tz.concat([x.reshape(4, 1), x.transpose().reshape(4, 1)]), [0, 1, 5])
     with pytest.raises(NumericError, match="matmul"):
         matmul(moved, Tensor(np.ones((1, 2))))
 
@@ -428,7 +427,7 @@ def test_grads_random_shapes(seed):
     def loss():
         h = matmul(x.reshape(-1, shape[-1]), w)
         h = tz.gelu(h) + elu(h) * 0.5
-        h = tz.sigmoid(h)
+        h = sigmoid(h)
         return tz.tsum(h * h)
 
     _gc(loss, x, w)
@@ -446,7 +445,7 @@ def test_grad_conv2d():
     x = Tensor(_rand((2, 5, 6, 2), rng), requires_grad=True)
     k = Tensor(_rand((3, 2, 3, 3), rng), requires_grad=True)
     b = Tensor(_rand(3, rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv2d(x, k, b, (1, 1)))), x, k, b)
+    _gc(lambda: tz.tsum(sigmoid(conv2d(x, k, b, (1, 1)))), x, k, b)
 
 
 def test_grad_linear():
@@ -454,13 +453,13 @@ def test_grad_linear():
     x = Tensor(_rand((2, 4, 5), rng), requires_grad=True)
     w = Tensor(_rand((5, 3), rng), requires_grad=True)
     b = Tensor(_rand(3, rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.linear(x, w, b))), x, w, b)
+    _gc(lambda: tz.tsum(sigmoid(tz.linear(x, w, b))), x, w, b)
 
 
 def test_grad_maxpool():
     rng = np.random.default_rng(10)
     x = Tensor(_rand((3, 7), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.maxpool(x, axis=1, width=3) * 2.0), x)
+    _gc(lambda: tz.tsum(maxpool(x, axis=1, width=3) * 2.0), x)
 
 
 def test_grad_layer_norm():
@@ -468,7 +467,7 @@ def test_grad_layer_norm():
     x = Tensor(_rand((4, 6), rng), requires_grad=True)
     g = Tensor(_rand((6,), rng), requires_grad=True)
     b = Tensor(_rand((6,), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.layer_norm(x, g, b))), x, g, b)
+    _gc(lambda: tz.tsum(sigmoid(tz.layer_norm(x, g, b))), x, g, b)
 
 
 def test_grad_softmax_take_concat():
@@ -477,12 +476,17 @@ def test_grad_softmax_take_concat():
     idx = np.array([[0, 1], [3, 3], [4, 2]])
 
     def loss():
-        g = tz.take(x, idx, axis=0)          # [3,2,4]
+        g = take(x, idx, axis=0)             # [3,2,4]
         c = tz.concat([g, g], axis=-1)       # [3,2,8]
-        p = tz.softmax(c, axis=-1)
+        p = softmax(c, axis=-1)
         return tz.tsum(p * p)
 
     _gc(loss, x)
+    # a negative axis gathers along its positive twin
+    a = Tensor(_rand((3, 4), rng), requires_grad=True)
+    tz.tsum(take(a, [0, 2], axis=-1)).backward()
+    np.testing.assert_array_equal(a.grad, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
+    _gc(lambda: tz.tsum(sigmoid(take(x, [3, 0, 3], axis=-1))), x)
 
 
 def test_grad_log_softmax_and_bce():
@@ -492,10 +496,28 @@ def test_grad_log_softmax_and_bce():
 
     def loss():
         a = tz.tsum(tz.bce_with_logits(z, t))
-        b = tz.tsum(tz.log_softmax(z, axis=-1) * -1.0)
+        b = tz.tsum(log_softmax(z, axis=-1) * -1.0)
         return a + b
 
     _gc(loss, z)
+
+
+def test_grad_label_nll():
+    rng = np.random.default_rng(14)
+    z = Tensor(_rand((7, 5), rng), requires_grad=True)
+    labels = np.array([0, 4, 2, 2, 1, 3, 0])
+    # a weight per frame, so each row's gradient differs
+    w = Tensor(_rand(7, rng))
+    _gc(lambda: tz.tsum(tz.label_nll(z, labels) * w), z)
+
+
+def test_label_nll_checks_its_shapes():
+    z = Tensor(np.zeros((4, 3)))
+    for labels in (np.zeros(3, int), np.zeros((4, 1), int)):
+        with pytest.raises(DimensionError, match="label_nll"):
+            tz.label_nll(z, labels)
+    with pytest.raises(DimensionError, match="label_nll"):
+        tz.label_nll(Tensor(np.zeros(4)), np.zeros(4, int))
 
 
 def _slots():
@@ -522,7 +544,7 @@ def test_grad_neighborhood_attention(dropout):
     def loss():
         out = tz.neighborhood_attention(q, k, v, rpb, slots, dropout,
                                         np.random.default_rng(16))
-        return tz.tsum(tz.sigmoid(out))
+        return tz.tsum(sigmoid(out))
 
     _gc(loss, q, k, v, rpb)
 
@@ -552,7 +574,7 @@ def test_dropout_with_rng_keeps_the_expectation():
 def test_grad_dropout():
     x = Tensor(_rand((5, 7), np.random.default_rng(20)), requires_grad=True)
     # a fresh generator per evaluation repeats the mask
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.dropout(x, 0.3, np.random.default_rng(21)))), x)
+    _gc(lambda: tz.tsum(sigmoid(tz.dropout(x, 0.3, np.random.default_rng(21)))), x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -626,9 +648,19 @@ def test_grad_divide_mean_transpose():
 
     def loss():
         h = (a * b / 3.0).transpose(1, 0)
-        return tz.tmean(h * h) + tz.tsum(tz.sigmoid(tz.tmean(h, axis=0)))
+        return tz.tmean(h * h) + tz.tsum(sigmoid(tz.tmean(h, axis=0)))
 
     _gc(loss, a, b)
+
+
+def test_grad_transpose_negative_axes():
+    rng = np.random.default_rng(19)
+    a = Tensor(_rand((2, 3), rng), requires_grad=True)
+    tz.tsum(tz.transpose(a, (-1, 0)) * Tensor(_rand((3, 2), rng))).backward()
+    assert a.grad.shape == (2, 3)
+    b = Tensor(_rand((2, 3, 4), rng), requires_grad=True)
+    w = Tensor(_rand((4, 2, 3), rng))
+    _gc(lambda: tz.tsum(sigmoid(tz.transpose(b, (-1, 0, -2)) * w)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +705,7 @@ def test_conv_block_equals_the_four_node_chain(dtype, rate, seeded, x_grad):
 
 def test_grad_conv_block():
     x, k, b, pad, _, _, pool = _block_args(np.float64, 0.0, False)
-    _gc(lambda: tz.tsum(tz.sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
+    _gc(lambda: tz.tsum(sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
 
 
 def test_conv_block_overflow_names_conv2d():
@@ -729,7 +761,7 @@ def test_conv_block_graph_keeps_no_im2col_columns():
     assert forward <= 48 * 2 ** 20, forward / 2 ** 20
     assert backward <= 72 * 2 ** 20, backward / 2 ** 20
     # and a bare conv2d node keeps its output alone, no im2col columns
-    assert _held_by(lambda: tz.conv2d(x, k, b, (1, 1))) <= 1.02 * values * 4
+    assert _held_by(lambda: conv2d(x, k, b, (1, 1))) <= 1.02 * values * 4
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +790,10 @@ def test_backward_leaves_grads_on_the_weights_only():
     nodes = _graph(loss)
     ops = [t for t in nodes if t._backward is not None]
     # the exact size of this graph: each front-end layer is one conv_block
-    # node (the conv2d/elu/dropout/maxpool chain made it 212 and 109)
-    assert (len(nodes), len(ops)) == (203, 100)
+    # node (the conv2d/elu/dropout/maxpool chain made it 212 and 109), and
+    # the label term one label_nll node (log_softmax, reshape, take and a
+    # multiply by -1 made it 203 and 100)
+    assert (len(nodes), len(ops)) == (199, 97)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name
@@ -792,6 +826,26 @@ def test_a_repeated_parent_gets_both_contributions():
     np.testing.assert_array_equal(x.grad, w[:5] + w[5:])
 
 
+def test_backward_rejects_a_seed_of_the_wrong_shape():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = x * 2.0
+    for seed in (np.ones(3), np.ones((3, 2)), np.ones((1, 2, 3))):
+        with pytest.raises(DimensionError, match="gradient of shape"):
+            y.backward(seed)
+    assert x.grad is None
+
+
+def test_backward_rejects_an_op_gradient_of_the_wrong_shape():
+    # the transpose backward that inverted (-1, 0) with an argsort of the
+    # raw axes: it hands a (2, 3) leaf a (3, 2) gradient
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = Tensor._from_op(np.transpose(a.data, (-1, 0)), (a,),
+                          lambda g: (np.transpose(g, np.argsort((-1, 0))),), None)
+    with pytest.raises(DimensionError, match=r"\(3, 2\) for a node of shape \(2, 3\)"):
+        tz.tsum(out).backward()
+    assert a.grad is None
+
+
 def test_a_second_backward_adds_into_the_leaves():
     x = Tensor(np.arange(4.0), requires_grad=True)
     y = x * 2.0
@@ -813,11 +867,11 @@ def test_ops_are_pure_and_deterministic():
     rng = np.random.default_rng(16)
     x = _rand((1, 5, 6, 4), rng, np.float32)
     k = _rand((2, 4, 3, 3), rng, np.float32)
-    x_t = Tensor(x.copy())
-    first = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), (1, 1)).data
-    second = tz.conv2d(Tensor(x), Tensor(k), _no_bias(k), (1, 1)).data
+    x_copy = x.copy()
+    first = tz.conv2d(x, k, _no_bias(k), (1, 1))
+    second = tz.conv2d(x, k, _no_bias(k), (1, 1))
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(x_t.data, x)
+    np.testing.assert_array_equal(x_copy, x)
 
 
 def test_no_grad_builds_no_graph():

@@ -19,6 +19,7 @@ from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
                            train_step)
 
 from frontend_oracle import conv_block_chain
+from graph_ops import log_softmax, take
 
 
 def test_build_targets_ramps_and_labels():
@@ -58,8 +59,8 @@ def _masked_form_loss(logits, targets, weights):
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
         term = masked_mean(tz.bce_with_logits(logits[name], getattr(targets, name))) * w
         total = term if total is None else total + term
-    lsm = tz.log_softmax(logits["labels"], axis=-1)
-    picked = tz.take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
+    lsm = log_softmax(logits["labels"], axis=-1)
+    picked = take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
     return total + masked_mean(picked * -1.0) * weights[3]
 
 
@@ -75,14 +76,15 @@ def test_build_targets_ramp_under_half_a_frame_marks_the_boundary_alone():
     np.testing.assert_array_equal(t.boundary, want)
 
 
-def test_loss_is_bit_identical_to_the_masked_form():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_is_bit_identical_to_the_masked_form(dtype):
     cfg = tiny_config()
     spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
                                  num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
     targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab)
     rng = np.random.default_rng(6)
     t, vocab = spec.num_frames, len(cfg.label_vocab)
-    logits = {name: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    logits = {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
               for name, shape in (("beat", t), ("downbeat", t), ("boundary", t),
                                   ("labels", (t, vocab)))}
     weights = (1.0, 0.5, 2.0, 1.5)
