@@ -90,9 +90,10 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
     fb = filterbank()
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
     every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
-    block = 4096
-    for start in range(0, frames, block):
-        stop = min(start + block, frames)
+    # near-equal blocks of up to 4096 frames, none small enough for the
+    # small-GEMM kernel, so a frame's values do not depend on the length
+    bounds = tz._spans(frames, 4096, 1, fb.size)
+    for start, stop in zip(bounds, bounds[1:]):
         windows = every[start * HOP:(stop - 1) * HOP + 1:HOP]
         mag = np.abs(np.fft.rfft(windows * window, axis=1))
         out[start:stop] = np.log(1.0 + mag @ fb)

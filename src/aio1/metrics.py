@@ -108,6 +108,13 @@ def _max_matching(est: np.ndarray, ref: np.ndarray, tol: float) -> int:
     return count
 
 
+def _f_measure(p: float, r: float) -> float:
+    """Harmonic mean of two scores, 0 when either is 0."""
+    if p <= 0 or r <= 0:
+        return 0.0
+    return 2 * p * r / (p + r)
+
+
 def event_f1(est, ref, tol: float) -> tuple[float, float, float]:
     """F-measure, precision, recall of event lists at tolerance ``tol``.
 
@@ -124,9 +131,7 @@ def event_f1(est, ref, tol: float) -> tuple[float, float, float]:
     hits = _max_matching(est, ref, tol)
     precision = hits / est.size
     recall = hits / ref.size
-    if hits == 0:
-        return 0.0, precision, recall
-    return 2 * precision * recall / (precision + recall), precision, recall
+    return _f_measure(precision, recall), precision, recall
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +259,7 @@ def pairwise_f(est_segments: list[Segment], ref_segments: list[Segment],
         return 0.0, 0.0, 0.0
     precision = both / in_est
     recall = both / in_ref
-    if both == 0:
-        return 0.0, precision, recall
-    return 2 * precision * recall / (precision + recall), precision, recall
+    return _f_measure(precision, recall), precision, recall
 
 
 def entropy_scores(est_segments: list[Segment], ref_segments: list[Segment],
@@ -286,9 +289,7 @@ def entropy_scores(est_segments: list[Segment], ref_segments: list[Segment],
     s_under = 1.0 if n_ref == 1 else 1.0 - cond_entropy(joint.T) / np.log2(n_ref)
     s_over = float(np.clip(s_over, 0.0, 1.0))
     s_under = float(np.clip(s_under, 0.0, 1.0))
-    if s_over <= 0.0 or s_under <= 0.0:
-        return 0.0, s_over, s_under
-    return 2 * s_over * s_under / (s_over + s_under), s_over, s_under
+    return _f_measure(s_over, s_under), s_over, s_under
 
 
 # ---------------------------------------------------------------------------

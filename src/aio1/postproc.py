@@ -231,6 +231,16 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
 # boundary picking and labeling
 # ---------------------------------------------------------------------------
 
+def _window_max(x: np.ndarray, size: int) -> np.ndarray:
+    """``max(x[t:t + size])`` for every ``t`` up to ``x.size - size``: maxima
+    over doubling widths, then two overlapping ones per window."""
+    m, width = x, 1
+    while 2 * width <= size:
+        m = np.maximum(m[:-width], m[width:])
+        width *= 2
+    return np.maximum(m[:x.size - size + 1], m[size - width:])
+
+
 def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     """Boundary times from the boundary activation (no threshold).
 
@@ -247,7 +257,7 @@ def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     t_total = act.size
     if t_total == 0:
         return np.empty(0)
-    if ((act < 0) | (act > 1)).any():
+    if not ((act >= 0) & (act <= 1)).all():
         raise InputError("boundary activation outside [0, 1]")
 
     half = int(round(MEAN_WINDOW_S * fps / 2))
@@ -258,19 +268,13 @@ def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     n = act - local_mean
 
     eps = _REL_EPS * max(float(np.abs(act).max()), 1.0)
-    half_peak = int(round(PEAK_WINDOW_S * fps))
-    candidates = np.flatnonzero(n > eps)
-    picked = []
-    for t in candidates:
-        w_lo = max(t - half_peak, 0)
-        w_hi = min(t + half_peak + 1, t_total)
-        seg = n[w_lo:w_hi]
-        if n[t] < seg.max():
-            continue
-        if int(w_lo + seg.argmax()) != t:        # earlier equal value wins
-            continue
-        picked.append(t)
-    times = np.asarray(picked, dtype=np.float64) / fps
+    h = int(round(PEAK_WINDOW_S * fps))
+    padded = np.pad(n, h, constant_values=-np.inf)
+    peak = _window_max(padded, 2 * h + 1)                # n[t - h : t + h + 1]
+    # the h frames before each one: an earlier equal value wins
+    before = _window_max(padded, h)[:t_total] if h else -np.inf
+    picked = np.flatnonzero((n > eps) & (n >= peak) & (n > before))
+    times = picked / fps
     duration = t_total / fps
     keep = (times >= EDGE_S) & (times <= duration - EDGE_S)
     return times[keep]

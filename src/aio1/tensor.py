@@ -25,11 +25,10 @@ a non-finite leaf is caught by the first op that computes with it.
 A graph node exists only where training differentiates through one:
 elementwise ``add`` and ``mul``, the shape plumbing, sums and means, the
 biased :func:`linear`, layer normalisation, the GELU, attention over
-window slots (:func:`neighborhood_attention`), :func:`dropout`, the
-fused front-end layer :func:`conv_block`, which runs the ELU, and the
-two losses, :func:`bce_with_logits` and the per-frame label
-cross-entropy :func:`label_nll`. Dropout keeps a bool mask from one
-float32 draw per call, in call order.
+window slots (:func:`neighborhood_attention`), :func:`dropout` and the
+fused front-end layer :func:`conv_block`, which runs the ELU; the whole
+training loss is one node, ``training.multitask_loss``. Dropout keeps a
+bool mask from one float32 draw per call, in call order.
 
 Four ops are array functions that build no node. :func:`conv_block`
 calls two of them: 2-D cross-correlation with a fused bias
@@ -37,7 +36,8 @@ calls two of them: 2-D cross-correlation with a fused bias
 a whole im2col matrix) and max pooling (:func:`maxpool`); its backward
 calls their gradients, :func:`_conv2d_backward` and
 :func:`_maxpool_backward`. Inference applies the other two,
-:func:`sigmoid` and :func:`softmax`, to the logits.
+:func:`sigmoid` and :func:`softmax`, to the logits, and the loss's
+backward calls :func:`sigmoid`.
 
 The GELU is the exact-erf one. In float64 it uses
 ``scipy.special.erf``; in float32 it evaluates a rational erf
@@ -913,43 +913,6 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
 
     return Tensor._from_op(out.reshape(q.data.shape), (q, k, v, rpb), backward,
                            "neighborhood_attention")
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-element binary cross-entropy on logits; targets may be soft."""
-    z = logits.data
-    t = np.asarray(targets, dtype=z.dtype)
-    out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-
-    def backward(g):
-        return (g * (sigmoid(z) - t),)
-
-    return Tensor._from_op(out_data, (logits,), backward, "bce_with_logits")
-
-
-def label_nll(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-frame cross-entropy ``-log softmax(logits)[t, labels[t]]`` of
-    ``[T, V]`` logits against ``T`` class indices, as one node. It equals
-    the log-softmax, gather and negation chain bit for bit, gradients too."""
-    z = logits.data
-    rows = np.arange(z.shape[0])
-    labels = np.asarray(labels)
-    if z.ndim != 2 or labels.shape != rows.shape:
-        raise DimensionError(f"label_nll expects [T, V] logits and [T] labels, "
-                             f"got {z.shape} and {labels.shape}")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def backward(g):
-        d = np.exp(lsm) * g[:, None]
-        d[rows, labels] -= g
-        return (d,)
-
-    return Tensor._from_op(-lsm[rows, labels], (logits,), backward, "label_nll")
 
 
 def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,

@@ -5,7 +5,10 @@ neighbors a reduced weight (beats/downbeats) or a triangular ramp
 (boundaries), and every frame also carries a section-label class index.
 The loss is binary cross-entropy with logits for the three event tasks
 plus categorical cross-entropy for labels, each averaged over frames
-and summed with per-task weights.
+and summed with per-task weights. ``multitask_loss`` is one graph node
+with its own backward; it keeps the rounding order of the per-task
+chain of loss, sum, scale and add nodes, so its value and gradients
+equal that chain's bit for bit.
 
 ``train_step`` is one rectified-Adam step (decoupled weight decay) on
 one chunk; its graph is freed when it returns. ``train`` is the epoch
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, InputError, TrainingDiverged
+from .errors import ConfigError, DimensionError, InputError, TrainingDiverged
 from .frontend import StemSpectrogram
 from .metrics import Annotation, Beat
 from .model import (DEFAULT_VOCAB, ModelConfig, ModelWeights, forward_logits,
@@ -125,15 +128,41 @@ def build_targets(ann: Annotation, fps: float, frames: int,
 def multitask_loss(logits: dict[str, Tensor], targets: TrainingTargets,
                    weights: tuple[float, float, float, float] = (1.0,) * 4
                    ) -> Tensor:
-    """Mean BCE over frames per event task plus label cross-entropy."""
-    total = None
-    for w, (name, target) in zip(weights[:3], (("beat", targets.beat),
-                                               ("downbeat", targets.downbeat),
-                                               ("boundary", targets.boundary))):
-        term = tz.tmean(tz.bce_with_logits(logits[name], target)) * w
-        total = term if total is None else total + term
+    """Mean BCE over frames per event task plus mean label cross-entropy,
+    weighted and summed, as one graph node over the four logit heads.
 
-    return total + tz.tmean(tz.label_nll(logits["labels"], targets.labels)) * weights[3]
+    Each term is ``(sum over frames * dtype(1/T)) * dtype(w)`` and the total
+    ``((t0 + t1) + t2) + t3``, the order of a chain of per-frame loss, sum,
+    scale and add nodes, so value and logit gradients equal that chain's
+    bit for bit. A non-finite total raises :class:`NumericError`.
+    """
+    heads = [logits[name] for name in ("beat", "downbeat", "boundary", "labels")]
+    z, labels = heads[3].data, np.asarray(targets.labels)
+    events = [np.asarray(t, dtype=z.dtype)
+              for t in (targets.beat, targets.downbeat, targets.boundary)]
+    if (z.ndim != 2 or {a.shape for a in (*heads[:3], *events, labels)} != {z.shape[:1]}
+            or {h.dtype for h in heads} != {z.dtype}):
+        raise DimensionError(
+            f"multitask_loss expects [T] event logits and targets, [T, V] label logits "
+            f"of the same dtype and [T] labels, got logits {[h.shape for h in heads]}, "
+            f"targets {[t.shape for t in events]} and labels {labels.shape}")
+    rows = np.arange(labels.size)
+    inv, w = z.dtype.type(1.0 / labels.size), [z.dtype.type(x) for x in weights]
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    per_frame = [np.maximum(h.data, 0.0) - h.data * t + np.log1p(np.exp(-np.abs(h.data)))
+                 for h, t in zip(heads, events)] + [-lsm[rows, labels]]
+    t0, t1, t2, t3 = ((f.sum() * inv) * wk for f, wk in zip(per_frame, w))
+
+    def backward(g):
+        gs = [(g * wk) * inv for wk in w]
+        d = np.exp(lsm) * gs[3]
+        d[rows, labels] -= gs[3]
+        return tuple(gk * (tz.sigmoid(h.data) - t)
+                     for gk, h, t in zip(gs, heads, events)) + (d,)
+
+    return Tensor._from_op(np.asarray(((t0 + t1) + t2) + t3), heads, backward,
+                           "multitask_loss")
 
 
 # ---------------------------------------------------------------------------

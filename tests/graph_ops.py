@@ -1,9 +1,11 @@
 """Graph ops that only the tests build. The model runs every product
 through ``tz.linear``, the ELU, conv and pool inside ``tz.conv_block``,
-sigmoid and softmax as array functions at inference, and the label loss
-as ``tz.label_nll``. These nodes reuse the same helpers, so a
-``grad_check`` of a chain built from them checks the backward that
-training runs."""
+sigmoid and softmax as array functions at inference, and the whole loss
+as the one node ``training.multitask_loss``. These nodes reuse the same
+helpers, so a ``grad_check`` of a chain built from them checks the
+backward that training runs, and the per-task losses ``bce_with_logits``
+and ``label_nll`` are the chain that ``multitask_loss`` must equal bit
+for bit."""
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """The log-softmax node that ``tz.label_nll`` fuses with a gather."""
+    """The log-softmax node that :func:`label_nll` fuses with a gather."""
     zmax = np.max(x.data, axis=axis, keepdims=True)
     shifted = x.data - zmax
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -92,3 +94,41 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         return (np.moveaxis(dx, 0, axis),)
 
     return Tensor._from_op(out_data, (a,), backward, None)
+
+
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Per-element binary cross-entropy on logits; targets may be soft."""
+    z = logits.data
+    t = np.asarray(targets, dtype=z.dtype)
+    out_data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    return Tensor._from_op(out_data, (logits,), lambda g: (g * (tz.sigmoid(z) - t),),
+                           "bce_with_logits")
+
+
+def label_nll(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Per-frame cross-entropy ``-log softmax(logits)[t, labels[t]]`` of
+    ``[T, V]`` logits against ``T`` class indices, as one node. It equals
+    the :func:`log_softmax`, :func:`take` and negation chain bit for bit,
+    gradients too."""
+    z = logits.data
+    rows = np.arange(z.shape[0])
+    labels = np.asarray(labels)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def backward(g):
+        d = np.exp(lsm) * g[:, None]
+        d[rows, labels] -= g
+        return (d,)
+
+    return Tensor._from_op(-lsm[rows, labels], (logits,), backward, "label_nll")
+
+
+def per_task_loss(logits: dict, targets, weights) -> Tensor:
+    """``training.multitask_loss`` as the chain of per-task nodes it fuses:
+    ``tmean`` of each per-frame loss times its weight, added in task order."""
+    total = None
+    for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
+        term = tz.tmean(bce_with_logits(logits[name], getattr(targets, name))) * w
+        total = term if total is None else total + term
+    return total + tz.tmean(label_nll(logits["labels"], targets.labels)) * weights[3]

@@ -5,7 +5,7 @@ import pytest
 
 import aio1.tensor as tz
 from aio1.errors import ConfigError, InputError
-from aio1.frontend import (FFT_SIZE, SAMPLE_RATE, StemSpectrogram, compute_logspec,
+from aio1.frontend import (FFT_SIZE, HOP, SAMPLE_RATE, StemSpectrogram, compute_logspec,
                            filterbank, frontend_forward, init_frontend_weights,
                            pooled_bands, stems_from_audio)
 from aio1.tensor import Tensor
@@ -38,6 +38,18 @@ def test_sine_peaks_at_nearest_band():
     # interior frames only; edge frames see reflection-padding artifacts
     got = spec[10:-10].argmax(axis=1)
     assert (got == want).all()
+
+
+def test_spectrogram_frame_does_not_depend_on_track_length():
+    """A prefix of a track has the longer track's frames, up to the frames
+    whose window reaches past the prefix's end: 8,200 frames once left an
+    8-frame block that summed in another order (2.4e-7 off)."""
+    x = np.random.default_rng(40).standard_normal(9000 * HOP).astype(np.float32)
+    full = compute_logspec(x)
+    for frames in (4100, 8190, 8200, 8214):
+        inner = frames - FFT_SIZE // (2 * HOP) - 1
+        np.testing.assert_array_equal(compute_logspec(x[:frames * HOP])[:inner],
+                                      full[:inner], err_msg=str(frames))
 
 
 def test_empty_waveform_rejected():

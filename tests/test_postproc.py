@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aio1 import postproc
 from aio1.errors import InputError
 from aio1.postproc import (AnalysisResult, DbnConfig, Segment, dbn_decode,
                            label_segments, pick_boundaries)
@@ -166,6 +167,62 @@ def test_scale_invariance_zero_floor():
     ref = pick_boundaries(act, FPS)
     for alpha in (2.0, 0.5, 0.125):
         np.testing.assert_allclose(pick_boundaries(alpha * act, FPS), ref)
+
+
+def _pick_boundaries_loop(act: np.ndarray, fps: float) -> np.ndarray:
+    """``pick_boundaries`` as a loop over the candidate frames: a frame is
+    picked when it is above eps and the first maximum of its peak window."""
+    t_total = act.size
+    half = int(round(postproc.MEAN_WINDOW_S * fps / 2))
+    csum = np.concatenate([[0.0], np.cumsum(act)])
+    lo = np.maximum(np.arange(t_total) - half, 0)
+    hi = np.minimum(np.arange(t_total) + half + 1, t_total)
+    n = act - (csum[hi] - csum[lo]) / (hi - lo)
+    eps = postproc._REL_EPS * max(float(np.abs(act).max()), 1.0)
+    half_peak = int(round(postproc.PEAK_WINDOW_S * fps))
+    picked = []
+    for t in np.flatnonzero(n > eps):
+        w_lo = max(t - half_peak, 0)
+        seg = n[w_lo:min(t + half_peak + 1, t_total)]
+        if n[t] >= seg.max() and int(w_lo + seg.argmax()) == t:
+            picked.append(t)
+    times = np.asarray(picked, dtype=np.float64) / fps
+    keep = (times >= postproc.EDGE_S) & (times <= t_total / fps - postproc.EDGE_S)
+    return times[keep]
+
+
+def test_pick_boundaries_matches_the_loop():
+    """Random, quantised (many equal values) and plateau activations, from
+    one frame up, at frame rates down to 0.05 fps, where the peak window
+    is the frame alone."""
+    rng = np.random.default_rng(17)
+    cases = 0
+    for frames in (1, 2, 3, 8, 61, 400, 2500):
+        for fps in (0.05, 0.1, 0.4, 1.0, 2.5, 10.0, 100.0):
+            for kind in ("uniform", "levels", "plateaus", "bumps"):
+                if kind == "uniform":
+                    act = rng.random(frames)
+                elif kind == "levels":
+                    act = rng.integers(0, 3, frames) / 2.0
+                elif kind == "plateaus":
+                    act = np.repeat(rng.integers(0, 4, frames) / 3.0,
+                                    rng.integers(1, 40, frames))[:frames]
+                else:
+                    act = np.zeros(frames)
+                    act[rng.integers(0, frames, max(frames // 50, 1))] = 1.0
+                got = pick_boundaries(act, fps)
+                want = _pick_boundaries_loop(act, fps)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, err_msg=f"{frames} {fps} {kind}")
+                cases += 1
+    assert cases == 196
+
+
+def test_pick_boundaries_rejects_nan():
+    act = gaussian_bump(30.0, 0.8, 60.0)
+    act[100] = np.nan
+    with pytest.raises(InputError, match="outside"):
+        pick_boundaries(act, FPS)
 
 
 # ---------------------------------------------------------------------------

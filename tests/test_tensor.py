@@ -11,10 +11,12 @@ from aio1 import tensor as tz
 from aio1.errors import DimensionError, NumericError, ParameterError
 from aio1.model import forward_logits, init_weights, tiny_config
 from aio1.tensor import Tensor
-from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
+from aio1.training import (TrainConfig, TrainingTargets, build_targets, make_toy_dataset,
+                           multitask_loss)
 
 from frontend_oracle import conv_block_chain
-from graph_ops import conv2d, elu, log_softmax, matmul, maxpool, sigmoid, softmax, take
+from graph_ops import (bce_with_logits, conv2d, elu, label_nll, log_softmax, matmul, maxpool,
+                       sigmoid, softmax, take)
 from gradcheck import grad_check
 
 
@@ -495,11 +497,21 @@ def test_grad_log_softmax_and_bce():
     t = rng.random((6, 3))
 
     def loss():
-        a = tz.tsum(tz.bce_with_logits(z, t))
+        a = tz.tsum(bce_with_logits(z, t))
         b = tz.tsum(log_softmax(z, axis=-1) * -1.0)
         return a + b
 
     _gc(loss, z)
+
+
+def _loss_inputs(rng, frames, vocab):
+    """Float64 logits of the four heads and soft targets for ``multitask_loss``."""
+    logits = {name: Tensor(_rand(shape, rng), requires_grad=True)
+              for name, shape in (("beat", frames), ("downbeat", frames),
+                                  ("boundary", frames), ("labels", (frames, vocab)))}
+    targets = TrainingTargets(rng.random(frames), rng.random(frames), rng.random(frames),
+                              rng.integers(0, vocab, frames))
+    return logits, targets
 
 
 def test_grad_label_nll():
@@ -508,16 +520,52 @@ def test_grad_label_nll():
     labels = np.array([0, 4, 2, 2, 1, 3, 0])
     # a weight per frame, so each row's gradient differs
     w = Tensor(_rand(7, rng))
-    _gc(lambda: tz.tsum(tz.label_nll(z, labels) * w), z)
+    _gc(lambda: tz.tsum(label_nll(z, labels) * w), z)
+    # the one-node loss over all four heads, each with its own weight
+    logits, targets = _loss_inputs(rng, 7, 5)
+    _gc(lambda: multitask_loss(logits, targets, (1.0, 0.5, 2.0, 1.5)), *logits.values())
 
 
 def test_label_nll_checks_its_shapes():
-    z = Tensor(np.zeros((4, 3)))
+    rng = np.random.default_rng(15)
+    logits, targets = _loss_inputs(rng, 4, 3)
     for labels in (np.zeros(3, int), np.zeros((4, 1), int)):
-        with pytest.raises(DimensionError, match="label_nll"):
-            tz.label_nll(z, labels)
-    with pytest.raises(DimensionError, match="label_nll"):
-        tz.label_nll(Tensor(np.zeros(4)), np.zeros(4, int))
+        targets.labels = labels
+        with pytest.raises(DimensionError, match="multitask_loss"):
+            multitask_loss(logits, targets)
+    targets.labels = np.zeros(4, int)
+    with pytest.raises(DimensionError, match="multitask_loss"):
+        multitask_loss(dict(logits, labels=Tensor(np.zeros(4))), targets)
+    # an event head or target of another length, or logits of another dtype
+    with pytest.raises(DimensionError, match="multitask_loss"):
+        multitask_loss(dict(logits, beat=Tensor(np.zeros(5))), targets)
+    with pytest.raises(DimensionError, match="multitask_loss"):
+        multitask_loss(logits, TrainingTargets(np.zeros(3), targets.downbeat,
+                                               targets.boundary, targets.labels))
+    with pytest.raises(DimensionError, match="multitask_loss"):
+        multitask_loss(dict(logits, beat=Tensor(np.zeros(4, np.float32))), targets)
+    multitask_loss(logits, targets)
+
+
+@pytest.mark.parametrize("head", ["beat", "labels"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_fails_on_a_non_finite_logit(head, bad):
+    logits, targets = _loss_inputs(np.random.default_rng(16), 6, 3)
+    z = logits[head].data
+    z[(2, targets.labels[2]) if z.ndim == 2 else 2] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="multitask_loss"):
+        multitask_loss(logits, targets)
+
+
+def test_loss_of_a_minus_inf_logit_off_the_label_is_finite():
+    # probability 0 for a class that is not the frame's label costs nothing
+    logits, targets = _loss_inputs(np.random.default_rng(16), 6, 3)
+    off = (targets.labels[2] + 1) % 3
+    logits["labels"].data[2, off] = -np.inf
+    loss = multitask_loss(logits, targets)
+    loss.backward()
+    assert np.isfinite(loss.item()) and logits["labels"].grad[2, off] == 0
 
 
 def _slots():
@@ -791,9 +839,11 @@ def test_backward_leaves_grads_on_the_weights_only():
     ops = [t for t in nodes if t._backward is not None]
     # the exact size of this graph: each front-end layer is one conv_block
     # node (the conv2d/elu/dropout/maxpool chain made it 212 and 109), and
-    # the label term one label_nll node (log_softmax, reshape, take and a
-    # multiply by -1 made it 203 and 100)
-    assert (len(nodes), len(ops)) == (199, 97)
+    # the whole loss one multitask_loss node (three bce_with_logits, one
+    # label_nll, four sums, eight multiplies, three adds and eight constant
+    # leaves made it 199 and 97; log_softmax, reshape, take and a multiply
+    # by -1 in place of label_nll made it 203 and 100)
+    assert (len(nodes), len(ops)) == (173, 79)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name

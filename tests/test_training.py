@@ -19,7 +19,7 @@ from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
                            train_step)
 
 from frontend_oracle import conv_block_chain
-from graph_ops import log_softmax, take
+from graph_ops import bce_with_logits, log_softmax, per_task_loss, take
 
 
 def test_build_targets_ramps_and_labels():
@@ -57,7 +57,7 @@ def _masked_form_loss(logits, targets, weights):
 
     total = None
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
-        term = masked_mean(tz.bce_with_logits(logits[name], getattr(targets, name))) * w
+        term = masked_mean(bce_with_logits(logits[name], getattr(targets, name))) * w
         total = term if total is None else total + term
     lsm = log_softmax(logits["labels"], axis=-1)
     picked = take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
@@ -78,6 +78,9 @@ def test_build_targets_ramp_under_half_a_frame_marks_the_boundary_alone():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loss_is_bit_identical_to_the_masked_form(dtype):
+    """The one-node loss against two chains of ``graph_ops`` nodes: the
+    per-task ``bce_with_logits``/``label_nll`` form and the older masked
+    form with a log-softmax and a gather."""
     cfg = tiny_config()
     spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
                                  num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
@@ -87,17 +90,24 @@ def test_loss_is_bit_identical_to_the_masked_form(dtype):
     logits = {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
               for name, shape in (("beat", t), ("downbeat", t), ("boundary", t),
                                   ("labels", (t, vocab)))}
-    weights = (1.0, 0.5, 2.0, 1.5)
-    got = multitask_loss(logits, targets, weights)
-    got.backward()
-    got_grads = {k: v.grad for k, v in logits.items()}
-    for v in logits.values():
-        v.grad = None
-    want = _masked_form_loss(logits, targets, weights)
-    want.backward()
-    assert got.data.tobytes() == want.data.tobytes()
-    for k, v in logits.items():
-        np.testing.assert_array_equal(got_grads[k], v.grad, err_msg=k)
+    # the later cases' weights round differently in another order of the
+    # scalings, and a seed gradient other than 1 does so in the backward
+    for weights, seed in (((1.0, 0.5, 2.0, 1.5), 1.0), ((0.3, 0.7, 1.9, 1.3), 0.37),
+                          ((3.7, 1.3, 0.1, 2.9), 1.0), ((1.3, 3.7, 2.9, 0.1), 1.0)):
+        got = multitask_loss(logits, targets, weights)
+        got.backward(np.asarray(seed, dtype))
+        got_grads = {k: v.grad for k, v in logits.items()}
+        for oracle in (per_task_loss, _masked_form_loss):
+            for v in logits.values():
+                v.grad = None
+            want = oracle(logits, targets, weights)
+            want.backward(np.asarray(seed, dtype))
+            assert got.data.tobytes() == want.data.tobytes(), oracle.__name__
+            for k, v in logits.items():
+                np.testing.assert_array_equal(got_grads[k], v.grad,
+                                              err_msg=f"{oracle.__name__} {k}")
+        for v in logits.values():
+            v.grad = None
 
 
 def _step_from_seed(cfg):
