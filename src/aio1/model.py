@@ -10,11 +10,18 @@ branches, and funnels them through a position-wise MLP that widens to
 as ``dilation_base ** l`` with the block index, multiplying the temporal
 receptive field per block; stems are averaged before four per-frame
 heads emit beat, downbeat, boundary, and label scores.
+
+A training graph keeps, per block, the two attentions' probabilities and
+masks, the skip dropouts' masks and the block's activations at
+``[S, T, C]`` or ``[S, T, 2C]``. The MLP is one ``tz.checkpoint`` node that
+keeps only its input: its 8x hidden layer is computed again in the
+backward, from the same dropout draws.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +263,13 @@ class FrameActivations:
         return self.beat.shape[0]
 
 
+def _mlp(u: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+         b2: Tensor, rng: np.random.Generator | None, rate: float) -> Tensor:
+    """The position-wise MLP: layer norm, fc1, GELU, dropout, fc2."""
+    h = tz.gelu(tz.linear(tz.layer_norm(u, gain, bias), w1, b1))
+    return tz.linear(tz.dropout(h, rate, rng), w2, b2)
+
+
 def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelConfig,
                                rng: np.random.Generator | None = None) -> Tensor:
     """One transformer module over ``[S, T, C]``; an ``rng`` turns dropout on."""
@@ -272,10 +286,9 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
         branch_b = x
     u = tz.concat([branch_a, branch_b], axis=-1)            # [S, T, 2C]
 
-    h = tz.layer_norm(u, bw.norm2_g, bw.norm2_b)
-    h = tz.gelu(tz.linear(h, bw.mlp_w1, bw.mlp_b1))
-    h = tz.dropout(h, cfg.dropout_mlp, rng)
-    h = tz.linear(h, bw.mlp_w2, bw.mlp_b2)
+    h = tz.checkpoint(functools.partial(_mlp, rate=cfg.dropout_mlp),
+                      (u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
+                      rng)
     y = x + tz.dropout(h, cfg.dropout_skip, rng)
 
     if cfg.use_instrument_attention and bw.inst is not None:

@@ -29,6 +29,9 @@ window slots (:func:`neighborhood_attention`), :func:`dropout` and the
 fused front-end layer :func:`conv_block`, which runs the ELU; the whole
 training loss is one node, ``training.multitask_loss``. Dropout keeps a
 bool mask from one float32 draw per call, in call order.
+:func:`checkpoint` makes a segment of ops one node that keeps only the
+segment's inputs and a copy of its generator, and builds the segment's
+graph again in the backward; the model runs each block's MLP through it.
 
 Four ops are array functions that build no node. :func:`conv_block`
 calls two of them: 2-D cross-correlation with a fused bias
@@ -51,6 +54,7 @@ containers are dataclasses whose fields declare their names with
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import contextmanager
 from dataclasses import field, fields
@@ -71,15 +75,19 @@ Backward = Callable[[np.ndarray], tuple]
 
 
 @contextmanager
-def no_grad():
-    """Disable graph construction inside the block (inference mode)."""
+def _grad_mode(enabled: bool):
     global _grad_enabled
     prev = _grad_enabled
-    _grad_enabled = False
+    _grad_enabled = enabled
     try:
         yield
     finally:
         _grad_enabled = prev
+
+
+def no_grad():
+    """Disable graph construction inside the block (inference mode)."""
+    return _grad_mode(False)
 
 
 def grad_enabled() -> bool:
@@ -483,12 +491,22 @@ def _spans(length: int, step: int, least: int, work: int) -> list[int]:
     return [length * i // count for i in range(count + 1)]
 
 
+def _inside(offset: int, out_len: int, in_len: int) -> tuple[slice, slice]:
+    """The output positions ``p`` whose input position ``p + offset`` lies
+    in ``[0, in_len)``, and those input positions: one kernel tap's reach
+    into an unpadded axis."""
+    lo = max(0, -offset)
+    hi = max(lo, min(out_len, in_len - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
+
+
 def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
                      g: np.ndarray) -> tuple:
     """:func:`conv2d`'s gradients of x, kernels and bias, one group of
     kernel taps at a time: a group's im2col columns give its block of the
     kernel gradient, and its block of ``g @ kmat`` adds back into the
-    input pixels its columns were copied from, in tap order."""
+    input pixels its columns were copied from, in tap order. The adds skip
+    the padding, so ``dx`` is a C-contiguous ``[n, h, w, cin]`` array."""
     n, h, w, cin = x.data.shape
     cout, _, kh, kw = kernels.data.shape
     ph, pw = padding
@@ -497,20 +515,21 @@ def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
     kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, -1)
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if kernels.requires_grad else None
     dk = np.empty_like(kmat) if kernels.requires_grad else None
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), g.dtype) if x.requires_grad else None
+    dx = np.zeros(x.data.shape, g.dtype) if x.requires_grad else None
     bounds = _spans(kh * kw, 1, -(-_GROUP_COLUMNS // cin), cin * gcols.size)
     for lo, hi in zip(bounds, bounds[1:]):
         span = slice(lo * cin, hi * cin)
-        at = [(slice(None), slice(i, i + oh), slice(j, j + ow))
-              for i, j in (divmod(tap, kw) for tap in range(lo, hi))]
+        taps = [divmod(tap, kw) for tap in range(lo, hi)]
         if dk is not None:
-            cols = np.stack([xp[a] for a in at], axis=3)     # [n, oh, ow, taps, cin]
+            # [n, oh, ow, taps, cin]
+            cols = np.stack([xp[:, i:i + oh, j:j + ow] for i, j in taps], axis=3)
             dk[:, span] = gcols.T @ cols.reshape(gcols.shape[0], -1)
-        if dxp is not None:
+        if dx is not None:
             dcols = (gcols @ kmat[:, span]).reshape(n, oh, ow, hi - lo, cin)
-            for t, a in enumerate(at):
-                dxp[a] += dcols[:, :, :, t]
-    dx = None if dxp is None else dxp[:, ph:ph + h, pw:pw + w]
+            for t, (i, j) in enumerate(taps):
+                oy, iy = _inside(i - ph, oh, h)
+                ox, ix = _inside(j - pw, ow, w)
+                dx[:, iy, ix] += dcols[:, oy, ox, t]
     if dk is not None:
         dk = dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
     return dx, dk, _unbroadcast(g, (cout,))
@@ -657,14 +676,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # activations
 # ---------------------------------------------------------------------------
 
+# values per pass of the ELU and GELU: a chunk's input, output and
+# scratch buffers stay in cache
+_CHUNK = 16384
+
+
 def _elu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``max(a, 0) + expm1(min(a, 0))`` into ``out``, which may be ``a``: one
     of the two terms is always 0, so this equals ``np.where(a > 0, a,
-    expm1(a))`` bit for bit, in less time."""
-    neg = np.minimum(a, 0)
-    np.expm1(neg, out=neg)
-    out = np.maximum(a, 0, out=out)
-    out += neg
+    expm1(a))`` bit for bit, in less time. It runs over chunks of
+    ``_CHUNK`` values of a C-contiguous ``a`` and ``out``, against a zero
+    array: numpy's minimum and maximum take twice as long with a scalar
+    operand."""
+    out = np.empty(a.shape, a.dtype) if out is None else out
+    flat, oflat = a.reshape(-1), out.reshape(-1)
+    zero = np.zeros(min(_CHUNK, flat.size), a.dtype)
+    neg = np.empty_like(zero)
+    for lo in range(0, flat.size, _CHUNK):
+        xs, o = flat[lo:lo + _CHUNK], oflat[lo:lo + _CHUNK]
+        z, n = zero[:xs.size], neg[:xs.size]
+        np.minimum(xs, z, out=n)
+        np.expm1(n, out=n)
+        np.maximum(xs, z, out=o)
+        o += n
     return out
 
 
@@ -686,9 +720,8 @@ _PHI_C = tuple(np.float32(0.5 * c) for c in (
 # a changes no output, and keeps a^2 finite
 _PHI_CLAMP = np.float32(15.0)
 _INV_SQRT_2PI = np.float32(1.0 / math.sqrt(2.0 * math.pi))
-# values per pass: a chunk's input, output and three scratch buffers
-# stay in cache
-_CHUNK = 16384
+# the sign bit of a float32, as a uint32
+_SIGN_BIT = np.uint32(0x80000000)
 
 
 def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -696,18 +729,20 @@ def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
 
     ``gelu(x) = max(x, 0) - |x| Phi(-|x|)``, which subtracts the small
     tail term instead of rounding ``Phi`` near 1. The work runs in place
-    over chunks of ``_CHUNK`` values.
+    over chunks of ``_CHUNK`` values, and clamps and takes the maximum
+    against arrays, not scalars, as :func:`_elu` does.
     """
     flat = x.reshape(-1)
     gflat = None if g is None else g.reshape(-1)
     out = np.empty_like(flat)
     size = min(_CHUNK, flat.size)
     abs_buf, t_buf, e_buf = (np.empty(size, np.float32) for _ in range(3))
+    clamp, zero = np.full(size, _PHI_CLAMP), np.zeros(size, np.float32)
     for lo in range(0, flat.size, _CHUNK):
         xs, o = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
         a, t, e = abs_buf[:xs.size], t_buf[:xs.size], e_buf[:xs.size]
         np.abs(xs, out=a)
-        np.minimum(a, _PHI_CLAMP, out=a)
+        np.minimum(a, clamp[:xs.size], out=a)
         np.multiply(a, _PHI_P, out=t)
         t += 1
         np.reciprocal(t, out=t)
@@ -721,12 +756,17 @@ def _gelu_f32(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         o *= e                                  # Phi(-|x|)
         if gflat is None:
             o *= a
-            np.maximum(xs, 0, out=t)
+            np.maximum(xs, zero[:xs.size], out=t)
             np.subtract(t, o, out=o)
         else:
             # gelu'(x) = Phi(x) + x phi(x), Phi(x) = 1/2 + sign(x) (1/2 - Phi(-|x|))
             np.subtract(0.5, o, out=o)
-            np.copysign(o, xs, out=o)
+            # o is +0 or positive for every float32 x (checked for every
+            # clamped |x| in [0, 15]), so xor-ing x's sign bit into it is
+            # copysign(o, x) bit for bit, in a third of the time
+            sign = a.view(np.uint32)
+            np.bitwise_and(xs.view(np.uint32), _SIGN_BIT, out=sign)
+            np.bitwise_xor(o.view(np.uint32), sign, out=o.view(np.uint32))
             o += 0.5
             e *= xs
             e *= _INV_SQRT_2PI
@@ -980,3 +1020,38 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
 
     # maxpool has checked the values
     return Tensor._from_op(out_data, (x, kernels, bias), backward, None)
+
+
+# ---------------------------------------------------------------------------
+# recomputation
+# ---------------------------------------------------------------------------
+
+def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
+               rng: np.random.Generator | None) -> Tensor:
+    """``fn(*inputs, rng)`` as one node that keeps only its inputs and a
+    copy of ``rng``, not the graph ``fn`` builds (gradient checkpointing,
+    Chen et al., arXiv 1604.06174).
+
+    With no graph to record it is that call. Otherwise ``fn`` runs under
+    :func:`no_grad`. The backward runs it again with the graph on, over
+    fresh leaves that hold the same input arrays and with a generator in
+    the saved state, so every dropout mask is drawn again bit for bit, and
+    returns the leaves' gradients. Each backward replays the saved state,
+    so a second one works. ``fn`` takes its weights in ``inputs`` and draws
+    from ``rng`` alone; the outputs and gradients equal those of the plain
+    call bit for bit.
+    """
+    if not _grad_enabled or not any(t.requires_grad for t in inputs):
+        return fn(*inputs, rng)
+    saved = copy.deepcopy(rng)
+    with no_grad():
+        out = fn(*inputs, rng)
+
+    def backward(g):
+        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        with _grad_mode(True):
+            fn(*leaves, copy.deepcopy(saved)).backward(g)
+        return tuple(t.grad for t in leaves)
+
+    # fn's own ops have checked the values
+    return Tensor._from_op(out.data, inputs, backward, None)

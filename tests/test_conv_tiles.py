@@ -84,6 +84,28 @@ def test_conv2d_equals_the_whole_matrix_gemm(dtype, layer, stems, x_grad, tile, 
         assert any(lo % 131 for lo in bounds[1:-1])
 
 
+@pytest.mark.parametrize("shape,kernel,padding", [
+    ((4, 131, 27, 32), (3, 3), (1, 1)),     # the default conv2
+    ((2, 9, 5, 3), (1, 3), (0, 1)),
+    ((1, 2, 1, 3), (5, 5), (2, 3)),         # taps that miss the whole input
+    ((1, 6, 4, 2), (3, 1), (3, 0)),
+])
+def test_conv2d_backward_gives_an_unpadded_contiguous_input_gradient(shape, kernel, padding):
+    # each tap adds straight into [n, h, w, cin], skipping the padding,
+    # so Tensor.backward takes dx as it is, with no copy
+    rng = np.random.default_rng(62)
+    (n, h, w, cin), (kh, kw), (ph, pw) = shape, kernel, padding
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((5, cin, kh, kw)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((n, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, 5)).astype(np.float32)
+    dx, dk, db = tz._conv2d_backward(x, k, padding, g)
+    want_dx, want_dk, want_db = frontend_oracle._conv2d_backward(x, k, padding, g)
+    assert dx.shape == shape and dx.flags.c_contiguous
+    np.testing.assert_array_equal(dx, want_dx, err_msg=BLAS_NOTE)
+    np.testing.assert_array_equal(dk, want_dk, err_msg=BLAS_NOTE)
+    np.testing.assert_array_equal(db, want_db)
+
+
 @pytest.mark.parametrize("length,step,least,work", [
     (524, 101, 1, 81 * 9 * 32),        # conv1 rows, at the default tile
     (524, 3, 1, 81 * 9 * 32),          # ... at a 250-position tile
