@@ -17,17 +17,22 @@ importing the package loads no scipy module.
 The feature extractor applies three conv + ELU + frequency-pool stages,
 with dropout before each pool when training, and weights shared across
 stems, then a linear map down to the embedding size. Each stage is one
-``tz.conv_block`` graph node, which keeps its ELU output, its bool dropout
-mask and its pooled output, but no im2col columns and no conv or dropout
-output. Its conv and pool are the array functions ``tz.conv2d`` and
-``tz.maxpool``, which build no node of their own. The conv copies the
-im2col windows in tiles of about 8,192 output positions, and the
-backward one group of kernel taps at a time, so neither holds the whole
-im2col matrix. Time resolution is never reduced;
-only the frequency axis shrinks.
-Activations are channels last, ``[stems, frames, bands, channels]``. At
-inference the model runs it over fixed-size time tiles with a 2-frame halo
-(``aio1.model._frontend``), so its memory does not grow with the track.
+``tz.conv_block`` graph node, which keeps its ELU output, the caller's
+bool dropout mask and its pooled output, but no im2col columns and no
+conv or dropout output. Its conv and pool are the array functions
+``tz.conv2d`` and ``tz.maxpool``, which build no node of their own. The
+conv copies the im2col windows in tiles of about 8,192 output positions,
+and the backward one group of kernel taps at a time, so neither holds the
+whole im2col matrix. Time resolution is never reduced; only the
+frequency axis shrinks.
+Activations are channels last, ``[stems, frames, bands, channels]``.
+
+The model runs the extractor over fixed-size time tiles with a 2-frame
+halo (``aio1.model._frontend``), in training and at inference alike, so
+one tile's activations are alive at a time. The dropout keep masks are
+drawn for the whole track first (:func:`frontend_masks`, 1 byte per conv
+output value) and each tile takes its slice, so the tiles see the masks
+one whole-track call would.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,8 +106,10 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
     every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
     workers = len(os.sched_getaffinity(0))
-    # near-equal blocks of up to 4096 frames, none small enough for the
-    # small-GEMM kernel, so a frame's values do not depend on the length
+    # near-equal blocks of up to 4096 frames. On a track of more than
+    # _SMALL_GEMM // fb.size (12) frames no block is small enough for the
+    # small-GEMM kernel, so a frame's values do not depend on the length;
+    # a shorter track is one block, which that kernel may sum differently
     bounds = tz._spans(frames, 4096, 1, fb.size)
     for start, stop in zip(bounds, bounds[1:]):
         windows = every[start * HOP:(stop - 1) * HOP + 1:HOP]
@@ -199,21 +207,41 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
 TIME_REACH = 2
 
 
+def frontend_masks(shape: tuple[int, int, int], w: FrontendWeights,
+                   pool_widths: tuple[int, ...], rate: float,
+                   rng: np.random.Generator | None) -> list[np.ndarray | None]:
+    """The dropout keep masks of the three conv layers for an input of
+    ``shape`` ``[S, T, bands]``: one bool ``[S, T, F, C]`` array per layer,
+    the shape of its conv output, drawn from ``rng`` in layer order; None
+    each, with no draw, without ``rng`` or at rate 0. This is the one place
+    the front end draws from a generator."""
+    s, t, bands = shape
+    masks = []
+    for kernels, pool in zip((w.conv1_w, w.conv2_w, w.conv3_w), pool_widths):
+        keep, _ = tz._dropout_mask((s, t, bands, kernels.shape[0]), rate, rng,
+                                   kernels.dtype)
+        masks.append(keep)
+        bands = -(-bands // pool)
+    return masks
+
+
 def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...],
-                     dropout_rate: float, rng: np.random.Generator | None = None) -> Tensor:
+                     dropout_rate: float,
+                     masks: Sequence[np.ndarray | None] = (None, None, None)) -> Tensor:
     """Per-stem embeddings ``[S, T, C]`` from spectrograms ``[S, T, bands]``.
 
     All stems share the same weights; time resolution is preserved (the
-    convolutions pad the time axis, pooling only touches frequency). An
-    ``rng`` turns dropout on.
+    convolutions pad the time axis, pooling only touches frequency). The
+    ``masks`` of :func:`frontend_masks`, or their slices for a span of
+    frames, turn dropout on.
     """
     s, t, bands = x.shape
     check_frontend_plan(bands, pool_widths)
     h = x.reshape(s, t, bands, 1)
     convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
              (w.conv3_w, w.conv3_b, (0, 1)))
-    for (kw_, kb, pad), pool in zip(convs, pool_widths):
-        h = tz.conv_block(h, kw_, kb, pad, dropout_rate, rng, pool)
+    for (kw_, kb, pad), pool, keep in zip(convs, pool_widths, masks):
+        h = tz.conv_block(h, kw_, kb, pad, dropout_rate, keep, pool)
     # [S, T, F, c3] -> [S, T, c3 * F], channel-major like the rows of proj_w
     h = h.transpose(0, 1, 3, 2).reshape(s, t, -1)
     return tz.linear(h, w.proj_w, w.proj_b)

@@ -11,6 +11,12 @@ as ``dilation_base ** l`` with the block index, multiplying the temporal
 receptive field per block; stems are averaged before four per-frame
 heads emit beat, downbeat, boundary, and label scores.
 
+The conv front end runs as one loop over fixed time tiles, in training
+and at inference alike. Under a graph each tile is one ``tz.checkpoint``
+node, which keeps only the tile's input view and output, and the graph
+keeps the front end's three dropout masks, drawn up front for the whole
+track; the tile's conv activations are computed again in the backward.
+
 A training graph keeps, per block, the two attentions' probabilities and
 masks, the skip dropouts' masks and the block's activations at
 ``[S, T, C]`` or ``[S, T, 2C]``. The MLP is one ``tz.checkpoint`` node that
@@ -31,12 +37,12 @@ from .attention import AttentionConfig, AttentionWeights, init_attention_weights
 from .errors import ConfigError, InputError
 from .frontend import (FPS, TIME_REACH, FrontendWeights, StemSpectrogram,
                        check_frontend_plan, filterbank, frontend_forward,
-                       init_frontend_weights)
+                       frontend_masks, init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
 
-# frames per front-end time tile at inference. Every tile has this many
-# frames, so each GEMM sees the same shapes and float32 outputs stay
+# frames per front-end time tile. Every tile of a longer track has this
+# many frames, so each GEMM sees the same shapes and float32 outputs stay
 # bit-identical to one whole-track call (a shorter tail tile does not)
 _TILE_FRAMES = 256
 
@@ -299,43 +305,62 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
     return y
 
 
+def _frontend_tile(x: Tensor, *weights: Tensor, cfg: ModelConfig,
+                   masks: list[np.ndarray | None]) -> Tensor:
+    """``frontend_forward`` over one tile; ``weights`` are the front-end
+    weights in field order, then the generator ``tz.checkpoint`` passes,
+    unused, since the masks are drawn up front."""
+    return frontend_forward(x, FrontendWeights(*weights[:-1]), cfg.pool_widths,
+                            cfg.dropout_conv, masks)
+
+
 def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
               rng: np.random.Generator | None) -> Tensor:
-    """``frontend_forward`` over the whole track, or, at inference (no rng,
-    no graph) on tracks longer than one tile, over ``_TILE_FRAMES`` tiles.
+    """``frontend_forward`` over ``_TILE_FRAMES`` time tiles, in training
+    and at inference alike.
 
-    A tile's input carries ``TIME_REACH`` frames of context on each side,
-    clipped at the track ends, and only its own frames are kept. The last
-    tile is aligned to the track end and keeps only the frames no earlier
-    tile produced. The loop stays outside ``frontend_forward``, because
-    ``bench/tracer.py`` names the conv spans by their index in each call.
+    The three dropout masks are drawn once, for the whole track, and each
+    tile takes its slice, so a halo frame gets the mask its neighbour
+    uses. A tile's input carries ``TIME_REACH`` frames of context on each
+    side, clipped at the track ends, and only its own frames are kept.
+    The last tile is aligned to the track end and keeps only the frames
+    no earlier tile produced. Under a graph each tile is one
+    ``tz.checkpoint`` node, which keeps its input view and output, and
+    runs the tile again in the backward; so one tile's activations are
+    alive at a time. With no graph it is the plain call. ``tz.stitch``
+    cuts the kept frames out and lays them end to end as one node. The
+    loop stays outside ``frontend_forward``, because ``bench/tracer.py``
+    names the conv spans by their index in each call.
     """
     t = x.shape[1]
-    if rng is not None or tz.grad_enabled() or t <= _TILE_FRAMES:
-        return frontend_forward(Tensor(x), w, cfg.pool_widths,
-                                cfg.dropout_conv, rng)
-    out = np.empty((x.shape[0], t, w.proj_b.shape[0]), dtype=x.dtype)
-    done = 0
-    while done < t:
-        start = min(done, t - _TILE_FRAMES)
-        stop = start + _TILE_FRAMES
-        lo = max(start - TIME_REACH, 0)
-        h = frontend_forward(Tensor(x[:, lo:min(stop + TIME_REACH, t)]), w,
-                             cfg.pool_widths, cfg.dropout_conv)
-        out[:, done:stop] = h.data[:, done - lo:stop - lo]
-        done = stop
-    return Tensor(out)
+    masks = frontend_masks(x.shape, w, cfg.pool_widths, cfg.dropout_conv, rng)
+    weights = [tensor for _, tensor in tz.named(w, "")]
+
+    def tiles():
+        done = 0
+        while done < t:
+            start = max(min(done, t - _TILE_FRAMES), 0)
+            stop = min(start + _TILE_FRAMES, t)
+            lo, hi = max(start - TIME_REACH, 0), min(stop + TIME_REACH, t)
+            tile = functools.partial(_frontend_tile, cfg=cfg,
+                                     masks=[m if m is None else m[:, lo:hi] for m in masks])
+            yield (tz.checkpoint(tile, [Tensor(x[:, lo:hi])] + weights, None),
+                   slice(done - lo, stop - lo))
+            done = stop
+
+    return tz.stitch(tiles(), t, axis=1)
 
 
 def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
                    rng: np.random.Generator | None = None) -> dict[str, Tensor]:
     """Raw head outputs from spectrogram values ``[S, T, bands]``.
 
-    An ``rng`` means training: every dropout site draws its mask from it.
-    Without one the pass is inference; if it also records no graph, the
-    front end runs over fixed time tiles with a 2-frame halo, so its
-    memory does not grow with the track, and the outputs equal one
-    whole-track call.
+    An ``rng`` means training: every dropout site draws its mask from it,
+    the front end's three first, for the whole track. Without one the
+    pass is inference. Either way the front end runs over fixed time
+    tiles with a 2-frame halo, so its activations do not grow with the
+    track, and the outputs equal one whole-track call; under a graph each
+    tile is computed again in the backward.
     """
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:

@@ -18,7 +18,7 @@ only leaves keep theirs, and a second backward adds to them.
 Every op that computes new values raises :class:`NumericError` as soon
 as it produces a NaN or Inf, so a diverging computation fails at the op
 that broke, not three modules later. The shape-only ops (``reshape``,
-``transpose``, ``concat``) only view or copy values and skip the check;
+``transpose``, ``stitch``, ``concat``) only view or copy values and skip the check;
 a non-finite leaf is caught by the first op that computes with it.
 :func:`conv_block` leaves its checks to the conv and pool it calls.
 
@@ -27,11 +27,13 @@ elementwise ``add`` and ``mul``, the shape plumbing, sums and means, the
 biased :func:`linear`, layer normalisation, the GELU, attention over
 window slots (:func:`neighborhood_attention`), :func:`dropout` and the
 fused front-end layer :func:`conv_block`, which runs the ELU; the whole
-training loss is one node, ``training.multitask_loss``. Dropout keeps a
-bool mask from one float32 draw per call, in call order.
-:func:`checkpoint` makes a segment of ops one node that keeps only the
-segment's inputs and a copy of its generator, and builds the segment's
-graph again in the backward; the model runs each block's MLP through it.
+training loss is one node, ``training.multitask_loss``. :func:`dropout`
+keeps a bool mask from one float32 draw per call, in call order;
+:func:`conv_block` takes its mask from the caller. :func:`checkpoint`
+makes a segment of ops one node that keeps only the segment's inputs and
+a copy of its generator, and builds the segment's graph again in the
+backward; the model runs each block's MLP and each front-end time tile
+through it, and :func:`stitch` joins the tiles' own frames.
 
 Four ops are array functions that build no node. :func:`conv_block`
 calls two of them: 2-D cross-correlation with a fused bias
@@ -88,11 +90,6 @@ def _grad_mode(enabled: bool):
 def no_grad():
     """Disable graph construction inside the block (inference mode)."""
     return _grad_mode(False)
-
-
-def grad_enabled() -> bool:
-    """Whether operations record a graph (False inside :func:`no_grad`)."""
-    return _grad_enabled
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -375,19 +372,50 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, None)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ParameterError("concat of zero tensors")
-    for t in tensors[1:]:
-        _require_same_dtype(tensors[0], t, "concat")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def stitch(parts: Iterable[tuple[Tensor, slice]], length: int, axis: int = 0) -> Tensor:
+    """The ``keep`` span along ``axis`` of each ``(part, keep)``, laid end
+    to end into an axis of ``length`` entries, as one node. Its backward
+    gives each part its span of the gradient and zeros elsewhere.
+
+    ``parts`` may be a generator: each part is copied in as it comes and
+    kept afterwards only as a parent of the graph, so with no graph to
+    record the parts do not pile up.
+    """
+    out = None
+    kept = []                       # (part, keep, its span of the output)
+    at = 0
+    for part, keep in parts:
+        if out is None:
+            axis %= part.ndim
+            cut = (slice(None),) * axis
+            out = np.empty(part.shape[:axis] + (length,) + part.shape[axis + 1:], part.dtype)
+        _require_same_dtype(out, part, "stitch")
+        piece = part.data[cut + (keep,)]
+        span = slice(at, at + piece.shape[axis])
+        out[cut + (span,)] = piece
+        at = span.stop
+        if _grad_enabled and part.requires_grad:
+            kept.append((part, keep, span))
+    if out is None:
+        raise ParameterError("stitch of zero parts")
+    if at != length:
+        raise DimensionError(f"stitch: parts fill {at} of {length} entries")
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        grads = []
+        for part, keep, span in kept:
+            d = np.zeros(part.shape, g.dtype)
+            d[cut + (keep,)] = g[cut + (span,)]
+            grads.append(d)
+        return tuple(grads)
 
-    return Tensor._from_op(out_data, tuple(tensors), backward, None)
+    return Tensor._from_op(out, [part for part, _, _ in kept], backward, None)
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """``tensors`` laid end to end along ``axis``: :func:`stitch` of whole parts."""
+    return stitch([(t, slice(None)) for t in tensors],
+                  sum(t.shape[axis] for t in tensors), axis)
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -988,25 +1016,29 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int],
-               rate: float, rng: np.random.Generator | None, pool: int) -> Tensor:
-    """``maxpool(dropout(elu(conv2d(x, kernels, bias, padding)), rate, rng),
-    axis=2, width=pool)`` as one node, bit-identical to that chain.
+               rate: float, keep: np.ndarray | None, pool: int) -> Tensor:
+    """``maxpool(elu(conv2d(x, kernels, bias, padding)) * scale * keep,
+    axis=2, width=pool)`` as one node, with ``scale = 1 / (1 - rate)``;
+    without a ``keep`` mask there is no dropout.
 
-    The forward calls the array functions :func:`conv2d` and
-    :func:`maxpool` by module name: the benchmark tracer times the front
-    end by swapping those two module attributes, and a non-finite conv
-    output still fails as ``conv2d``. The ELU runs in place on the conv
-    output, and the dropout mask is drawn between the ELU and the pool, at
-    the chain's point in the ``rng`` stream. Besides its input, the graph
-    keeps only the ELU output, the bool mask and the pooled output. The
-    backward recomputes the dropout output from the first two, routes the
-    pool gradient to each window's first maximum, applies the mask and the
-    ELU slope, and hands the result to :func:`_conv2d_backward`, which
-    copies the input's windows one group of kernel taps at a time.
+    ``keep`` is a bool array of the conv output's shape that the caller
+    draws (``aio1.frontend.frontend_masks``), so a time tile can take its
+    slice of a whole track's mask. The forward calls the array functions
+    :func:`conv2d` and :func:`maxpool` by module name: the benchmark
+    tracer times the front end by swapping those two module attributes,
+    and a non-finite conv output still fails as ``conv2d``. The ELU runs in
+    place on the conv output. Besides its input and the mask, the graph
+    keeps only the ELU output and the pooled output. The backward
+    recomputes the dropout output from those two, routes the pool gradient
+    to each window's first maximum, applies the mask and the ELU slope,
+    and hands the result to :func:`_conv2d_backward`, which copies the
+    input's windows one group of kernel taps at a time.
     """
     act = conv2d(x.data, kernels.data, bias.data, padding)
+    if keep is not None and keep.shape != act.shape:
+        raise DimensionError(f"conv_block: mask {keep.shape} for a conv output {act.shape}")
     _elu(act, out=act)
-    keep, scale = _dropout_mask(act.shape, rate, rng, act.dtype)
+    scale = act.dtype.type(1.0 / (1.0 - rate))
     dropped = act if keep is None else _dropout_scale(act, keep, scale)
     out_data = maxpool(dropped, 2, pool)
 

@@ -71,8 +71,13 @@ def conv2d_node(x, kernels, bias, padding=(0, 0)):
                            lambda g: _conv2d_backward(x, kernels, padding, g), "conv2d")
 
 
-def conv_block_chain(x, kernels, bias, padding, rate, rng, pool):
+def conv_block_chain(x, kernels, bias, padding, rate, keep, pool):
     """``tz.conv_block`` built from one graph node per step: the
-    whole-matrix conv2d, ELU, dropout and the frequency max-pool."""
+    whole-matrix conv2d, ELU, dropout with the caller's ``keep`` mask and
+    the frequency max-pool."""
     h = elu(conv2d_node(x, kernels, bias, padding))
-    return maxpool(tz.dropout(h, rate, rng), axis=2, width=pool)
+    if keep is not None:
+        scale = h.dtype.type(1.0 / (1.0 - rate))
+        h = Tensor._from_op(tz._dropout_scale(h.data, keep, scale), (h,),
+                            lambda g: (tz._dropout_scale(g, keep, scale),), "dropout")
+    return maxpool(h, axis=2, width=pool)

@@ -120,7 +120,7 @@ def test_without_a_graph_it_is_the_plain_call():
     calls = []
 
     def fn(a, rng):
-        calls.append(tz.grad_enabled())
+        calls.append(tz._grad_enabled)
         return a * 2.0
 
     x = Tensor(np.ones(3), requires_grad=True)

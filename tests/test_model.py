@@ -439,13 +439,17 @@ def test_model_forward_in_tiles_equals_whole_track_forward(monkeypatch):
         np.testing.assert_array_equal(getattr(tiled, key), getattr(whole, key))
 
 
-def test_graph_recording_forward_runs_the_front_end_whole(monkeypatch):
+def test_graph_recording_forward_runs_the_front_end_in_checkpointed_tiles(monkeypatch):
     cfg = tiny_config()
     w = init_weights(cfg, seed=17)
     calls = _record_frontend_calls(monkeypatch)
-    logits = forward_logits(random_spec(cfg, 600, seed=18).values, w, cfg)
-    assert calls == [600]
+    logits = forward_logits(random_spec(cfg, 600, seed=18).values, w, cfg,
+                            np.random.default_rng(19))
+    # tiles of 256, 256 and the last 256 frames, with a 2-frame halo
+    assert calls == [258, 260, 258]
     (logits["beat"].sum() + logits["labels"].sum()).backward()
+    # each tile's checkpoint runs it again in the backward
+    assert sorted(calls[3:]) == sorted(calls[:3])
     for name, t in tz.named(w.frontend, "frontend"):
         assert t.grad is not None and np.abs(t.grad).max() > 0, name
 
