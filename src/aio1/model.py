@@ -41,9 +41,11 @@ from .frontend import (FPS, TIME_REACH, FrontendWeights, StemSpectrogram,
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
 
-# frames per front-end time tile. Every tile of a longer track has this
-# many frames, so each GEMM sees the same shapes and float32 outputs stay
-# bit-identical to one whole-track call (a shorter tail tile does not)
+# frames per front-end time tile; the last tile ends at the track's end, so
+# only a shorter track makes a shorter one. float32 outputs equal one
+# whole-track call bit for bit while each tile's projection GEMM has more
+# than tz._SMALL_GEMM multiply-adds: 218 frames or more at the default
+# preset ([4, T, 192] @ [192, 24]); at 217 its rows differ
 _TILE_FRAMES = 256
 
 

@@ -23,17 +23,18 @@ a non-finite leaf is caught by the first op that computes with it.
 :func:`conv_block` leaves its checks to the conv and pool it calls.
 
 A graph node exists only where training differentiates through one:
-elementwise ``add`` and ``mul``, the shape plumbing, sums and means, the
-biased :func:`linear`, layer normalisation, the GELU, attention over
-window slots (:func:`neighborhood_attention`), :func:`dropout` and the
-fused front-end layer :func:`conv_block`, which runs the ELU; the whole
-training loss is one node, ``training.multitask_loss``. :func:`dropout`
-keeps a bool mask from one float32 draw per call, in call order;
-:func:`conv_block` takes its mask from the caller. :func:`checkpoint`
-makes a segment of ops one node that keeps only the segment's inputs and
-a copy of its generator, and builds the segment's graph again in the
-backward; the model runs each block's MLP and each front-end time tile
-through it, and :func:`stitch` joins the tiles' own frames.
+the residual ``add``, the shape plumbing, the mean over the stems
+(:func:`tmean`), the biased :func:`linear`, layer normalisation, the
+GELU, attention over window slots (:func:`neighborhood_attention`),
+:func:`dropout` and the fused front-end layer :func:`conv_block`, which
+runs the ELU; the whole training loss is one node,
+``training.multitask_loss``. :func:`dropout` keeps a bool mask from one
+float32 draw per call, in call order; :func:`conv_block` takes its mask
+from the caller. :func:`checkpoint` makes a segment of ops one node that
+keeps only the segment's inputs and a copy of its generator, and builds
+the segment's graph again in the backward; the model runs each block's
+MLP and each front-end time tile through it, and :func:`stitch` joins
+the tiles' own frames.
 
 Four ops are array functions that build no node. :func:`conv_block`
 calls two of them: 2-D cross-correlation with a fused bias
@@ -230,24 +231,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, 1.0 / float(other))
-
     def reshape(self, *shape):
         return reshape(self, *shape)
 
     def transpose(self, *axes):
         return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
@@ -296,12 +284,6 @@ def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return Tensor(rng.uniform(-bound, bound, shape).astype(dtype))
 
 
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
     if g.shape == shape:
@@ -324,8 +306,7 @@ def _require_same_dtype(a: Tensor | np.ndarray, b: Tensor | np.ndarray, op: str)
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_dtype(a, b, "add")
     out_data = a.data + b.data
 
@@ -333,18 +314,6 @@ def add(a: Tensor, b) -> Tensor:
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return Tensor._from_op(out_data, (a, b), backward, "add")
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _require_same_dtype(a, b, "mul")
-    out_data = a.data * b.data
-
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-
-    return Tensor._from_op(out_data, (a, b), backward, "mul")
 
 
 # ---------------------------------------------------------------------------
@@ -432,24 +401,25 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return scatter @ rows
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return Tensor._from_op(np.asarray(out_data), (a,), backward, "sum")
-
-
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """The mean over ``axis`` (every axis when None) as one node: the sum
+    times ``dtype(1 / count)``, and in the backward that scaled gradient
+    spread back over the summed axes."""
     if axis is None:
         count = a.data.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis, keepdims), 1.0 / count)
+    inv = a.data.dtype.type(1.0 / count)
+    out_data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims) * inv)
+
+    def backward(g):
+        g = g * inv
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return Tensor._from_op(out_data, (a,), backward, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +909,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     logits -= logits.max(axis=0)
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=0)
-    used = probs if keep is None else probs * keep * scale
+    used = probs if keep is None else _dropout_scale(probs, keep, scale)
     out = np.zeros(qd.shape, dtype)
     for j, rows, _, _, vg in walk(vd):
         w = spread(used[j, rows], onehot, prod[rows])
@@ -948,7 +918,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
 
     def backward(g):
         g = g.reshape(qd.shape)
-        used = probs if keep is None else probs * keep * scale
+        used = probs if keep is None else _dropout_scale(probs, keep, scale)
         cols = np.stack([s.idx for s, first in zip(slots, starts) if first])
         dprobs = np.zeros(probs.shape, dtype)
         dq = np.zeros(qd.shape, dtype)
@@ -962,7 +932,7 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
             w *= g[rows]
             dvg[col, keys] += w
         if keep is not None:
-            dprobs *= keep * scale
+            dprobs = _dropout_scale(dprobs, keep, scale)
         dprobs -= (probs * dprobs).sum(axis=0)
         dlogits = np.multiply(probs, dprobs, out=dprobs)
         index = np.arange(heads) * table + np.stack([s.rel for s in slots])[..., None]

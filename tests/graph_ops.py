@@ -1,16 +1,44 @@
 """Graph ops that only the tests build. The model runs every product
 through ``tz.linear``, the ELU, conv and pool inside ``tz.conv_block``,
-sigmoid and softmax as array functions at inference, and the whole loss
-as the one node ``training.multitask_loss``. These nodes reuse the same
-helpers, so a ``grad_check`` of a chain built from them checks the
-backward that training runs, and the per-task losses ``bce_with_logits``
-and ``label_nll`` are the chain that ``multitask_loss`` must equal bit
-for bit."""
+sigmoid and softmax as array functions at inference, its one mean as
+``tz.tmean`` and the whole loss as the one node
+``training.multitask_loss``. These nodes reuse the same helpers, so a
+``grad_check`` of a chain built from them checks the backward that
+training runs. ``mul`` (which takes a plain number as a constant leaf)
+and ``tsum`` reduce a grad check's output to a scalar, and the per-task
+losses ``bce_with_logits`` and ``label_nll``, scaled by ``mul``, are the
+chain that ``multitask_loss`` must equal bit for bit."""
 
 import numpy as np
 
 from aio1 import tensor as tz
 from aio1.tensor import Tensor
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product with broadcasting; a plain number ``b`` becomes
+    a constant leaf of ``a``'s dtype."""
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    tz._require_same_dtype(a, b, "mul")
+    out_data = a.data * b.data
+
+    def backward(g):
+        return (tz._unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                tz._unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+    return Tensor._from_op(out_data, (a, b), backward, "mul")
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return Tensor._from_op(np.asarray(out_data), (a,), backward, "sum")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -129,6 +157,6 @@ def per_task_loss(logits: dict, targets, weights) -> Tensor:
     ``tmean`` of each per-frame loss times its weight, added in task order."""
     total = None
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
-        term = tz.tmean(bce_with_logits(logits[name], getattr(targets, name))) * w
+        term = mul(tz.tmean(bce_with_logits(logits[name], getattr(targets, name))), w)
         total = term if total is None else total + term
-    return total + tz.tmean(label_nll(logits["labels"], targets.labels)) * weights[3]
+    return total + mul(tz.tmean(label_nll(logits["labels"], targets.labels)), weights[3])

@@ -17,7 +17,7 @@ from attention_oracle import (ContractViolation, composed_na1d, composed_na2d,
                               full_attention_oracle, na1d_mask, na2d_mask,
                               neighborhood_window_1d)
 from gradcheck import grad_check
-from graph_ops import sigmoid
+from graph_ops import sigmoid, tsum
 
 
 def _weights(c, cfg, seed, two_d=False, dtype=np.float32, random_bias=True):
@@ -287,7 +287,7 @@ def test_attention_grad_check():
 
     def loss():
         out = na1d(x, w, cfg)
-        return tz.tsum(sigmoid(out))
+        return tsum(sigmoid(out))
 
     err = grad_check(loss, params)
     assert err < 1e-4, err
@@ -303,7 +303,7 @@ def test_attention_2d_grad_check():
     params = [x, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, w.rpb]
 
     def loss():
-        return tz.tsum(sigmoid(na2d(x, w, cfg)))
+        return tsum(sigmoid(na2d(x, w, cfg)))
 
     err = grad_check(loss, params)
     assert err < 1e-4, err
@@ -320,7 +320,7 @@ def test_attention_dropout_grad_check(kernel):
     def loss():
         # a fresh generator per evaluation repeats the dropout mask
         out = kernel(x, w, cfg, 0.3, np.random.default_rng(27))
-        return tz.tsum(sigmoid(out))
+        return tsum(sigmoid(out))
 
     err = grad_check(loss, params)
     assert err < 1e-4, err
@@ -351,7 +351,7 @@ def _outputs_and_grads(kernel, x0, w, cfg):
         p.requires_grad = True
         p.grad = None
     out = kernel(x, w, cfg)
-    tz.tsum(sigmoid(out)).backward()
+    tsum(sigmoid(out)).backward()
     return out.data, [p.grad.copy() for p in params]
 
 

@@ -13,12 +13,13 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.frontend import frontend_forward, frontend_masks
-from aio1.model import default_config, forward_logits, init_weights, tiny_config
+from aio1.frontend import TIME_REACH, frontend_forward, frontend_masks
+from aio1.model import CONFIG_PRESETS, default_config, forward_logits, init_weights, tiny_config
 from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
 
 from gradcheck import grad_check
+from graph_ops import mul, tsum
 
 MIB = 2 ** 20
 
@@ -89,11 +90,18 @@ def test_grad_check_through_the_tiles(monkeypatch):
 
     def loss():
         # the same dropout masks at every evaluation
-        return tz.tsum(model._frontend(x, w, cfg, np.random.default_rng(11)) * proj)
+        return tsum(mul(model._frontend(x, w, cfg, np.random.default_rng(11)), proj))
 
     err = grad_check(loss, [t for _, t in tz.named(w, "frontend")])
     assert calls[:3] == [6, 8, 6]           # three tiles of 4 frames plus halo
     assert err < 1e-4, err
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
+def test_time_reach_is_the_conv_kernels_reach(preset):
+    # the tile halo: each conv reaches kh // 2 frames on either side
+    w = init_weights(CONFIG_PRESETS[preset](), seed=0).frontend
+    assert TIME_REACH == sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
 
 
 def test_default_training_step_memory():

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics against naive references, gradients
 against central finite differences."""
 
+import inspect
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from aio1.training import (TrainConfig, TrainingTargets, build_targets, make_toy
 
 from frontend_oracle import conv_block_chain
 from graph_ops import (bce_with_logits, conv2d, elu, label_nll, log_softmax, matmul, maxpool,
-                       sigmoid, softmax, take)
+                       mul, sigmoid, softmax, take, tsum)
 from gradcheck import grad_check
 
 
@@ -176,7 +177,7 @@ def test_maxpool_width_error():
 
 def test_maxpool_gradient_one_hot():
     x = Tensor(np.array([1.0, 3.0, 2.0, 0.0, 5.0, 5.0]), requires_grad=True)
-    out = tz.tsum(maxpool(x, axis=0, width=2))
+    out = tsum(maxpool(x, axis=0, width=2))
     out.backward()
     # ties go to the first maximal index
     np.testing.assert_array_equal(x.grad, [0, 1, 1, 0, 1, 0])
@@ -263,8 +264,9 @@ def test_softmax_sums_to_one_and_monotone():
 
 
 def test_non_finite_output_raises():
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
-        Tensor(np.array([1e200])) * 1e200
+    big = Tensor(np.array([1e308]))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="add"):
+        big + big
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +400,24 @@ def _gc(make_loss, *tensors):
 
 def test_grad_check_sum_is_exact():
     x = Tensor(np.random.default_rng(7).standard_normal(6), requires_grad=True)
-    err = grad_check(lambda: tz.tsum(x), [x])
+    err = grad_check(lambda: tsum(x), [x])
     assert err < 1e-9
     x.grad = None
-    tz.tsum(x).backward()
+    tsum(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones(6))
 
 
 def test_grad_check_constant_fn():
     x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     c = Tensor(np.array(2.0), dtype=np.float64)
-    err = grad_check(lambda: tz.tsum(c * c), [x])
+    err = grad_check(lambda: tsum(mul(c, c)), [x])
     assert err < 1e-9
 
 
 def test_grad_check_rejects_float32():
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ParameterError):
-        grad_check(lambda: tz.tsum(x), [x])
+        grad_check(lambda: tsum(x), [x])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -428,9 +430,9 @@ def test_grads_random_shapes(seed):
 
     def loss():
         h = matmul(x.reshape(-1, shape[-1]), w)
-        h = tz.gelu(h) + elu(h) * 0.5
+        h = tz.gelu(h) + mul(elu(h), 0.5)
         h = sigmoid(h)
-        return tz.tsum(h * h)
+        return tsum(mul(h, h))
 
     _gc(loss, x, w)
 
@@ -439,7 +441,7 @@ def test_grad_matmul_batched():
     rng = np.random.default_rng(8)
     a = Tensor(_rand((2, 3, 4, 5), rng), requires_grad=True)
     b = Tensor(_rand((4 * 5 if False else 5, 2), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(matmul(a, b)), a, b)
+    _gc(lambda: tsum(matmul(a, b)), a, b)
 
 
 def test_grad_conv2d():
@@ -447,7 +449,7 @@ def test_grad_conv2d():
     x = Tensor(_rand((2, 5, 6, 2), rng), requires_grad=True)
     k = Tensor(_rand((3, 2, 3, 3), rng), requires_grad=True)
     b = Tensor(_rand(3, rng), requires_grad=True)
-    _gc(lambda: tz.tsum(sigmoid(conv2d(x, k, b, (1, 1)))), x, k, b)
+    _gc(lambda: tsum(sigmoid(conv2d(x, k, b, (1, 1)))), x, k, b)
 
 
 def test_grad_linear():
@@ -455,13 +457,13 @@ def test_grad_linear():
     x = Tensor(_rand((2, 4, 5), rng), requires_grad=True)
     w = Tensor(_rand((5, 3), rng), requires_grad=True)
     b = Tensor(_rand(3, rng), requires_grad=True)
-    _gc(lambda: tz.tsum(sigmoid(tz.linear(x, w, b))), x, w, b)
+    _gc(lambda: tsum(sigmoid(tz.linear(x, w, b))), x, w, b)
 
 
 def test_grad_maxpool():
     rng = np.random.default_rng(10)
     x = Tensor(_rand((3, 7), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(maxpool(x, axis=1, width=3) * 2.0), x)
+    _gc(lambda: tsum(mul(maxpool(x, axis=1, width=3), 2.0)), x)
 
 
 def test_grad_layer_norm():
@@ -469,7 +471,7 @@ def test_grad_layer_norm():
     x = Tensor(_rand((4, 6), rng), requires_grad=True)
     g = Tensor(_rand((6,), rng), requires_grad=True)
     b = Tensor(_rand((6,), rng), requires_grad=True)
-    _gc(lambda: tz.tsum(sigmoid(tz.layer_norm(x, g, b))), x, g, b)
+    _gc(lambda: tsum(sigmoid(tz.layer_norm(x, g, b))), x, g, b)
 
 
 def test_grad_softmax_take_concat():
@@ -481,14 +483,14 @@ def test_grad_softmax_take_concat():
         g = take(x, idx, axis=0)             # [3,2,4]
         c = tz.concat([g, g], axis=-1)       # [3,2,8]
         p = softmax(c, axis=-1)
-        return tz.tsum(p * p)
+        return tsum(mul(p, p))
 
     _gc(loss, x)
     # a negative axis gathers along its positive twin
     a = Tensor(_rand((3, 4), rng), requires_grad=True)
-    tz.tsum(take(a, [0, 2], axis=-1)).backward()
+    tsum(take(a, [0, 2], axis=-1)).backward()
     np.testing.assert_array_equal(a.grad, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
-    _gc(lambda: tz.tsum(sigmoid(take(x, [3, 0, 3], axis=-1))), x)
+    _gc(lambda: tsum(sigmoid(take(x, [3, 0, 3], axis=-1))), x)
 
 
 def test_grad_log_softmax_and_bce():
@@ -497,8 +499,8 @@ def test_grad_log_softmax_and_bce():
     t = rng.random((6, 3))
 
     def loss():
-        a = tz.tsum(bce_with_logits(z, t))
-        b = tz.tsum(log_softmax(z, axis=-1) * -1.0)
+        a = tsum(bce_with_logits(z, t))
+        b = tsum(mul(log_softmax(z, axis=-1), -1.0))
         return a + b
 
     _gc(loss, z)
@@ -520,7 +522,7 @@ def test_grad_label_nll():
     labels = np.array([0, 4, 2, 2, 1, 3, 0])
     # a weight per frame, so each row's gradient differs
     w = Tensor(_rand(7, rng))
-    _gc(lambda: tz.tsum(label_nll(z, labels) * w), z)
+    _gc(lambda: tsum(mul(label_nll(z, labels), w)), z)
     # the one-node loss over all four heads, each with its own weight
     logits, targets = _loss_inputs(rng, 7, 5)
     _gc(lambda: multitask_loss(logits, targets, (1.0, 0.5, 2.0, 1.5)), *logits.values())
@@ -592,7 +594,7 @@ def test_grad_neighborhood_attention(dropout):
     def loss():
         out = tz.neighborhood_attention(q, k, v, rpb, slots, dropout,
                                         np.random.default_rng(16))
-        return tz.tsum(sigmoid(out))
+        return tsum(sigmoid(out))
 
     _gc(loss, q, k, v, rpb)
 
@@ -622,7 +624,7 @@ def test_dropout_with_rng_keeps_the_expectation():
 def test_grad_dropout():
     x = Tensor(_rand((5, 7), np.random.default_rng(20)), requires_grad=True)
     # a fresh generator per evaluation repeats the mask
-    _gc(lambda: tz.tsum(sigmoid(tz.dropout(x, 0.3, np.random.default_rng(21)))), x)
+    _gc(lambda: tsum(sigmoid(tz.dropout(x, 0.3, np.random.default_rng(21)))), x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -689,14 +691,15 @@ def test_neighborhood_attention_overflow_raises_at_the_op():
 
 
 def test_grad_divide_mean_transpose():
-    # division by a scalar, the only division the model runs
+    # a division by a scalar is a multiply by its reciprocal, which only
+    # tests build; the model's one mean is over the stem axis
     rng = np.random.default_rng(15)
     a = Tensor(_rand((3, 4), rng), requires_grad=True)
     b = Tensor(np.abs(_rand((3, 4), rng)) + 1.0, requires_grad=True)
 
     def loss():
-        h = (a * b / 3.0).transpose(1, 0)
-        return tz.tmean(h * h) + tz.tsum(sigmoid(tz.tmean(h, axis=0)))
+        h = mul(mul(a, b), 1.0 / 3.0).transpose(1, 0)
+        return tz.tmean(mul(h, h)) + tsum(sigmoid(tz.tmean(h, axis=0)))
 
     _gc(loss, a, b)
 
@@ -704,11 +707,11 @@ def test_grad_divide_mean_transpose():
 def test_grad_transpose_negative_axes():
     rng = np.random.default_rng(19)
     a = Tensor(_rand((2, 3), rng), requires_grad=True)
-    tz.tsum(tz.transpose(a, (-1, 0)) * Tensor(_rand((3, 2), rng))).backward()
+    tsum(mul(tz.transpose(a, (-1, 0)), Tensor(_rand((3, 2), rng)))).backward()
     assert a.grad.shape == (2, 3)
     b = Tensor(_rand((2, 3, 4), rng), requires_grad=True)
     w = Tensor(_rand((4, 2, 3), rng))
-    _gc(lambda: tz.tsum(sigmoid(tz.transpose(b, (-1, 0, -2)) * w)), b)
+    _gc(lambda: tsum(sigmoid(mul(tz.transpose(b, (-1, 0, -2)), w))), b)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +761,7 @@ def test_conv_block_equals_the_four_node_chain(dtype, rate, seeded, x_grad):
 
 def test_grad_conv_block():
     x, k, b, pad, _, _, pool = _block_args(np.float64, 0.0, False)
-    _gc(lambda: tz.tsum(sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
+    _gc(lambda: tsum(sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
 
 
 def test_conv_block_overflow_names_conv2d():
@@ -854,12 +857,43 @@ def test_backward_leaves_grads_on_the_weights_only():
     # dropout made it 173 and 79), and the front end's two time tiles one
     # checkpoint node each, over an input view, joined by one stitch node
     # (the whole-track front end's input, three conv_blocks, a transpose,
-    # a reshape and a linear made it 165 and 71)
-    assert (len(nodes), len(ops)) == (163, 68)
+    # a reshape and a linear made it 165 and 71), and the mean over the
+    # stems one mean node (a sum, a constant leaf and a multiply made it
+    # 163 and 68)
+    assert (len(nodes), len(ops)) == (161, 67)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name
     assert {id(t) for _, t in weights.named_tensors()} <= {id(t) for t in nodes}
+
+
+def test_a_training_step_builds_only_the_model_node_kinds(monkeypatch):
+    kinds = set()                       # the functions whose nodes joined a graph
+    make = Tensor._from_op
+
+    def recording(data, parents, backward, op):
+        out = make(data, parents, backward, op)
+        if out.requires_grad:
+            kinds.add(backward.__qualname__.split(".")[0])
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recording))
+    cfg = tiny_config()
+    spec, ann = make_toy_dataset(4, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                                 num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
+    targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(0, 300)
+    logits = forward_logits(spec.values[:, :300], init_weights(cfg, seed=2), cfg,
+                            np.random.default_rng(3))
+    multitask_loss(logits, targets, TrainConfig().loss_weights).backward()
+    # the checkpointed MLPs and front-end tiles build theirs in the backward
+    assert kinds == {"add", "reshape", "transpose", "stitch", "tmean", "linear", "layer_norm", "gelu",
+                     "neighborhood_attention", "dropout", "conv_block", "checkpoint",
+                     "multitask_loss"}
+    # and every node that aio1.tensor can build is one of them
+    makers = {name for name, fn in vars(tz).items()
+              if inspect.isfunction(fn) and fn.__module__ == tz.__name__
+              and "_from_op" in fn.__code__.co_names}
+    assert makers <= kinds, makers - kinds
 
 
 @pytest.mark.parametrize("shared_first", [True, False])
@@ -869,7 +903,7 @@ def test_a_buffer_given_to_two_leaves_is_never_written(shared_first):
     g = _rand((3, 4), rng)
     g_before = g.copy()
     # add hands its incoming gradient to both a and b; a then gets 3 g more
-    shared, extra = tz.add(a, b), a * 3.0
+    shared, extra = tz.add(a, b), mul(a, 3.0)
     out = tz.add(shared, extra) if shared_first else tz.add(extra, shared)
     out.backward(g)
     np.testing.assert_array_equal(b.grad, g_before)
@@ -880,17 +914,17 @@ def test_a_buffer_given_to_two_leaves_is_never_written(shared_first):
 def test_a_repeated_parent_gets_both_contributions():
     rng = np.random.default_rng(21)
     x = Tensor(_rand(5, rng), requires_grad=True)
-    tz.tsum(tz.mul(x, x)).backward()
+    tsum(mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
     x.grad = None
     w = _rand(10, rng)
-    tz.tsum(tz.concat([x, x]) * Tensor(w)).backward()
+    tsum(mul(tz.concat([x, x]), Tensor(w))).backward()
     np.testing.assert_array_equal(x.grad, w[:5] + w[5:])
 
 
 def test_backward_rejects_a_seed_of_the_wrong_shape():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = x * 2.0
+    y = mul(x, 2.0)
     for seed in (np.ones(3), np.ones((3, 2)), np.ones((1, 2, 3))):
         with pytest.raises(DimensionError, match="gradient of shape"):
             y.backward(seed)
@@ -904,20 +938,20 @@ def test_backward_rejects_an_op_gradient_of_the_wrong_shape():
     out = Tensor._from_op(np.transpose(a.data, (-1, 0)), (a,),
                           lambda g: (np.transpose(g, np.argsort((-1, 0))),), None)
     with pytest.raises(DimensionError, match=r"\(3, 2\) for a node of shape \(2, 3\)"):
-        tz.tsum(out).backward()
+        tsum(out).backward()
     assert a.grad is None
 
 
 def test_a_second_backward_adds_into_the_leaves():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    y = x * 2.0
-    tz.tsum(y).backward()
+    y = mul(x, 2.0)
+    tsum(y).backward()
     # the shared node y kept no gradient from the first pass
-    tz.tsum(y).backward()
+    tsum(y).backward()
     np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
     x.backward(np.ones(4))
     np.testing.assert_array_equal(x.grad, np.full(4, 5.0))
-    tz.tsum(x).backward()
+    tsum(x).backward()
     np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
@@ -939,7 +973,7 @@ def test_ops_are_pure_and_deterministic():
 def test_no_grad_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with tz.no_grad():
-        y = x * 2.0
+        y = mul(x, 2.0)
     assert not y.requires_grad
     assert y._parents == ()
 

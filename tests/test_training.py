@@ -19,7 +19,7 @@ from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
                            train_step)
 
 from frontend_oracle import conv_block_chain
-from graph_ops import bce_with_logits, log_softmax, per_task_loss, take
+from graph_ops import bce_with_logits, log_softmax, mul, per_task_loss, take, tsum
 
 
 def test_build_targets_ramps_and_labels():
@@ -53,15 +53,15 @@ def _masked_form_loss(logits, targets, weights):
     ones = Tensor(np.ones(t, dtype=logits["beat"].data.dtype))
 
     def masked_mean(per_frame):
-        return tz.tsum(per_frame * ones) * (1.0 / float(t))
+        return mul(tsum(mul(per_frame, ones)), 1.0 / float(t))
 
     total = None
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
-        term = masked_mean(bce_with_logits(logits[name], getattr(targets, name))) * w
+        term = mul(masked_mean(bce_with_logits(logits[name], getattr(targets, name))), w)
         total = term if total is None else total + term
     lsm = log_softmax(logits["labels"], axis=-1)
     picked = take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
-    return total + masked_mean(picked * -1.0) * weights[3]
+    return total + mul(masked_mean(mul(picked, -1.0)), weights[3])
 
 
 @pytest.mark.filterwarnings("error")
