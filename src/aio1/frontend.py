@@ -27,8 +27,8 @@ whole im2col matrix. Time resolution is never reduced; only the
 frequency axis shrinks.
 Activations are channels last, ``[stems, frames, bands, channels]``.
 
-The model runs the extractor over fixed-size time tiles with a 2-frame
-halo (``aio1.model._frontend``), in training and at inference alike, so
+The model runs the extractor over time tiles with a halo of the convs'
+reach (``aio1.model._frontend``), in training and at inference alike, so
 one tile's activations are alive at a time. The dropout keep masks are
 drawn for the whole track first (:func:`frontend_masks`, 1 byte per conv
 output value) and each tile takes its slice, so the tiles see the masks
@@ -201,12 +201,6 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
         proj_b=Tensor(np.zeros(embed_dim, dtype=dtype)))
 
 
-# frames on either side of an output frame that the front end reads: the
-# two 3x3 convs reach one frame each; conv3 is 1x3 and pooling only
-# touches frequency
-TIME_REACH = 2
-
-
 def frontend_masks(shape: tuple[int, int, int], w: FrontendWeights,
                    pool_widths: tuple[int, ...], rate: float,
                    rng: np.random.Generator | None) -> list[np.ndarray | None]:
@@ -238,10 +232,10 @@ def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...]
     s, t, bands = x.shape
     check_frontend_plan(bands, pool_widths)
     h = x.reshape(s, t, bands, 1)
-    convs = ((w.conv1_w, w.conv1_b, (1, 1)), (w.conv2_w, w.conv2_b, (1, 1)),
-             (w.conv3_w, w.conv3_b, (0, 1)))
-    for (kw_, kb, pad), pool, keep in zip(convs, pool_widths, masks):
-        h = tz.conv_block(h, kw_, kb, pad, dropout_rate, keep, pool)
+    convs = ((w.conv1_w, w.conv1_b), (w.conv2_w, w.conv2_b), (w.conv3_w, w.conv3_b))
+    for (k, b), pool, keep in zip(convs, pool_widths, masks):
+        pad = (k.shape[2] // 2, k.shape[3] // 2)
+        h = tz.conv_block(h, k, b, pad, dropout_rate, keep, pool)
     # [S, T, F, c3] -> [S, T, c3 * F], channel-major like the rows of proj_w
     h = h.transpose(0, 1, 3, 2).reshape(s, t, -1)
     return tz.linear(h, w.proj_w, w.proj_b)

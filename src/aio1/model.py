@@ -29,13 +29,14 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as tz
 from .attention import AttentionConfig, AttentionWeights, init_attention_weights, na1d, na2d
 from .errors import ConfigError, InputError
-from .frontend import (FPS, TIME_REACH, FrontendWeights, StemSpectrogram,
+from .frontend import (FPS, FrontendWeights, StemSpectrogram,
                        check_frontend_plan, filterbank, frontend_forward,
                        frontend_masks, init_frontend_weights)
 from .postproc import DEFAULT_VOCAB
@@ -51,14 +52,15 @@ _TILE_FRAMES = 256
 
 @dataclass
 class ModelConfig:
+    # fixed by the spectrogram and the label set, not settable
+    fps: ClassVar[float] = FPS
+    label_vocab: ClassVar[tuple[str, ...]] = DEFAULT_VOCAB
     num_blocks: int = 11
     embed_dim: int = 24
     kernel_size: int = 5
     dilation_base: int = 2
     num_heads: int = 4
     num_stems: int = 4
-    label_vocab: tuple[str, ...] = DEFAULT_VOCAB
-    fps: float = FPS
     bands: int = filterbank().shape[1]
     conv_channels: tuple[int, int, int] = (32, 48, 64)
     pool_widths: tuple[int, ...] = (3, 3, 3)
@@ -73,19 +75,13 @@ class ModelConfig:
     dropout_skip: float = 0.1
 
     def validate(self) -> None:
-        for name in ("num_blocks", "embed_dim", "num_heads", "num_stems",
-                     "mlp_hidden_factor"):
+        for name in ("num_blocks", "embed_dim", "num_stems", "mlp_hidden_factor"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("dropout_conv", "dropout_mlp", "dropout_attn", "dropout_skip"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ConfigError("kernel_size must be odd and positive")
-        if self.embed_dim % self.num_heads != 0:
-            raise ConfigError("num_heads must divide embed_dim")
-        if not self.label_vocab:
-            raise ConfigError("label_vocab must not be empty")
+        AttentionConfig(self.kernel_size, 1, self.num_heads).validate(self.embed_dim)
         check_frontend_plan(self.bands, self.pool_widths)
 
     def block_dilations(self, l: int) -> tuple[int, int]:
@@ -179,9 +175,6 @@ class ModelWeights:
         tz.check_unique_names(name for name, _ in named)
         return [t for _, t in named]
 
-    def num_parameters(self) -> int:
-        return sum(t.data.size for _, t in self.named_tensors())
-
     def copy(self) -> "ModelWeights":
         """Independent copy: every array is duplicated, and the new
         tensors are trainable leaves with no gradient yet."""
@@ -239,7 +232,7 @@ def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
 
 def param_count(cfg: ModelConfig) -> int:
     """Exact number of scalar parameters implied by a configuration."""
-    return init_weights(cfg, seed=0).num_parameters()
+    return sum(t.data.size for _, t in init_weights(cfg, seed=0).named_tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +273,17 @@ def _mlp(u: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tens
 
 def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelConfig,
                                rng: np.random.Generator | None = None) -> Tensor:
-    """One transformer module over ``[S, T, C]``; an ``rng`` turns dropout on."""
+    """One transformer module over ``[S, T, C]``; an ``rng`` turns dropout on.
+    ``cfg`` alone picks the modules; one that ``bw`` lacks raises ``ConfigError``."""
+    for name, on in (("dina2", cfg.use_second_dina), ("inst", cfg.use_instrument_attention)):
+        if on and getattr(bw, name) is None:
+            raise ConfigError(f"block {l}: the config turns {name} on, the weights lack it")
     d1, d2 = cfg.block_dilations(l)
     normed = tz.layer_norm(x, bw.norm1_g, bw.norm1_b)
     cfg1 = AttentionConfig(cfg.kernel_size, d1, cfg.num_heads)
     a = na1d(normed, bw.dina1, cfg1, cfg.dropout_attn, rng)
     branch_a = x + tz.dropout(a, cfg.dropout_skip, rng)
-    if cfg.use_second_dina and bw.dina2 is not None:
+    if cfg.use_second_dina:
         cfg2 = AttentionConfig(cfg.kernel_size, d2, cfg.num_heads)
         b = na1d(normed, bw.dina2, cfg2, cfg.dropout_attn, rng)
         branch_b = x + tz.dropout(b, cfg.dropout_skip, rng)
@@ -299,7 +296,7 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
                       rng)
     y = x + tz.dropout(h, cfg.dropout_skip, rng)
 
-    if cfg.use_instrument_attention and bw.inst is not None:
+    if cfg.use_instrument_attention:
         grid_cfg = AttentionConfig(cfg.kernel_size, 1, cfg.num_heads)
         g = tz.layer_norm(y, bw.norm3_g, bw.norm3_b)
         g = na2d(g, bw.inst, grid_cfg, cfg.dropout_attn, rng)
@@ -323,8 +320,8 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
 
     The three dropout masks are drawn once, for the whole track, and each
     tile takes its slice, so a halo frame gets the mask its neighbour
-    uses. A tile's input carries ``TIME_REACH`` frames of context on each
-    side, clipped at the track ends, and only its own frames are kept.
+    uses. A tile's input carries ``kh // 2`` frames per conv on each side,
+    clipped at the track ends, and only its own frames are kept.
     The last tile is aligned to the track end and keeps only the frames
     no earlier tile produced. Under a graph each tile is one
     ``tz.checkpoint`` node, which keeps its input view and output, and
@@ -335,6 +332,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     names the conv spans by their index in each call.
     """
     t = x.shape[1]
+    reach = sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
     masks = frontend_masks(x.shape, w, cfg.pool_widths, cfg.dropout_conv, rng)
     weights = [tensor for _, tensor in tz.named(w, "")]
 
@@ -343,7 +341,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
         while done < t:
             start = max(min(done, t - _TILE_FRAMES), 0)
             stop = min(start + _TILE_FRAMES, t)
-            lo, hi = max(start - TIME_REACH, 0), min(stop + TIME_REACH, t)
+            lo, hi = max(start - reach, 0), min(stop + reach, t)
             tile = functools.partial(_frontend_tile, cfg=cfg,
                                      masks=[m if m is None else m[:, lo:hi] for m in masks])
             yield (tz.checkpoint(tile, [Tensor(x[:, lo:hi])] + weights, None),
@@ -360,10 +358,13 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     An ``rng`` means training: every dropout site draws its mask from it,
     the front end's three first, for the whole track. Without one the
     pass is inference. Either way the front end runs over fixed time
-    tiles with a 2-frame halo, so its activations do not grow with the
-    track, and the outputs equal one whole-track call; under a graph each
-    tile is computed again in the backward.
+    tiles with a halo of the convs' reach, so its activations do not grow
+    with the track, and the outputs equal one whole-track call; under a
+    graph each tile is computed again in the backward. Weights with another
+    block count than ``cfg`` raise ``ConfigError``.
     """
+    if len(weights.blocks) != cfg.num_blocks:
+        raise ConfigError(f"{len(weights.blocks)} weight blocks, {cfg.num_blocks} config blocks")
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:
         raise InputError(f"expected non-empty [S, T, bands], got {x.shape}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -231,16 +232,6 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
 # boundary picking and labeling
 # ---------------------------------------------------------------------------
 
-def _window_max(x: np.ndarray, size: int) -> np.ndarray:
-    """``max(x[t:t + size])`` for every ``t`` up to ``x.size - size``: maxima
-    over doubling widths, then two overlapping ones per window."""
-    m, width = x, 1
-    while 2 * width <= size:
-        m = np.maximum(m[:-width], m[width:])
-        width *= 2
-    return np.maximum(m[:x.size - size + 1], m[size - width:])
-
-
 def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     """Boundary times from the boundary activation (no threshold).
 
@@ -270,9 +261,9 @@ def pick_boundaries(boundary: np.ndarray, fps: float) -> np.ndarray:
     eps = _REL_EPS * max(float(np.abs(act).max()), 1.0)
     h = int(round(PEAK_WINDOW_S * fps))
     padded = np.pad(n, h, constant_values=-np.inf)
-    peak = _window_max(padded, 2 * h + 1)                # n[t - h : t + h + 1]
+    peak = sliding_window_view(padded, 2 * h + 1).max(axis=-1)   # n[t - h : t + h + 1]
     # the h frames before each one: an earlier equal value wins
-    before = _window_max(padded, h)[:t_total] if h else -np.inf
+    before = sliding_window_view(padded, h).max(axis=-1)[:t_total] if h else -np.inf
     picked = np.flatnonzero((n > eps) & (n >= peak) & (n > before))
     times = picked / fps
     duration = t_total / fps

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError, DimensionError, InputError, TrainingDiverged
-from .frontend import StemSpectrogram
+from .frontend import FPS, StemSpectrogram
 from .metrics import Annotation, Beat
 from .model import (DEFAULT_VOCAB, ModelConfig, ModelWeights, forward_logits,
                     init_weights)
@@ -263,7 +263,7 @@ def _smooth_profile(rng: np.random.Generator, bands: int) -> np.ndarray:
 
 
 def make_toy_dataset(seed: int, n_tracks: int, duration_s: float,
-                     fps: float = 100.0, bands: int = 27, num_stems: int = 4,
+                     fps: float = FPS, bands: int = 27, num_stems: int = 4,
                      vocab: tuple[str, ...] = DEFAULT_VOCAB
                      ) -> list[tuple[StemSpectrogram, Annotation]]:
     """Synthetic (spectrogram, annotation) pairs with planted structure.

@@ -49,6 +49,7 @@ def _run(checkpoint, inputs, seed, g=None):
     return out.data, [t.grad for t in inputs], rng.random()
 
 
+@pytest.mark.blas_order
 def test_default_preset_gradients_equal_the_plain_call(monkeypatch):
     cfg = default_config()
     spec, ann = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,

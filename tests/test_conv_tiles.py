@@ -16,6 +16,8 @@ from aio1.tensor import Tensor
 import frontend_oracle
 import graph_ops
 
+pytestmark = pytest.mark.blas_order
+
 # the default preset's three layers: (cin, cout, kernel, padding, bands)
 LAYERS = {
     "conv1": (1, 32, (3, 3), (1, 1), 81),

@@ -48,6 +48,7 @@ def test_sine_peaks_at_nearest_band():
     assert (got == want).all()
 
 
+@pytest.mark.blas_order
 def test_spectrogram_frame_does_not_depend_on_track_length():
     """A prefix of a track has the longer track's frames, up to the frames
     whose window reaches past the prefix's end: 8,200 frames once left an
@@ -72,6 +73,7 @@ def logspec_float64(samples):
     return np.log(1.0 + mag @ filterbank().astype(np.float64))
 
 
+@pytest.mark.blas_order
 @pytest.mark.parametrize("signal", ["noise", "loud-noise", "sine"])
 def test_spectrogram_matches_float64_oracle(signal):
     n = 3 * SAMPLE_RATE
@@ -89,11 +91,13 @@ def _with_cpus(monkeypatch, n, x):
     return compute_logspec(x)
 
 
+@pytest.mark.blas_order
 def test_spectrogram_does_not_depend_on_worker_count(monkeypatch):
     x = np.random.default_rng(42).standard_normal(2 * SAMPLE_RATE + 123).astype(np.float32)
     np.testing.assert_array_equal(_with_cpus(monkeypatch, 1, x), _with_cpus(monkeypatch, 4, x))
 
 
+@pytest.mark.blas_order
 def test_spectrogram_memory_is_three_times_its_frames():
     """A 20 s stem peaks at under three times its float32 windowed frames:
     the windowed block, the FFT's complex64 output and its magnitudes.

@@ -13,7 +13,7 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.frontend import TIME_REACH, frontend_forward, frontend_masks
+from aio1.frontend import frontend_forward, frontend_masks
 from aio1.model import CONFIG_PRESETS, default_config, forward_logits, init_weights, tiny_config
 from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
@@ -22,6 +22,8 @@ from gradcheck import grad_check
 from graph_ops import mul, tsum
 
 MIB = 2 ** 20
+
+pytestmark = pytest.mark.blas_order
 
 
 def _whole_track(x, w, cfg, rng):
@@ -98,10 +100,18 @@ def test_grad_check_through_the_tiles(monkeypatch):
 
 
 @pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
-def test_time_reach_is_the_conv_kernels_reach(preset):
-    # the tile halo: each conv reaches kh // 2 frames on either side
-    w = init_weights(CONFIG_PRESETS[preset](), seed=0).frontend
-    assert TIME_REACH == sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
+def test_inference_tiles_equal_one_whole_track_call(preset):
+    # the tile halo comes from the conv kernels; a halo short of any frame
+    # a conv reads changes the frames at each tile's edges
+    cfg = CONFIG_PRESETS[preset]()
+    w = init_weights(cfg, seed=12).frontend
+    frames = 3 * model._TILE_FRAMES + 5
+    x = 2 * np.random.default_rng(13).random((cfg.num_stems, frames, cfg.bands))
+    x = x.astype(np.float32)
+    with tz.no_grad():
+        tiled = model._frontend(x, w, cfg, None)
+        whole = frontend_forward(Tensor(x), w, cfg.pool_widths, cfg.dropout_conv)
+    np.testing.assert_array_equal(tiled.data, whole.data)
 
 
 def test_default_training_step_memory():

@@ -2,7 +2,7 @@
 receptive-field realization."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ import pytest
 import aio1.model as model
 import aio1.tensor as tz
 from aio1.errors import ConfigError, InputError
-from aio1.frontend import TIME_REACH, StemSpectrogram, frontend_forward, stems_from_audio
+from aio1.frontend import FPS, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
                         default_config, forward_logits, init_weights,
                         model_forward, param_count,
                         small_config, tiny_config, toy_config,
                         transformer_module_forward)
-from aio1.postproc import Segment, analyze_activations
+from aio1.postproc import DEFAULT_VOCAB, Segment, analyze_activations
 from aio1.tensor import Tensor
 
 import frontend_oracle
@@ -113,6 +113,14 @@ def test_default_weight_name_counts(flags, count):
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
         replace(tiny_config(), **{field: value}).validate()
+
+
+def test_fps_and_vocab_are_constants_not_fields():
+    cfg = tiny_config()
+    assert cfg.fps == FPS and cfg.label_vocab == DEFAULT_VOCAB
+    assert {f.name for f in fields(ModelConfig)}.isdisjoint({"fps", "label_vocab"})
+    with pytest.raises(TypeError):
+        replace(cfg, fps=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,24 @@ def test_ablation_flags_change_output(flag):
     assert not np.array_equal(base.labels, toggled.labels)
 
 
+@pytest.mark.parametrize("flag, module", [("use_second_dina", "dina2"),
+                                          ("use_instrument_attention", "inst")])
+def test_a_module_the_config_turns_on_must_have_weights(flag, module):
+    # the weights of an ablated model do not silently ablate the full one
+    cfg = tiny_config()
+    w = init_weights(replace(cfg, **{flag: False}), seed=0)
+    with pytest.raises(ConfigError, match=f"block 0: the config turns {module} on"):
+        model_forward(random_spec(cfg, 150, seed=9), w, cfg)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 3])
+def test_weights_of_another_block_count_raise(num_blocks):
+    cfg = tiny_config()
+    w = init_weights(replace(cfg, num_blocks=num_blocks), seed=0)
+    with pytest.raises(ConfigError, match=f"{num_blocks} weight blocks, 2 config blocks"):
+        model_forward(random_spec(cfg, 150, seed=9), w, cfg)
+
+
 def test_no_demix_sums_stems():
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
@@ -407,6 +433,7 @@ def _record_frontend_calls(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.mark.blas_order
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
     # the default front end; float32 is bit-identical too, because every
@@ -414,6 +441,7 @@ def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
     # the same kernel as the whole track's (tz._SMALL_GEMM)
     cfg = default_config()
     w = init_weights(cfg, seed=5, dtype=dtype).frontend
+    reach = sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
     rng = np.random.default_rng(6)
     calls = _record_frontend_calls(monkeypatch)
     for frames in (1, 2, 3, 255, 256, 257, 2 * 256 + 3, 2001):
@@ -422,7 +450,7 @@ def test_tiled_frontend_equals_one_whole_track_call(dtype, monkeypatch):
         with tz.no_grad():
             tiled = model._frontend(x, w, cfg, None)
         assert len(calls) == -(-frames // 256)
-        assert max(calls) <= 256 + 2 * TIME_REACH
+        assert max(calls) <= 256 + 2 * reach
         whole = frontend_forward(Tensor(x), w, cfg.pool_widths, cfg.dropout_conv)
         np.testing.assert_array_equal(tiled.data, whole.data)
 

@@ -785,6 +785,7 @@ def _held_by(make):
     return held
 
 
+@pytest.mark.blas_order
 def test_conv_block_graph_keeps_no_im2col_columns():
     # the default preset's conv2 at a 7 s chunk: [4, 700, 27, 32] -> 48 channels
     rng = np.random.default_rng(43)
