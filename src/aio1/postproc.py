@@ -78,9 +78,16 @@ class AnalysisResult:
     def validate(self) -> None:
         if (np.diff(self.beats) <= 0).any():
             raise InputError("beat times must be strictly ascending")
-        beat_set = self.beats
-        for t in self.downbeats:
-            if np.abs(beat_set - t).min(initial=np.inf) > 1e-3:
+        if self.downbeats.size:
+            if not self.beats.size:
+                raise InputError("every downbeat must also be a beat")
+            # the nearest beat is the one at or after a downbeat, or the one before
+            after = np.minimum(np.searchsorted(self.beats, self.downbeats),
+                               self.beats.size - 1)
+            before = np.maximum(after - 1, 0)
+            gap = np.minimum(np.abs(self.beats[after] - self.downbeats),
+                             np.abs(self.beats[before] - self.downbeats))
+            if (gap > 1e-3).any():
                 raise InputError("every downbeat must also be a beat")
         if self.segments:
             if abs(self.segments[0].start) > 1e-6:
@@ -116,9 +123,12 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     adds the off-beat emission to every state as one scalar, then
     rewrites the few beat-window states (the leading phases of each tempo
     block, every phase 0 among them) from their values before that add
-    plus their own class. Phase 0 takes the best tempo transition, picked
-    from a preallocated ``[rows, new, old]`` candidate buffer. Every
-    state gets the same float64 additions as a plain per-state update.
+    plus their own class. Phase 0 takes the best tempo transition from a
+    preallocated ``[rows, new, old]`` candidate buffer: a broadcast fill
+    of each row's tempo ends, then the ``[new * old]`` penalty added in
+    place as one long loop per row. Every state gets the same float64
+    additions as a plain per-state update. The backtrace steps one beat
+    at a time, so only beat frames read a pointer.
     """
     cfg = cfg or DbnConfig()
     cfg.validate()
@@ -176,7 +186,7 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     np.log(obs_log, out=obs_log)
 
     ratio = taus[:, None].astype(np.float64) / taus[None, :]
-    penalty = -cfg.transition_lambda * np.abs(ratio - 1.0)            # [new, old]
+    penalty = (-cfg.transition_lambda * np.abs(ratio - 1.0)).ravel()  # [new * old]
 
     # flat state ids: the last phase of every tempo at the previous bar
     # position; the window states of every row, phase 0 of each tempo first
@@ -195,13 +205,16 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     delta[win_idx] = prior[win_idx] + obs_log[0, row_class]
     pointers = np.empty((frames, rows, nt), dtype=np.min_scalar_type(nt - 1))
     cand = np.empty((rows, nt, nt))
+    cand_flat = cand.reshape(rows, nt * nt)
+    best = np.empty((rows, nt), dtype=np.intp)
     win = np.empty(win_idx.shape)
     # every index below is in range; mode="clip" writes the strided win
     # views directly, where the default mode="raise" buffers them
     for t in range(1, frames):
         prev, delta = delta, buf[frames - 1 - t:frames - 1 - t + n]
-        np.add(np.take(prev, ends_idx)[:, None, :], penalty, out=cand)
-        best = cand.argmax(axis=2)
+        np.copyto(cand, prev[ends_idx][:, None, :])
+        cand_flat += penalty
+        cand.argmax(axis=2, out=best)
         pointers[t] = best
         best += pick
         np.take(cand, best, out=win[:, :nt], mode="clip")
@@ -210,21 +223,20 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
         delta += obs_log[t, 0]
         delta[win_idx] = win
 
-    # backtrace: within a beat the predecessor is deterministic
+    # backtrace over beat frames; a path that enters mid-beat ends at t < 0
     row, off = divmod(int(delta.argmax()), per_row)
-    path_row = np.empty(frames, dtype=np.int64)
-    path_off = np.empty(frames, dtype=np.int64)
-    path_row[-1], path_off[-1] = row, off
-    for t in range(frames - 1, 0, -1):
-        if phase[off] > 0:
-            off -= 1
-        else:
-            old_ti = pointers[t, row, tempo[off]]
-            row, off = int(prev_row[row]), int(last_off[old_ti])
-        path_row[t - 1], path_off[t - 1] = row, off
-
-    beat_frames = np.flatnonzero(phase[path_off] == 0)
-    down_frames = beat_frames[bar_pos[path_row[beat_frames]] == 0]
+    t = frames - 1 - int(phase[off])
+    beat_frames, beat_rows = [], []
+    while t >= 0:
+        beat_frames.append(t)
+        beat_rows.append(row)
+        if t == 0:
+            break
+        old_ti = pointers[t, row, tempo[off]]
+        row, off = int(prev_row[row]), int(last_off[old_ti])
+        t -= 1 + int(phase[off])
+    beat_frames = np.array(beat_frames[::-1], dtype=np.int64)
+    down_frames = beat_frames[bar_pos[beat_rows[::-1]] == 0]
     return beat_frames / fps, down_frames / fps
 
 

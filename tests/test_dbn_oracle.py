@@ -154,6 +154,29 @@ def test_planted_fixtures_match_reference(total_s, period, accent):
     assert_same_as_reference(beat, down)
 
 
+def test_path_entering_mid_beat_matches_reference():
+    """The first planted beat at frame period - 1, so the decoded path
+    starts inside a beat and the backtrace ends without a phase 0."""
+    period = 50
+    beat, down, _ = plant_beats(60, period, 4)
+    lead = np.full(period - 1, 0.01)
+    beat, down = (np.concatenate([lead, a[:1 - period]]) for a in (beat, down))
+    beats, _ = dbn_decode(beat, down, FPS)
+    assert beats[0] == (period - 1) / FPS
+    assert_same_as_reference(beat, down)
+
+
+def test_tempo_change_matches_reference():
+    """The beat period drops from 50 to 40 frames halfway, on a downbeat,
+    so the backtrace follows a pointer across a tempo jump."""
+    slow, fast = plant_beats(30, 50, 4), plant_beats(30, 40, 4)
+    beat, down = (np.concatenate([a, b]) for a, b in zip(slow[:2], fast[:2]))
+    beats, _ = dbn_decode(beat, down, FPS)
+    ibis = np.round(np.diff(beats) * FPS).astype(int)
+    assert set(ibis[:40]) == {50} and set(ibis[-40:]) == {40}
+    assert_same_as_reference(beat, down)
+
+
 def test_all_zero_matches_reference():
     assert_same_as_reference(np.zeros(1500), np.zeros(1500))
 

@@ -403,7 +403,9 @@ def test_influence_confined_to_analytic_window():
 
     # analytic union: dilated attention spans + grid attention + convs
     k = cfg.kernel_size
-    radius = 2  # conv stack time extent
+    front = w.frontend
+    radius = sum(conv.shape[2] // 2  # conv stack time reach
+                 for conv in (front.conv1_w, front.conv2_w, front.conv3_w))
     for l in range(cfg.num_blocks):
         d1, d2 = cfg.block_dilations(l)
         radius += (k - 1) * max(d1, d2) + (k - 1)

@@ -1,5 +1,6 @@
 """Decoders: bar-pointer Viterbi, boundary picking, segment labeling."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,28 @@ def test_dbn_rejects_empty_beats_per_bar(beats_per_bar):
 def test_dbn_rejects_non_positive_fps(fps):
     with pytest.raises(InputError, match="fps"):
         dbn_decode(np.full(200, 0.1), np.zeros(200), fps)
+
+
+def test_dbn_memory_grows_by_its_backpointers():
+    """Per frame the decoder keeps one uint8 backpointer per (row, tempo)
+    and a few float64 values (its score slot and log emissions), so
+    tracemalloc's peak grows by at most ``rows * nt + 80`` bytes a frame
+    from 3,000 to 6,000 frames; intp pointers or a per-frame table of row
+    emissions would exceed it."""
+    cfg = DbnConfig()
+    rows = sum(cfg.beats_per_bar)
+    nt = int(np.floor(FPS * 60 / cfg.min_bpm)) - int(np.ceil(FPS * 60 / cfg.max_bpm)) + 1
+    peaks = {}
+    for frames in (3000, 6000):
+        beat, down, _ = plant_beats(frames / FPS, 50, 4)
+        tracemalloc.start()
+        try:
+            dbn_decode(beat, down, FPS, cfg)
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[6000] - peaks[3000]) / 3000
+    assert slope <= rows * nt + 80, slope
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +307,18 @@ def test_analysis_result_validation():
                          segments=[Segment(0.0, 4.0, "verse")], duration=4.0)
     with pytest.raises(InputError):
         bad.validate()
+    # a downbeat may lie up to 1 ms from its beat, on either side of the
+    # first and the last beat
+    for downs, ok in (([0.4991, 1.0009], True), ([0.5009, 0.9991], True),
+                      ([0.4989], False), ([1.0011], False),
+                      ([0.5011], False), ([0.9989], False)):
+        r.downbeats = np.array(downs)
+        if ok:
+            r.validate()
+        else:
+            with pytest.raises(InputError, match="downbeat"):
+                r.validate()
+    no_beats = AnalysisResult(beats=np.zeros(0), downbeats=np.array([0.5]),
+                              segments=[Segment(0.0, 4.0, "verse")], duration=4.0)
+    with pytest.raises(InputError, match="downbeat"):
+        no_beats.validate()
