@@ -17,11 +17,11 @@ node, which keeps only the tile's input view and output, and the graph
 keeps the front end's three dropout masks, drawn up front for the whole
 track; the tile's conv activations are computed again in the backward.
 
-A training graph keeps, per block, the two attentions' probabilities and
-masks, the skip dropouts' masks and the block's activations at
-``[S, T, C]`` or ``[S, T, 2C]``. The MLP is one ``tz.checkpoint`` node that
-keeps only its input: its 8x hidden layer is computed again in the
-backward, from the same dropout draws.
+A training graph keeps, per block, the attentions' probabilities and
+masks, the activations at ``[S, T, C]`` or ``[S, T, 2C]`` and the bool mask
+of each ``tz.residual`` skip. The MLP and its skip are one ``tz.checkpoint``
+node that keeps only its inputs: the 8x hidden layer, fc2's output and the
+skip's mask are computed again in the backward, from the same draws.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ModelConfig:
     num_stems: int = 4
     bands: int = filterbank().shape[1]
     conv_channels: tuple[int, int, int] = (32, 48, 64)
-    pool_widths: tuple[int, ...] = (3, 3, 3)
+    pool_widths: tuple[int, int, int] = (3, 3, 3)
     mlp_hidden_factor: int = 8
     use_second_dina: bool = True
     use_instrument_attention: bool = True
@@ -81,6 +81,10 @@ class ModelConfig:
         for name in ("dropout_conv", "dropout_mlp", "dropout_attn", "dropout_skip"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
+        for name in ("conv_channels", "pool_widths"):
+            sizes = tuple(getattr(self, name))
+            if len(sizes) != 3 or min(sizes) < 1:
+                raise ConfigError(f"{name} must be three sizes >= 1, got {sizes}")
         AttentionConfig(self.kernel_size, 1, self.num_heads).validate(self.embed_dim)
         check_frontend_plan(self.bands, self.pool_widths)
 
@@ -264,11 +268,11 @@ class FrameActivations:
         return self.beat.shape[0]
 
 
-def _mlp(u: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-         b2: Tensor, rng: np.random.Generator | None, rate: float) -> Tensor:
-    """The position-wise MLP: layer norm, fc1, GELU, dropout, fc2."""
+def _mlp(x: Tensor, u: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+         b2: Tensor, rng: np.random.Generator | None, rate: float, skip_rate: float) -> Tensor:
+    """``x`` plus the dropped MLP of ``u``: layer norm, fc1, GELU, dropout, fc2."""
     h = tz.gelu(tz.linear(tz.layer_norm(u, gain, bias), w1, b1))
-    return tz.linear(tz.dropout(h, rate, rng), w2, b2)
+    return tz.residual(x, tz.linear(tz.dropout(h, rate, rng), w2, b2), skip_rate, rng)
 
 
 def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelConfig,
@@ -279,28 +283,21 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
         if on and getattr(bw, name) is None:
             raise ConfigError(f"block {l}: the config turns {name} on, the weights lack it")
     d1, d2 = cfg.block_dilations(l)
+    att = functools.partial(AttentionConfig, cfg.kernel_size, num_heads=cfg.num_heads)
     normed = tz.layer_norm(x, bw.norm1_g, bw.norm1_b)
-    cfg1 = AttentionConfig(cfg.kernel_size, d1, cfg.num_heads)
-    a = na1d(normed, bw.dina1, cfg1, cfg.dropout_attn, rng)
-    branch_a = x + tz.dropout(a, cfg.dropout_skip, rng)
+    a = na1d(normed, bw.dina1, att(d1), cfg.dropout_attn, rng)
+    branch_a = tz.residual(x, a, cfg.dropout_skip, rng)
+    branch_b = x
     if cfg.use_second_dina:
-        cfg2 = AttentionConfig(cfg.kernel_size, d2, cfg.num_heads)
-        b = na1d(normed, bw.dina2, cfg2, cfg.dropout_attn, rng)
-        branch_b = x + tz.dropout(b, cfg.dropout_skip, rng)
-    else:
-        branch_b = x
+        b = na1d(normed, bw.dina2, att(d2), cfg.dropout_attn, rng)
+        branch_b = tz.residual(x, b, cfg.dropout_skip, rng)
     u = tz.concat([branch_a, branch_b], axis=-1)            # [S, T, 2C]
-
-    h = tz.checkpoint(functools.partial(_mlp, rate=cfg.dropout_mlp),
-                      (u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
+    y = tz.checkpoint(functools.partial(_mlp, rate=cfg.dropout_mlp, skip_rate=cfg.dropout_skip),
+                      (x, u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
                       rng)
-    y = x + tz.dropout(h, cfg.dropout_skip, rng)
-
     if cfg.use_instrument_attention:
-        grid_cfg = AttentionConfig(cfg.kernel_size, 1, cfg.num_heads)
-        g = tz.layer_norm(y, bw.norm3_g, bw.norm3_b)
-        g = na2d(g, bw.inst, grid_cfg, cfg.dropout_attn, rng)
-        y = y + tz.dropout(g, cfg.dropout_skip, rng)
+        g = na2d(tz.layer_norm(y, bw.norm3_g, bw.norm3_b), bw.inst, att(1), cfg.dropout_attn, rng)
+        y = tz.residual(y, g, cfg.dropout_skip, rng)
     return y
 
 

@@ -22,18 +22,19 @@ that broke, not three modules later. The shape-only ops (``reshape``,
 a non-finite leaf is caught by the first op that computes with it.
 :func:`conv_block` leaves its checks to the conv and pool it calls.
 
-A graph node exists only where training differentiates through one:
-the residual ``add``, the shape plumbing, the mean over the stems
-(:func:`tmean`), the biased :func:`linear`, layer normalisation, the
-GELU, attention over window slots (:func:`neighborhood_attention`),
-:func:`dropout` and the fused front-end layer :func:`conv_block`, which
-runs the ELU; the whole training loss is one node,
-``training.multitask_loss``. :func:`dropout` keeps a bool mask from one
-float32 draw per call, in call order; :func:`conv_block` takes its mask
-from the caller. :func:`checkpoint` makes a segment of ops one node that
-keeps only the segment's inputs and a copy of its generator, and builds
-the segment's graph again in the backward; the model runs each block's
-MLP and each front-end time tile through it, and :func:`stitch` joins
+A graph node exists only where training differentiates through one: the
+skip :func:`residual` (a branch's dropout and add), the shape plumbing,
+the mean over the stems (:func:`tmean`), the biased :func:`linear`,
+layer normalisation, the GELU, attention over window slots
+(:func:`neighborhood_attention`), the MLP's :func:`dropout` and the
+fused front-end layer :func:`conv_block`, which runs the ELU; the whole
+training loss is one node, ``training.multitask_loss``. :func:`dropout`
+and :func:`residual` keep a bool mask from one float32 draw per call, in
+call order; :func:`conv_block` takes its mask from the caller.
+:func:`checkpoint` makes a segment of ops one node that keeps only the
+segment's inputs and a copy of its generator, and builds the segment's
+graph again in the backward; the model runs each block's MLP with its
+skip and each front-end time tile through it, and :func:`stitch` joins
 the tiles' own frames.
 
 Four ops are array functions that build no node. :func:`conv_block`
@@ -93,15 +94,6 @@ def no_grad():
     return _grad_mode(False)
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in FLOAT_DTYPES:
-        arr = arr.astype(np.float32)
-    return arr
-
-
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
@@ -119,7 +111,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+        arr = np.asarray(data)
+        if dtype is None and arr.dtype not in FLOAT_DTYPES:
+            dtype = np.float32
+        self.data = arr if dtype is None else arr.astype(dtype, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -228,9 +223,6 @@ class Tensor:
 
     # -- operator sugar ----------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
 
@@ -300,20 +292,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _require_same_dtype(a: Tensor | np.ndarray, b: Tensor | np.ndarray, op: str) -> None:
     if a.dtype != b.dtype:
         raise DimensionError(f"{op}: mixed dtypes {a.dtype.name} vs {b.dtype.name}")
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_dtype(a, b, "add")
-    out_data = a.data + b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return Tensor._from_op(out_data, (a, b), backward, "add")
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +959,22 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
                            lambda g: (_dropout_scale(g, keep, scale),), "dropout")
 
 
+def residual(x: Tensor, branch: Tensor, rate: float,
+             rng: np.random.Generator | None) -> Tensor:
+    """The skip ``x + dropout(branch, rate, rng)`` as one node that keeps only
+    the bool mask, drawn as :func:`dropout` draws it; without a mask it is
+    ``x + branch``. Shapes and dtypes must match."""
+    if x.data.shape != branch.data.shape:
+        raise DimensionError(f"residual: shapes {x.data.shape} vs {branch.data.shape}")
+    _require_same_dtype(x, branch, "residual")
+    keep, scale = _dropout_mask(branch.data.shape, rate, rng, branch.data.dtype)
+    if keep is None:
+        return Tensor._from_op(x.data + branch.data, (x, branch), lambda g: (g, g), "residual")
+    out = _dropout_scale(branch.data, keep, scale)
+    return Tensor._from_op(np.add(x.data, out, out=out), (x, branch),
+                           lambda g: (g, _dropout_scale(g, keep, scale)), "residual")
+
+
 # ---------------------------------------------------------------------------
 # fused front-end layer
 # ---------------------------------------------------------------------------
@@ -1042,7 +1036,8 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     returns the leaves' gradients. Each backward replays the saved state,
     so a second one works. ``fn`` takes its weights in ``inputs`` and draws
     from ``rng`` alone; the outputs and gradients equal those of the plain
-    call bit for bit.
+    call bit for bit. The model's MLP segment ends in its skip's
+    :func:`residual`, so the graph keeps neither fc2's output nor that mask.
     """
     if not _grad_enabled or not any(t.requires_grad for t in inputs):
         return fn(*inputs, rng)

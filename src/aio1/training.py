@@ -66,6 +66,10 @@ class TrainConfig:
             raise ConfigError("rates must be positive")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if round(self.chunk_seconds * FPS) < 1:
+            raise ConfigError(f"chunk_seconds must cover a frame, got {self.chunk_seconds}")
+        if not 0.0 <= self.swa_start_frac <= 1.0:
+            raise ConfigError(f"swa_start_frac must lie in [0, 1], got {self.swa_start_frac}")
 
 
 @dataclass
@@ -82,15 +86,16 @@ class TrainingTargets:
 
 def build_targets(ann: Annotation, fps: float, frames: int,
                   vocab: tuple[str, ...] = DEFAULT_VOCAB) -> TrainingTargets:
-    """Soft per-frame targets from an annotation."""
+    """Soft per-frame targets from an annotation. An event in the last half
+    frame goes to the last frame; one outside ``[0, frames / fps)`` raises."""
     beat = np.zeros(frames, dtype=np.float32)
     downbeat = np.zeros(frames, dtype=np.float32)
     boundary = np.zeros(frames, dtype=np.float32)
 
     def place(target, time_s):
-        f = int(round(time_s * fps))
-        if not 0 <= f < frames:
+        if not 0.0 <= time_s < frames / fps:
             raise InputError(f"event at {time_s:.3f}s outside the track")
+        f = min(int(round(time_s * fps)), frames - 1)
         for off in range(-WIDEN_FRAMES, WIDEN_FRAMES + 1):
             j = f + off
             if 0 <= j < frames:
@@ -104,9 +109,9 @@ def build_targets(ann: Annotation, fps: float, frames: int,
 
     ramp = max(int(round(BOUNDARY_RAMP_S * fps)), 1)
     for seg in ann.segments[1:]:
-        f = int(round(seg.start * fps))
-        if not 0 <= f < frames:
+        if not 0.0 <= seg.start < frames / fps:
             raise InputError(f"boundary at {seg.start:.3f}s outside the track")
+        f = min(int(round(seg.start * fps)), frames - 1)
         lo = max(f - ramp, 0)
         hi = min(f + ramp + 1, frames)
         offs = np.abs(np.arange(lo, hi) - f)

@@ -23,7 +23,7 @@ from aio1.attention import AttentionConfig, AttentionWeights
 from aio1.errors import Aio1Error, ParameterError
 from aio1.tensor import Tensor
 
-from graph_ops import matmul, mul, softmax, take, tsum
+from graph_ops import add, matmul, mul, softmax, take, tsum
 
 
 class ContractViolation(Aio1Error, ValueError):
@@ -171,9 +171,9 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
     lead = x.shape[:-2]
     nl = len(lead)
 
-    q = matmul(x, w.wq) + w.bq
-    k = matmul(x, w.wk) + w.bk
-    v = matmul(x, w.wv) + w.bv
+    q = add(matmul(x, w.wq), w.bq)
+    k = add(matmul(x, w.wk), w.bk)
+    v = add(matmul(x, w.wv), w.bv)
 
     kg = take(k, idx, axis=nl).reshape(*lead, n, width, heads, dh)
     vg = take(v, idx, axis=nl).reshape(*lead, n, width, heads, dh)
@@ -181,13 +181,13 @@ def _windowed_attention(x: Tensor, w: AttentionWeights, heads: int,
 
     logits = mul(tsum(mul(qh, kg), axis=-1), 1.0 / np.sqrt(dh))   # [..., N, W, H]
     bias = take(w.rpb, rel, axis=1)                      # [H, N, W]
-    logits = logits + bias.transpose(1, 2, 0)
+    logits = add(logits, bias.transpose(1, 2, 0))
     pad = np.where(valid[..., None], 0.0, -1e30).astype(x.dtype)
-    probs = softmax(logits + Tensor(pad), axis=-2)
+    probs = softmax(add(logits, Tensor(pad)), axis=-2)
 
     out = tsum(mul(probs.reshape(*lead, n, width, heads, 1), vg), axis=nl + 1)
     out = out.reshape(*lead, n, c)
-    return matmul(out, w.wo) + w.bo
+    return add(matmul(out, w.wo), w.bo)
 
 
 def composed_na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:

@@ -7,12 +7,23 @@ sigmoid and softmax as array functions at inference, its one mean as
 training runs. ``mul`` (which takes a plain number as a constant leaf)
 and ``tsum`` reduce a grad check's output to a scalar, and the per-task
 losses ``bce_with_logits`` and ``label_nll``, scaled by ``mul``, are the
-chain that ``multitask_loss`` must equal bit for bit."""
+chain that ``multitask_loss`` must equal bit for bit. ``add`` with
+``tz.dropout`` is the skip that ``tz.residual`` fuses."""
 
 import numpy as np
 
 from aio1 import tensor as tz
 from aio1.tensor import Tensor
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with broadcasting."""
+    tz._require_same_dtype(a, b, "add")
+
+    def backward(g):
+        return tz._unbroadcast(g, a.data.shape), tz._unbroadcast(g, b.data.shape)
+
+    return Tensor._from_op(a.data + b.data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -158,5 +169,5 @@ def per_task_loss(logits: dict, targets, weights) -> Tensor:
     total = None
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
         term = mul(tz.tmean(bce_with_logits(logits[name], getattr(targets, name))), w)
-        total = term if total is None else total + term
-    return total + mul(tz.tmean(label_nll(logits["labels"], targets.labels)), weights[3])
+        total = term if total is None else add(total, term)
+    return add(total, mul(tz.tmean(label_nll(logits["labels"], targets.labels)), weights[3]))

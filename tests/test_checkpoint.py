@@ -1,11 +1,12 @@
 """``tz.checkpoint`` recomputes a segment in the backward: outputs,
-gradients and the dropout stream against the plain call, and what the
-graph of one transformer block keeps.
+gradients and the dropout stream against the plain call; one transformer
+block against its composed form; and what the graph of one block keeps.
 
 The gradient equality needs the recomputed GEMMs to sum in the order of
-the first pass, so CI runs the model test with one and with two BLAS
+the first pass, so CI runs the model tests with one and with two BLAS
 threads."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -13,13 +14,14 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
+from aio1.attention import AttentionConfig, na1d, na2d
 from aio1.errors import NumericError
 from aio1.model import default_config, forward_logits, init_weights
 from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
 
 from gradcheck import grad_check
-from graph_ops import mul, tsum
+from graph_ops import add, mul, tsum
 
 
 def _plain(fn, inputs, rng):
@@ -33,13 +35,15 @@ def _mlp_args(dtype, seed=0, frames=7, width=6, hidden=10):
         return Tensor(offset + scale * rng.standard_normal(shape), dtype=dtype,
                       requires_grad=True)
 
-    return (leaf(2, frames, width), leaf(width, scale=0.1, offset=1.0), leaf(width, scale=0.1),
+    # the skip input x, then the MLP's input and weights
+    return (leaf(2, frames, 3), leaf(2, frames, width),
+            leaf(width, scale=0.1, offset=1.0), leaf(width, scale=0.1),
             leaf(width, hidden, scale=0.5), leaf(hidden, scale=0.1),
             leaf(hidden, 3, scale=0.5), leaf(3, scale=0.1))
 
 
 def _mlp(*args):
-    return model._mlp(*args, rate=0.3)
+    return model._mlp(*args, rate=0.3, skip_rate=0.2)
 
 
 def _run(checkpoint, inputs, seed, g=None):
@@ -111,11 +115,11 @@ def test_grad_check_through_a_checkpoint():
 
 def test_only_inputs_that_require_grad_get_one():
     inputs = _mlp_args(np.float32)
-    inputs[1].requires_grad = inputs[2].requires_grad = False
+    inputs[2].requires_grad = inputs[3].requires_grad = False
     out = tz.checkpoint(_mlp, inputs, np.random.default_rng(7))
     out.backward(np.ones_like(out.data))
-    assert inputs[1].grad is None and inputs[2].grad is None
-    assert all(t.grad is not None for t in inputs[:1] + inputs[3:])
+    assert inputs[2].grad is None and inputs[3].grad is None
+    assert all(t.grad is not None for t in inputs[:2] + inputs[4:])
 
 
 def test_without_a_graph_it_is_the_plain_call():
@@ -142,17 +146,71 @@ def test_without_a_graph_it_is_the_plain_call():
 
 def test_a_non_finite_value_inside_names_its_op():
     inputs = _mlp_args(np.float32)
-    inputs[3].data[:] = 3e38
+    inputs[4].data[:] = 3e38
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="linear"):
         tz.checkpoint(_mlp, inputs, np.random.default_rng(8))
+
+
+def _mlp_chain(u, gain, bias, w1, b1, w2, b2, rng, rate):
+    h = tz.gelu(tz.linear(tz.layer_norm(u, gain, bias), w1, b1))
+    return tz.linear(tz.dropout(h, rate, rng), w2, b2)
+
+
+def _composed_block(x, bw, l, cfg, rng):
+    """``transformer_module_forward`` with each skip a ``tz.dropout`` node
+    and an ``add``, and the MLP's skip outside its checkpoint."""
+    def skip(x, branch):
+        return add(x, tz.dropout(branch, cfg.dropout_skip, rng))
+
+    def att(d):
+        return AttentionConfig(cfg.kernel_size, d, cfg.num_heads)
+
+    d1, d2 = cfg.block_dilations(l)
+    normed = tz.layer_norm(x, bw.norm1_g, bw.norm1_b)
+    branch_a = skip(x, na1d(normed, bw.dina1, att(d1), cfg.dropout_attn, rng))
+    branch_b = skip(x, na1d(normed, bw.dina2, att(d2), cfg.dropout_attn, rng))
+    u = tz.concat([branch_a, branch_b], axis=-1)
+    h = tz.checkpoint(functools.partial(_mlp_chain, rate=cfg.dropout_mlp),
+                      (u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
+                      rng)
+    y = skip(x, h)
+    g = na2d(tz.layer_norm(y, bw.norm3_g, bw.norm3_b), bw.inst, att(1), cfg.dropout_attn, rng)
+    return skip(y, g)
+
+
+@pytest.mark.blas_order
+@pytest.mark.parametrize("l", [0, 5])
+def test_a_default_block_equals_its_composed_form(l):
+    # the default preset at a 7 s chunk, dropout on at every site
+    cfg = default_config()
+    runs = []
+    for block in (model.transformer_module_forward, _composed_block):
+        bw = init_weights(cfg, seed=14).blocks[l]
+        data = np.random.default_rng(15)
+        x = Tensor(data.standard_normal((4, 700, 24), dtype=np.float32), requires_grad=True)
+        g = data.standard_normal((4, 700, 24), dtype=np.float32)
+        rng = np.random.default_rng(16)
+        y = block(x, bw, l, cfg, rng)
+        y.backward(g)
+        runs.append((y.data, [("x", x)] + list(tz.named(bw, "")), rng.random()))
+    (out, grads, draw), (want, want_grads, want_draw) = runs
+    np.testing.assert_array_equal(out, want)
+    # x, three attentions of nine weights, three norms and the MLP
+    assert len(grads) == len(want_grads) == 1 + 3 * 9 + 6 + 4
+    for (name, a), (_, b) in zip(grads, want_grads):
+        assert a.grad is not None, name
+        np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
+    assert draw == want_draw
 
 
 def test_a_default_block_graph_keeps_no_mlp_activations():
     # the default preset at a 7 s chunk, dropout on: the plain block keeps
     # 17.6 MiB beyond its output, most of the MLP's share in its 8x hidden
     # layer (the fc1 and GELU outputs, the dropout mask and output). With
-    # the MLP checkpointed it keeps 9.9 MiB: the attentions, the dropouts
-    # outside the MLP and the MLP's input
+    # the MLP checkpointed it kept 9.89 MiB: the attentions, the dropouts
+    # outside the MLP and the MLP's input. With each skip one residual node
+    # that keeps only its mask, and the MLP's skip inside the checkpoint, it
+    # keeps 8.55 MiB
     cfg = default_config()
     weights = init_weights(cfg, seed=11)
     x = Tensor(np.random.default_rng(12).standard_normal((4, 700, 24), dtype=np.float32),
@@ -166,4 +224,4 @@ def test_a_default_block_graph_keeps_no_mlp_activations():
     finally:
         tracemalloc.stop()
     assert y.requires_grad
-    assert held <= 10.5 * 2 ** 20, held / 2 ** 20
+    assert held <= 9.2 * 2 ** 20, held / 2 ** 20

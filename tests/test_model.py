@@ -21,7 +21,7 @@ from aio1.postproc import DEFAULT_VOCAB, Segment, analyze_activations
 from aio1.tensor import Tensor
 
 import frontend_oracle
-from graph_ops import tsum
+from graph_ops import add, tsum
 
 
 def random_spec(cfg, frames, seed=0, stems=None):
@@ -109,7 +109,8 @@ def test_default_weight_name_counts(flags, count):
 @pytest.mark.parametrize("field, value", [
     ("num_heads", 0), ("embed_dim", 0), ("num_stems", 0), ("mlp_hidden_factor", 0),
     ("dropout_conv", 1.0), ("dropout_mlp", 1.0), ("dropout_attn", -0.5),
-    ("dropout_skip", 1.5)])
+    ("dropout_skip", 1.5), ("pool_widths", (3, 3)), ("pool_widths", (3, 3, 1, 1)),
+    ("pool_widths", (3, 3, 0)), ("conv_channels", (2, 3)), ("conv_channels", (2, 0, 4))])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
         replace(tiny_config(), **{field: value}).validate()
@@ -479,7 +480,7 @@ def test_graph_recording_forward_runs_the_front_end_in_checkpointed_tiles(monkey
                             np.random.default_rng(19))
     # tiles of 256, 256 and the last 256 frames, with a 2-frame halo
     assert calls == [258, 260, 258]
-    (tsum(logits["beat"]) + tsum(logits["labels"])).backward()
+    add(tsum(logits["beat"]), tsum(logits["labels"])).backward()
     # each tile's checkpoint runs it again in the backward
     assert sorted(calls[3:]) == sorted(calls[:3])
     for name, t in tz.named(w.frontend, "frontend"):

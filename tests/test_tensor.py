@@ -16,7 +16,7 @@ from aio1.training import (TrainConfig, TrainingTargets, build_targets, make_toy
                            multitask_loss)
 
 from frontend_oracle import conv_block_chain
-from graph_ops import (bce_with_logits, conv2d, elu, label_nll, log_softmax, matmul, maxpool,
+from graph_ops import (add, bce_with_logits, conv2d, elu, label_nll, log_softmax, matmul, maxpool,
                        mul, sigmoid, softmax, take, tsum)
 from gradcheck import grad_check
 
@@ -266,7 +266,7 @@ def test_softmax_sums_to_one_and_monotone():
 def test_non_finite_output_raises():
     big = Tensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="add"):
-        big + big
+        add(big, big)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_linear_equals_matmul_then_add(dtype):
     b = Tensor(_rand(7, rng, dtype))
     g = _rand((3, 40, 7), rng, dtype)
     fused = _forward_and_grads(lambda: tz.linear(x, w, b), [x, w, b], g)
-    composed = _forward_and_grads(lambda: matmul(x, w) + b, [x, w, b], g)
+    composed = _forward_and_grads(lambda: add(matmul(x, w), b), [x, w, b], g)
     np.testing.assert_array_equal(fused[0], composed[0])
     for got, want in zip(fused[1], composed[1]):
         np.testing.assert_array_equal(got, want)
@@ -325,7 +325,7 @@ def test_biased_conv2d_equals_conv2d_then_add(dtype):
     b = Tensor(_rand(4, rng, dtype))
     g = _rand((2, 9, 11, 4), rng, dtype)
     fused = _forward_and_grads(lambda: conv2d(x, k, b, (1, 1)), [x, k, b], g)
-    composed = _forward_and_grads(lambda: conv2d(x, k, Tensor(_no_bias(k.data)), (1, 1)) + b,
+    composed = _forward_and_grads(lambda: add(conv2d(x, k, Tensor(_no_bias(k.data)), (1, 1)), b),
                                   [x, k, b], g)
     np.testing.assert_array_equal(fused[0], composed[0])
     for got, want in zip(fused[1], composed[1]):
@@ -430,7 +430,7 @@ def test_grads_random_shapes(seed):
 
     def loss():
         h = matmul(x.reshape(-1, shape[-1]), w)
-        h = tz.gelu(h) + mul(elu(h), 0.5)
+        h = add(tz.gelu(h), mul(elu(h), 0.5))
         h = sigmoid(h)
         return tsum(mul(h, h))
 
@@ -501,7 +501,7 @@ def test_grad_log_softmax_and_bce():
     def loss():
         a = tsum(bce_with_logits(z, t))
         b = tsum(mul(log_softmax(z, axis=-1), -1.0))
-        return a + b
+        return add(a, b)
 
     _gc(loss, z)
 
@@ -662,6 +662,67 @@ def test_dropout_rejects_a_rate_outside_unit_interval(rate):
         tz.dropout(x, rate, np.random.default_rng(25))
 
 
+# ---------------------------------------------------------------------------
+# residual: a skip's dropout and add as one node
+# ---------------------------------------------------------------------------
+
+def _skip(fn, dtype, rate, seed):
+    """Output, both gradients and the generator's next draw of one skip
+    ``fn(x, branch, rate, rng)``; no generator when ``seed`` is None."""
+    rng = np.random.default_rng(40)
+    x, branch = (Tensor(_rand((3, 8, 5), rng, dtype)) for _ in range(2))
+    g = _rand((3, 8, 5), rng, dtype)
+    draws = None if seed is None else np.random.default_rng(seed)
+    out, grads = _forward_and_grads(lambda: fn(x, branch, rate, draws), [x, branch], g)
+    assert out.dtype == dtype and all(d.dtype == dtype for d in grads)
+    return out, grads, None if draws is None else draws.random()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate,seed", [(0.0, 41), (0.3, 41), (0.3, None)],
+                         ids=["rate-0", "rate-0.3", "no-rng"])
+def test_residual_equals_add_after_dropout(dtype, rate, seed):
+    out, grads, draw = _skip(tz.residual, dtype, rate, seed)
+    want, want_grads, want_draw = _skip(lambda x, b, r, rng: add(x, tz.dropout(b, r, rng)),
+                                        dtype, rate, seed)
+    np.testing.assert_array_equal(out, want)
+    for got, expected in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, expected)
+    assert draw == want_draw
+
+
+def test_grad_residual():
+    rng = np.random.default_rng(42)
+    x, branch = (Tensor(_rand((4, 6), rng), requires_grad=True) for _ in range(2))
+    # a fresh generator per evaluation repeats the mask
+    _gc(lambda: tsum(sigmoid(tz.residual(x, branch, 0.3, np.random.default_rng(43)))),
+        x, branch)
+
+
+def test_residual_graph_keeps_a_one_byte_mask():
+    x, branch = (Tensor(np.ones((4, 700, 24), np.float32), requires_grad=True)
+                 for _ in range(2))
+    rng = np.random.default_rng(44)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = tz.residual(x, branch, 0.1, rng)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * x.size
+
+
+@pytest.mark.parametrize("shape,dtype", [((3, 5), np.float64), ((1, 4), np.float64),
+                                         ((3, 4), np.float32)],
+                         ids=["shape", "broadcast", "dtype"])
+def test_residual_rejects_mismatched_shapes_and_dtypes(shape, dtype):
+    x = Tensor(np.ones((3, 4)))
+    for rng in (None, np.random.default_rng(45)):
+        with pytest.raises(DimensionError, match="residual"):
+            tz.residual(x, Tensor(np.ones(shape, dtype)), 0.1, rng)
+
+
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.2])
 def test_neighborhood_attention_rejects_a_rate_outside_unit_interval(rate):
     rng = np.random.default_rng(26)
@@ -699,7 +760,7 @@ def test_grad_divide_mean_transpose():
 
     def loss():
         h = mul(mul(a, b), 1.0 / 3.0).transpose(1, 0)
-        return tz.tmean(mul(h, h)) + tsum(sigmoid(tz.tmean(h, axis=0)))
+        return add(tz.tmean(mul(h, h)), tsum(sigmoid(tz.tmean(h, axis=0))))
 
     _gc(loss, a, b)
 
@@ -860,8 +921,9 @@ def test_backward_leaves_grads_on_the_weights_only():
     # (the whole-track front end's input, three conv_blocks, a transpose,
     # a reshape and a linear made it 165 and 71), and the mean over the
     # stems one mean node (a sum, a constant leaf and a multiply made it
-    # 163 and 68)
-    assert (len(nodes), len(ops)) == (161, 67)
+    # 163 and 68), and each skip one residual node, the MLP's inside its
+    # checkpoint (a dropout and an add per skip made it 161 and 67)
+    assert (len(nodes), len(ops)) == (151, 57)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name
@@ -887,9 +949,9 @@ def test_a_training_step_builds_only_the_model_node_kinds(monkeypatch):
                             np.random.default_rng(3))
     multitask_loss(logits, targets, TrainConfig().loss_weights).backward()
     # the checkpointed MLPs and front-end tiles build theirs in the backward
-    assert kinds == {"add", "reshape", "transpose", "stitch", "tmean", "linear", "layer_norm", "gelu",
-                     "neighborhood_attention", "dropout", "conv_block", "checkpoint",
-                     "multitask_loss"}
+    assert kinds == {"residual", "reshape", "transpose", "stitch", "tmean", "linear",
+                     "layer_norm", "gelu", "neighborhood_attention", "dropout", "conv_block",
+                     "checkpoint", "multitask_loss"}
     # and every node that aio1.tensor can build is one of them
     makers = {name for name, fn in vars(tz).items()
               if inspect.isfunction(fn) and fn.__module__ == tz.__name__
@@ -904,8 +966,8 @@ def test_a_buffer_given_to_two_leaves_is_never_written(shared_first):
     g = _rand((3, 4), rng)
     g_before = g.copy()
     # add hands its incoming gradient to both a and b; a then gets 3 g more
-    shared, extra = tz.add(a, b), mul(a, 3.0)
-    out = tz.add(shared, extra) if shared_first else tz.add(extra, shared)
+    shared, extra = add(a, b), mul(a, 3.0)
+    out = add(shared, extra) if shared_first else add(extra, shared)
     out.backward(g)
     np.testing.assert_array_equal(b.grad, g_before)
     np.testing.assert_array_equal(a.grad, g_before + 3.0 * g_before)

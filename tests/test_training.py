@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aio1 import tensor as tz
-from aio1.errors import TrainingDiverged
+from aio1.errors import ConfigError, InputError, TrainingDiverged
 from aio1.metrics import Annotation, Beat
 from aio1.model import default_config, forward_logits, init_weights, tiny_config
 from aio1.postproc import Segment
@@ -19,7 +19,7 @@ from aio1.training import (DECAY_FACTOR, PATIENCE_EPOCHS, PLATEAU_EPOCHS,
                            train_step)
 
 from frontend_oracle import conv_block_chain
-from graph_ops import bce_with_logits, log_softmax, mul, per_task_loss, take, tsum
+from graph_ops import add, bce_with_logits, log_softmax, mul, per_task_loss, take, tsum
 
 
 def test_build_targets_ramps_and_labels():
@@ -58,10 +58,50 @@ def _masked_form_loss(logits, targets, weights):
     total = None
     for w, name in zip(weights[:3], ("beat", "downbeat", "boundary")):
         term = mul(masked_mean(bce_with_logits(logits[name], getattr(targets, name))), w)
-        total = term if total is None else total + term
+        total = term if total is None else add(total, term)
     lsm = log_softmax(logits["labels"], axis=-1)
     picked = take(lsm.reshape(-1), np.arange(t) * lsm.shape[1] + targets.labels)
-    return total + mul(masked_mean(mul(picked, -1.0)), weights[3])
+    return add(total, mul(masked_mean(mul(picked, -1.0)), weights[3]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_epochs", 0), ("chunk_seconds", 0.0), ("chunk_seconds", -2.0),
+    ("chunk_seconds", 0.004), ("swa_start_frac", 1.5), ("swa_start_frac", -0.25)])
+def test_train_config_rejects_out_of_range_values(field, value):
+    cfg = TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    # train checks its config before it reads the data
+    with pytest.raises(ConfigError, match=field):
+        train(tiny_config(), cfg, [], [])
+
+
+def test_train_config_accepts_the_range_ends():
+    for cfg in (TrainConfig(chunk_seconds=0.01), TrainConfig(swa_start_frac=0.0),
+                TrainConfig(swa_start_frac=1.0)):
+        cfg.validate()
+
+
+def _beat_and_boundary(beat_s, boundary_s):
+    # a 10 s, 1,000-frame track
+    return Annotation(beats=[Beat(beat_s, 1)],
+                      segments=[Segment(0.0, boundary_s, "intro"),
+                                Segment(boundary_s, 10.0, "verse")], duration=10.0)
+
+
+def test_build_targets_puts_events_in_the_last_half_frame_on_the_last_frame():
+    # 9.996 s and 9.997 s round to frame 1000, one past the end
+    t = build_targets(_beat_and_boundary(9.996, 9.997), 100.0, 1000)
+    for target in (t.beat, t.downbeat, t.boundary):
+        assert target.argmax() == 999 and target[999] == 1.0
+
+
+@pytest.mark.parametrize("beat_s, boundary_s, what", [
+    (-0.001, 5.0, "event"), (10.0, 5.0, "event"), (10.5, 5.0, "event"),
+    (5.0, -0.001, "boundary"), (5.0, 10.0, "boundary")])
+def test_build_targets_rejects_events_outside_the_track(beat_s, boundary_s, what):
+    with pytest.raises(InputError, match=f"{what} at .* outside the track"):
+        build_targets(_beat_and_boundary(beat_s, boundary_s), 100.0, 1000)
 
 
 @pytest.mark.filterwarnings("error")
