@@ -17,11 +17,12 @@ node, which keeps only the tile's input view and output, and the graph
 keeps the front end's three dropout masks, drawn up front for the whole
 track; the tile's conv activations are computed again in the backward.
 
-A training graph keeps, per block, the attentions' probabilities and
-masks, the activations at ``[S, T, C]`` or ``[S, T, 2C]`` and the bool mask
-of each ``tz.residual`` skip. The MLP and its skip are one ``tz.checkpoint``
-node that keeps only its inputs: the 8x hidden layer, fc2's output and the
-skip's mask are computed again in the backward, from the same draws.
+Under a graph each transformer block is one ``tz.checkpoint`` node too,
+which keeps only the block's ``[S, T, C]`` input and a copy of the
+generator. The backward builds one block's graph at a time, from the same
+draws: its attentions' probabilities and masks, its activations at
+``[S, T, C]``, ``[S, T, 2C]`` and the MLP's 8x hidden width, and the bool
+mask of each ``tz.residual`` skip.
 """
 
 from __future__ import annotations
@@ -292,21 +293,29 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
         b = na1d(normed, bw.dina2, att(d2), cfg.dropout_attn, rng)
         branch_b = tz.residual(x, b, cfg.dropout_skip, rng)
     u = tz.concat([branch_a, branch_b], axis=-1)            # [S, T, 2C]
-    y = tz.checkpoint(functools.partial(_mlp, rate=cfg.dropout_mlp, skip_rate=cfg.dropout_skip),
-                      (x, u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
-                      rng)
+    y = _mlp(x, u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2,
+             rng, cfg.dropout_mlp, cfg.dropout_skip)
     if cfg.use_instrument_attention:
         g = na2d(tz.layer_norm(y, bw.norm3_g, bw.norm3_b), bw.inst, att(1), cfg.dropout_attn, rng)
         y = tz.residual(y, g, cfg.dropout_skip, rng)
     return y
 
 
-def _frontend_tile(x: Tensor, *weights: Tensor, cfg: ModelConfig,
+def _block(x: Tensor, *weights, like: BlockWeights, l: int, cfg: ModelConfig) -> Tensor:
+    """``transformer_module_forward`` as a ``tz.checkpoint`` segment:
+    ``weights`` are ``like``'s tensors in ``tz.named`` order, then the
+    generator. It calls the module's global with ``l`` third, because
+    ``bench/tracer.py`` wraps that global and names the block from it."""
+    *leaves, rng = weights
+    return transformer_module_forward(x, tz.rebuild(like, leaves), l, cfg, rng)
+
+
+def _frontend_tile(x: Tensor, *weights, like: FrontendWeights, cfg: ModelConfig,
                    masks: list[np.ndarray | None]) -> Tensor:
-    """``frontend_forward`` over one tile; ``weights`` are the front-end
-    weights in field order, then the generator ``tz.checkpoint`` passes,
-    unused, since the masks are drawn up front."""
-    return frontend_forward(x, FrontendWeights(*weights[:-1]), cfg.pool_widths,
+    """``frontend_forward`` over one tile; ``weights`` are ``like``'s
+    tensors in ``tz.named`` order, then the generator ``tz.checkpoint``
+    passes, unused, since the masks are drawn up front."""
+    return frontend_forward(x, tz.rebuild(like, weights[:-1]), cfg.pool_widths,
                             cfg.dropout_conv, masks)
 
 
@@ -339,7 +348,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
             start = max(min(done, t - _TILE_FRAMES), 0)
             stop = min(start + _TILE_FRAMES, t)
             lo, hi = max(start - reach, 0), min(stop + reach, t)
-            tile = functools.partial(_frontend_tile, cfg=cfg,
+            tile = functools.partial(_frontend_tile, like=w, cfg=cfg,
                                      masks=[m if m is None else m[:, lo:hi] for m in masks])
             yield (tz.checkpoint(tile, [Tensor(x[:, lo:hi])] + weights, None),
                    slice(done - lo, stop - lo))
@@ -356,9 +365,10 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     the front end's three first, for the whole track. Without one the
     pass is inference. Either way the front end runs over fixed time
     tiles with a halo of the convs' reach, so its activations do not grow
-    with the track, and the outputs equal one whole-track call; under a
-    graph each tile is computed again in the backward. Weights with another
-    block count than ``cfg`` raise ``ConfigError``.
+    with the track, and the outputs equal one whole-track call. Under a
+    graph each tile and each block is one ``tz.checkpoint`` node, computed
+    again in the backward; with none it is the plain call. Weights with
+    another block count than ``cfg`` raise ``ConfigError``.
     """
     if len(weights.blocks) != cfg.num_blocks:
         raise ConfigError(f"{len(weights.blocks)} weight blocks, {cfg.num_blocks} config blocks")
@@ -369,7 +379,8 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
         x = x.sum(axis=0, keepdims=True)
     h = _frontend(x, weights.frontend, cfg, rng)
     for l, bw in enumerate(weights.blocks):
-        h = transformer_module_forward(h, bw, l, cfg, rng)
+        block = functools.partial(_block, like=bw, l=l, cfg=cfg)
+        h = tz.checkpoint(block, [h] + [t for _, t in tz.named(bw, "")], rng)
     h = h.mean(axis=0)                                       # [T, C]
     h = tz.layer_norm(h, weights.final_norm_g, weights.final_norm_b)
     hd = weights.heads

@@ -33,8 +33,9 @@ and :func:`residual` keep a bool mask from one float32 draw per call, in
 call order; :func:`conv_block` takes its mask from the caller.
 :func:`checkpoint` makes a segment of ops one node that keeps only the
 segment's inputs and a copy of its generator, and builds the segment's
-graph again in the backward; the model runs each block's MLP with its
-skip and each front-end time tile through it, and :func:`stitch` joins
+graph again in the backward; the model runs each transformer block
+and each front-end time tile through it, :func:`rebuild` turns a
+segment's flat leaves back into its weights, and :func:`stitch` joins
 the tiles' own frames.
 
 Four ops are array functions that build no node. :func:`conv_block`
@@ -62,7 +63,7 @@ from __future__ import annotations
 import copy
 import math
 from contextlib import contextmanager
-from dataclasses import field, fields
+from dataclasses import field, fields, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -259,6 +260,27 @@ def named(weights, prefix: str) -> Iterator[tuple[str, Tensor]]:
                 yield from named(item, f"{name}{i}")
         else:
             yield from named(value, name)
+
+
+def rebuild(like, tensors: Sequence[Tensor]):
+    """A copy of the weights ``like`` that holds ``tensors`` where
+    :func:`named` lists ``like``'s own, in its order: the inverse of
+    ``named``. A :func:`checkpoint` segment turns its flat leaves back into
+    weights with it. A count other than ``named``'s raises."""
+    count = sum(1 for _ in named(like, ""))
+    if len(tensors) != count:
+        raise ParameterError(f"{len(tensors)} tensors for {count} weights")
+    it = iter(tensors)
+
+    def fill(value):
+        if isinstance(value, Tensor):
+            return next(it)
+        if isinstance(value, list):
+            return [fill(item) for item in value]
+        return replace(value, **{f.name: fill(getattr(value, f.name)) for f in fields(value)
+                                 if "param" in f.metadata and getattr(value, f.name) is not None})
+
+    return fill(like)
 
 
 def check_unique_names(names: Iterable[str]) -> None:
@@ -653,8 +675,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # ---------------------------------------------------------------------------
 
 # values per pass of the ELU and GELU: a chunk's input, output and
-# scratch buffers stay in cache
-_CHUNK = 16384
+# scratch buffers stay in cache. Any size gives the same values; on a
+# 2-vCPU Xeon with 2 MiB of L2 per core, 32,768 against 16,384 takes the
+# GELU on [4, 2000, 192] from 4.27 to 3.95 ms, its gradient from 5.23 to
+# 4.77 ms and the ELU on a [4, 260, 81, 32] conv1 tile from 1.94 to
+# 1.76 ms; 65,536 is no faster and 131,072 slower
+_CHUNK = 32768
 
 
 def _elu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -1036,8 +1062,9 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     returns the leaves' gradients. Each backward replays the saved state,
     so a second one works. ``fn`` takes its weights in ``inputs`` and draws
     from ``rng`` alone; the outputs and gradients equal those of the plain
-    call bit for bit. The model's MLP segment ends in its skip's
-    :func:`residual`, so the graph keeps neither fc2's output nor that mask.
+    call bit for bit. The model runs each transformer block through it, so
+    a training graph keeps each block's ``[S, T, C]`` input and builds one
+    block's graph at a time, in the backward.
     """
     if not _grad_enabled or not any(t.requires_grad for t in inputs):
         return fn(*inputs, rng)

@@ -86,16 +86,20 @@ class TrainingTargets:
 
 def build_targets(ann: Annotation, fps: float, frames: int,
                   vocab: tuple[str, ...] = DEFAULT_VOCAB) -> TrainingTargets:
-    """Soft per-frame targets from an annotation. An event in the last half
-    frame goes to the last frame; one outside ``[0, frames / fps)`` raises."""
+    """Soft per-frame targets from an annotation. An event, boundary or
+    section start in the last half frame goes to the last frame; an event
+    or boundary outside ``[0, frames / fps)`` raises."""
     beat = np.zeros(frames, dtype=np.float32)
     downbeat = np.zeros(frames, dtype=np.float32)
     boundary = np.zeros(frames, dtype=np.float32)
 
+    def frame(time_s):
+        return min(int(round(time_s * fps)), frames - 1)
+
     def place(target, time_s):
         if not 0.0 <= time_s < frames / fps:
             raise InputError(f"event at {time_s:.3f}s outside the track")
-        f = min(int(round(time_s * fps)), frames - 1)
+        f = frame(time_s)
         for off in range(-WIDEN_FRAMES, WIDEN_FRAMES + 1):
             j = f + off
             if 0 <= j < frames:
@@ -111,7 +115,7 @@ def build_targets(ann: Annotation, fps: float, frames: int,
     for seg in ann.segments[1:]:
         if not 0.0 <= seg.start < frames / fps:
             raise InputError(f"boundary at {seg.start:.3f}s outside the track")
-        f = min(int(round(seg.start * fps)), frames - 1)
+        f = frame(seg.start)
         lo = max(f - ramp, 0)
         hi = min(f + ramp + 1, frames)
         offs = np.abs(np.arange(lo, hi) - f)
@@ -122,7 +126,7 @@ def build_targets(ann: Annotation, fps: float, frames: int,
     for seg in ann.segments:
         if seg.label not in index:
             raise InputError(f"label {seg.label!r} not in the vocabulary")
-        lo = int(round(seg.start * fps))
+        lo = frame(seg.start)
         hi = frames if seg is ann.segments[-1] else int(round(seg.end * fps))
         labels[lo:hi] = index[seg.label]
 

@@ -1,12 +1,12 @@
 """``tz.checkpoint`` recomputes a segment in the backward: outputs,
-gradients and the dropout stream against the plain call; one transformer
-block against its composed form; and what the graph of one block keeps.
+gradients and the dropout stream against the plain call, for one MLP, a
+default training step and a seeded toy ``train()``; one transformer block
+against its composed form; and what each checkpointed block keeps.
 
 The gradient equality needs the recomputed GEMMs to sum in the order of
 the first pass, so CI runs the model tests with one and with two BLAS
 threads."""
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -16,9 +16,9 @@ import aio1.model as model
 import aio1.tensor as tz
 from aio1.attention import AttentionConfig, na1d, na2d
 from aio1.errors import NumericError
-from aio1.model import default_config, forward_logits, init_weights
+from aio1.model import default_config, forward_logits, init_weights, toy_config
 from aio1.tensor import Tensor
-from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss
+from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss, train
 
 from gradcheck import grad_check
 from graph_ops import add, mul, tsum
@@ -60,6 +60,7 @@ def test_default_preset_gradients_equal_the_plain_call(monkeypatch):
                                  num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
     targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(200, 500)
     runs = []
+    # the plain call for every front-end tile and every block
     for checkpoint in (tz.checkpoint, _plain):
         monkeypatch.setattr(tz, "checkpoint", checkpoint)
         weights = init_weights(cfg, seed=6)
@@ -75,6 +76,24 @@ def test_default_preset_gradients_equal_the_plain_call(monkeypatch):
     for (name, a), (_, b) in zip(kept, plain):
         assert a.grad is not None, name
         np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
+
+
+@pytest.mark.blas_order
+def test_a_seeded_toy_training_run_equals_the_plain_call(monkeypatch):
+    cfg = toy_config()
+    data = make_toy_dataset(3, 3, 10.0, fps=cfg.fps, bands=cfg.bands,
+                            num_stems=cfg.num_stems, vocab=cfg.label_vocab)
+    # random chunks, dropout at every site, two epochs of each rate
+    tcfg = TrainConfig(chunk_seconds=4.0, max_epochs=4, swa_start_frac=0.5, seed=9)
+    runs = []
+    for checkpoint in (tz.checkpoint, _plain):
+        monkeypatch.setattr(tz, "checkpoint", checkpoint)
+        runs.append(train(cfg, tcfg, data[:2], data[2:]))
+    (weights, history), (want_weights, want_history) = runs
+    assert history == want_history
+    assert [h["swa_active"] for h in history] == [False, True, True, True]
+    for (name, a), (_, b) in zip(weights.named_tensors(), want_weights.named_tensors()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -158,7 +177,7 @@ def _mlp_chain(u, gain, bias, w1, b1, w2, b2, rng, rate):
 
 def _composed_block(x, bw, l, cfg, rng):
     """``transformer_module_forward`` with each skip a ``tz.dropout`` node
-    and an ``add``, and the MLP's skip outside its checkpoint."""
+    and an ``add``, and the MLP's skip outside the MLP."""
     def skip(x, branch):
         return add(x, tz.dropout(branch, cfg.dropout_skip, rng))
 
@@ -170,9 +189,8 @@ def _composed_block(x, bw, l, cfg, rng):
     branch_a = skip(x, na1d(normed, bw.dina1, att(d1), cfg.dropout_attn, rng))
     branch_b = skip(x, na1d(normed, bw.dina2, att(d2), cfg.dropout_attn, rng))
     u = tz.concat([branch_a, branch_b], axis=-1)
-    h = tz.checkpoint(functools.partial(_mlp_chain, rate=cfg.dropout_mlp),
-                      (u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2),
-                      rng)
+    h = _mlp_chain(u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2,
+                   rng, cfg.dropout_mlp)
     y = skip(x, h)
     g = na2d(tz.layer_norm(y, bw.norm3_g, bw.norm3_b), bw.inst, att(1), cfg.dropout_attn, rng)
     return skip(y, g)
@@ -203,25 +221,34 @@ def test_a_default_block_equals_its_composed_form(l):
     assert draw == want_draw
 
 
-def test_a_default_block_graph_keeps_no_mlp_activations():
-    # the default preset at a 7 s chunk, dropout on: the plain block keeps
-    # 17.6 MiB beyond its output, most of the MLP's share in its 8x hidden
-    # layer (the fc1 and GELU outputs, the dropout mask and output). With
-    # the MLP checkpointed it kept 9.89 MiB: the attentions, the dropouts
-    # outside the MLP and the MLP's input. With each skip one residual node
-    # that keeps only its mask, and the MLP's skip inside the checkpoint, it
-    # keeps 8.55 MiB
+def test_each_checkpointed_default_block_keeps_only_its_input(monkeypatch):
+    # the default preset at a 7 s chunk, dropout on. A plain block kept
+    # 17.6 MiB beyond its output, most of it the MLP's 8x hidden layer; with
+    # the MLP checkpointed 9.89 MiB, and with each skip one residual node
+    # 8.55 MiB: the attentions, their masks and the activations. As one
+    # checkpoint node a block keeps its input, made before it, the node and
+    # a copy of the generator: 3.6-9.9 KiB measured (the first block the most)
     cfg = default_config()
+    spec, _ = make_toy_dataset(5, 1, 10.0, fps=cfg.fps, bands=cfg.bands,
+                               num_stems=cfg.num_stems, vocab=cfg.label_vocab)[0]
     weights = init_weights(cfg, seed=11)
-    x = Tensor(np.random.default_rng(12).standard_normal((4, 700, 24), dtype=np.float32),
-               requires_grad=True)
+    held = []
+    real = tz.checkpoint
+
+    def spy(fn, inputs, rng):
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(fn, inputs, rng)
+        if fn.func is model._block:
+            assert out._parents[0] is inputs[0]
+            held.append(tracemalloc.get_traced_memory()[0] - before - out.data.nbytes)
+        return out
+
+    monkeypatch.setattr(tz, "checkpoint", spy)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        y = model.transformer_module_forward(x, weights.blocks[0], 0, cfg,
-                                             np.random.default_rng(13))
-        held = tracemalloc.get_traced_memory()[0] - base - y.data.nbytes
+        logits = forward_logits(spec.values[:, :700], weights, cfg, np.random.default_rng(13))
     finally:
         tracemalloc.stop()
-    assert y.requires_grad
-    assert held <= 9.2 * 2 ** 20, held / 2 ** 20
+    assert logits["beat"].requires_grad
+    assert len(held) == cfg.num_blocks
+    assert max(held) <= 16 * 2 ** 10, max(held) / 2 ** 10

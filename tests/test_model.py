@@ -9,7 +9,7 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.errors import ConfigError, InputError
+from aio1.errors import ConfigError, InputError, ParameterError
 from aio1.frontend import FPS, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
@@ -104,6 +104,25 @@ def test_default_weight_name_counts(flags, count):
     names = [name for name, _ in w.named_tensors()]
     assert len(names) == len(set(names)) == count
     assert len(w.parameters()) == count
+
+
+@pytest.mark.parametrize("flags", [{}, {"use_second_dina": False,
+                                        "use_instrument_attention": False}])
+def test_rebuild_is_the_inverse_of_named(flags):
+    # a checkpoint segment turns its flat leaves back into weights with it
+    w = init_weights(replace(tiny_config(), **flags), seed=0)
+    named = list(w.named_tensors())
+    fresh = [Tensor(t.data + 1) for _, t in named]
+    rebuilt = tz.rebuild(w, fresh)
+    assert [(name, id(t)) for name, t in rebuilt.named_tensors()] == \
+        [(name, id(t)) for (name, _), t in zip(named, fresh)]
+    assert [t for _, t in w.named_tensors()] == [t for _, t in named]     # w unchanged
+    if flags:
+        assert rebuilt.blocks[0].dina2 is None and rebuilt.blocks[0].inst is None
+    block = [t for name, t in zip((n for n, _ in named), fresh) if name.startswith("block1.")]
+    assert [t for _, t in tz.named(tz.rebuild(w.blocks[1], block), "")] == block
+    with pytest.raises(ParameterError, match=f"{len(block) - 1} tensors for {len(block)}"):
+        tz.rebuild(w.blocks[1], block[1:])
 
 
 @pytest.mark.parametrize("field, value", [

@@ -922,8 +922,10 @@ def test_backward_leaves_grads_on_the_weights_only():
     # a reshape and a linear made it 165 and 71), and the mean over the
     # stems one mean node (a sum, a constant leaf and a multiply made it
     # 163 and 68), and each skip one residual node, the MLP's inside its
-    # checkpoint (a dropout and an add per skip made it 161 and 67)
-    assert (len(nodes), len(ops)) == (151, 57)
+    # checkpoint (a dropout and an add per skip made it 161 and 67), and
+    # each whole block one checkpoint node over its input and weights, the
+    # MLP's checkpoint gone (the block's own nodes made it 151 and 57)
+    assert (len(nodes), len(ops)) == (109, 15)
     assert all(t.grad is None for t in ops)
     for name, t in weights.named_tensors():
         assert t.grad is not None and t.grad.shape == t.data.shape, name
@@ -948,7 +950,7 @@ def test_a_training_step_builds_only_the_model_node_kinds(monkeypatch):
     logits = forward_logits(spec.values[:, :300], init_weights(cfg, seed=2), cfg,
                             np.random.default_rng(3))
     multitask_loss(logits, targets, TrainConfig().loss_weights).backward()
-    # the checkpointed MLPs and front-end tiles build theirs in the backward
+    # the checkpointed blocks and front-end tiles build theirs in the backward
     assert kinds == {"residual", "reshape", "transpose", "stitch", "tmean", "linear",
                      "layer_norm", "gelu", "neighborhood_attention", "dropout", "conv_block",
                      "checkpoint", "multitask_loss"}

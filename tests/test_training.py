@@ -96,6 +96,16 @@ def test_build_targets_puts_events_in_the_last_half_frame_on_the_last_frame():
         assert target.argmax() == 999 and target[999] == 1.0
 
 
+def test_build_targets_gives_a_section_in_the_last_half_frame_its_label():
+    # the verse starts at 9.997 s, which rounds to frame 1000: its label run
+    # starts on frame 999, where its boundary is
+    t = build_targets(_beat_and_boundary(5.0, 9.997), 100.0, 1000, ("intro", "verse"))
+    want = np.zeros(1000, dtype=np.int64)
+    want[999] = 1
+    np.testing.assert_array_equal(t.labels, want)
+    assert t.boundary.argmax() == 999
+
+
 @pytest.mark.parametrize("beat_s, boundary_s, what", [
     (-0.001, 5.0, "event"), (10.0, 5.0, "event"), (10.5, 5.0, "event"),
     (5.0, -0.001, "boundary"), (5.0, 10.0, "boundary")])
