@@ -29,19 +29,22 @@ Activations are channels last, ``[stems, frames, bands, channels]``.
 
 The model runs the extractor over time tiles with a halo of the convs'
 reach (``aio1.model._frontend``), in training and at inference alike, so
-one tile's activations are alive at a time. The dropout keep masks are
-drawn for the whole track first (:func:`frontend_masks`, 1 byte per conv
-output value) and each tile takes its slice, so the tiles see the masks
-one whole-track call would.
+one tile's activations are alive at a time. Each tile draws its own
+slices of the dropout keep masks (:func:`mask_slicer`, 1 byte per conv
+output value) when it runs: PCG64 jumps ahead in O(log n) steps, so a
+copy of the generator starts at each stem's slice of the whole-track
+draw, and the tiles see the masks one whole-track call would, while no
+mask for the whole track is ever made.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -201,22 +204,44 @@ def init_frontend_weights(bands: int, conv_channels: tuple[int, int, int],
         proj_b=Tensor(np.zeros(embed_dim, dtype=dtype)))
 
 
-def frontend_masks(shape: tuple[int, int, int], w: FrontendWeights,
-                   pool_widths: tuple[int, ...], rate: float,
-                   rng: np.random.Generator | None) -> list[np.ndarray | None]:
+def mask_slicer(shape: tuple[int, int, int], w: FrontendWeights,
+                pool_widths: tuple[int, ...], rate: float, rng: np.random.Generator | None
+                ) -> Callable[[int, int], list[np.ndarray | None]]:
     """The dropout keep masks of the three conv layers for an input of
-    ``shape`` ``[S, T, bands]``: one bool ``[S, T, F, C]`` array per layer,
-    the shape of its conv output, drawn from ``rng`` in layer order; None
-    each, with no draw, without ``rng`` or at rate 0. This is the one place
-    the front end draws from a generator."""
+    ``shape`` ``[S, T, bands]``, a span of frames at a time. Whole, they are
+    one bool ``[S, T, F, C]`` array per layer, the shape of its conv output,
+    drawn with ``tz._dropout_mask`` from ``rng`` in layer order; the function
+    returned maps ``lo, hi`` to their ``[:, lo:hi]`` slices, bit for bit,
+    and draws nothing else. Each call copies ``rng`` as it was and jumps the
+    copy to each stem's slice (``tz._skip``), so a span gives the same masks
+    every time; ``rng`` itself moves on past the whole draw at once. Without
+    ``rng`` or at rate 0 each mask is None and nothing is drawn. This is
+    the one place the front end draws from a generator."""
     s, t, bands = shape
-    masks = []
+    layers, words = [], 0               # (first word, bands, channels) per mask
     for kernels, pool in zip((w.conv1_w, w.conv2_w, w.conv3_w), pool_widths):
-        keep, _ = tz._dropout_mask((s, t, bands, kernels.shape[0]), rate, rng,
-                                   kernels.dtype)
-        masks.append(keep)
+        layers.append((words, bands, kernels.shape[0]))
+        words += s * t * bands * kernels.shape[0]
         bands = -(-bands // pool)
-    return masks
+    if rng is None or rate == 0.0:
+        return lambda lo, hi: [None] * len(layers)
+    start = copy.deepcopy(rng)
+    tz._skip(rng, words)
+
+    def frames(lo: int, hi: int) -> list[np.ndarray | None]:
+        at, masks, draw = 0, [], copy.deepcopy(start)
+        for first, f, c in layers:
+            stems = []
+            for i in range(s):
+                word = first + (i * t + lo) * f * c
+                tz._skip(draw, word - at)
+                stems.append(tz._dropout_mask((hi - lo, f, c), rate, draw,
+                                              w.conv1_w.dtype)[0])
+                at = word + (hi - lo) * f * c
+            masks.append(np.stack(stems))
+        return masks
+
+    return frames
 
 
 def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...],
@@ -226,8 +251,7 @@ def frontend_forward(x: Tensor, w: FrontendWeights, pool_widths: tuple[int, ...]
 
     All stems share the same weights; time resolution is preserved (the
     convolutions pad the time axis, pooling only touches frequency). The
-    ``masks`` of :func:`frontend_masks`, or their slices for a span of
-    frames, turn dropout on.
+    ``masks`` of :func:`mask_slicer` for a span of frames turn dropout on.
     """
     s, t, bands = x.shape
     check_frontend_plan(bands, pool_widths)

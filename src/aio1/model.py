@@ -13,9 +13,10 @@ heads emit beat, downbeat, boundary, and label scores.
 
 The conv front end runs as one loop over fixed time tiles, in training
 and at inference alike. Under a graph each tile is one ``tz.checkpoint``
-node, which keeps only the tile's input view and output, and the graph
-keeps the front end's three dropout masks, drawn up front for the whole
-track; the tile's conv activations are computed again in the backward.
+node, which keeps only the tile's input view and output. The tile draws
+its slice of the front end's three dropout masks when it runs, from a
+copy of the generator jumped ahead to it, and again when the backward
+computes its conv activations again, so the graph keeps no mask.
 
 Under a graph each transformer block is one ``tz.checkpoint`` node too,
 which keeps only the block's ``[S, T, C]`` input and a copy of the
@@ -30,7 +31,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .attention import AttentionConfig, AttentionWeights, init_attention_weights
 from .errors import ConfigError, InputError
 from .frontend import (FPS, FrontendWeights, StemSpectrogram,
                        check_frontend_plan, filterbank, frontend_forward,
-                       frontend_masks, init_frontend_weights)
+                       init_frontend_weights, mask_slicer)
 from .postproc import DEFAULT_VOCAB
 from .tensor import Tensor
 
@@ -311,12 +312,12 @@ def _block(x: Tensor, *weights, like: BlockWeights, l: int, cfg: ModelConfig) ->
 
 
 def _frontend_tile(x: Tensor, *weights, like: FrontendWeights, cfg: ModelConfig,
-                   masks: list[np.ndarray | None]) -> Tensor:
-    """``frontend_forward`` over one tile; ``weights`` are ``like``'s
-    tensors in ``tz.named`` order, then the generator ``tz.checkpoint``
-    passes, unused, since the masks are drawn up front."""
+                   masks: Callable[[], list[np.ndarray | None]]) -> Tensor:
+    """``frontend_forward`` over one tile, with the dropout masks ``masks()``
+    draws; ``weights`` are ``like``'s tensors in ``tz.named`` order, then
+    the generator ``tz.checkpoint`` passes, unused."""
     return frontend_forward(x, tz.rebuild(like, weights[:-1]), cfg.pool_widths,
-                            cfg.dropout_conv, masks)
+                            cfg.dropout_conv, masks())
 
 
 def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
@@ -324,9 +325,11 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     """``frontend_forward`` over ``_TILE_FRAMES`` time tiles, in training
     and at inference alike.
 
-    The three dropout masks are drawn once, for the whole track, and each
-    tile takes its slice, so a halo frame gets the mask its neighbour
-    uses. A tile's input carries ``kh // 2`` frames per conv on each side,
+    ``mask_slicer`` records the generator's state and moves it past the
+    whole draw of the three dropout masks; each tile draws only its own
+    slice of them, when it runs and again in its replay, so a halo frame
+    gets the mask its neighbour uses and no whole-track mask is made. A
+    tile's input carries ``kh // 2`` frames per conv on each side,
     clipped at the track ends, and only its own frames are kept.
     The last tile is aligned to the track end and keeps only the frames
     no earlier tile produced. Under a graph each tile is one
@@ -339,7 +342,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     """
     t = x.shape[1]
     reach = sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
-    masks = frontend_masks(x.shape, w, cfg.pool_widths, cfg.dropout_conv, rng)
+    masks = mask_slicer(x.shape, w, cfg.pool_widths, cfg.dropout_conv, rng)
     weights = [tensor for _, tensor in tz.named(w, "")]
 
     def tiles():
@@ -349,7 +352,7 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
             stop = min(start + _TILE_FRAMES, t)
             lo, hi = max(start - reach, 0), min(stop + reach, t)
             tile = functools.partial(_frontend_tile, like=w, cfg=cfg,
-                                     masks=[m if m is None else m[:, lo:hi] for m in masks])
+                                     masks=functools.partial(masks, lo, hi))
             yield (tz.checkpoint(tile, [Tensor(x[:, lo:hi])] + weights, None),
                    slice(done - lo, stop - lo))
             done = stop
@@ -362,12 +365,13 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     """Raw head outputs from spectrogram values ``[S, T, bands]``.
 
     An ``rng`` means training: every dropout site draws its mask from it,
-    the front end's three first, for the whole track. Without one the
-    pass is inference. Either way the front end runs over fixed time
-    tiles with a halo of the convs' reach, so its activations do not grow
-    with the track, and the outputs equal one whole-track call. Under a
-    graph each tile and each block is one ``tz.checkpoint`` node, computed
-    again in the backward; with none it is the plain call. Weights with
+    the front end's three first, though each front-end tile draws only its
+    own slice of them (see ``_frontend``). Without one the pass is
+    inference. Either way the front end runs over fixed time tiles with a
+    halo of the convs' reach, so its activations do not grow with the
+    track, and the outputs equal one whole-track call. Under a graph each
+    tile and each block is one ``tz.checkpoint`` node, computed again in
+    the backward; with none it is the plain call. Weights with
     another block count than ``cfg`` raise ``ConfigError``.
     """
     if len(weights.blocks) != cfg.num_blocks:

@@ -9,6 +9,10 @@
   and their outputs and gradients must equal these bit for bit.
 * ``conv_block_chain`` — the four-node front-end layer that
   ``tz.conv_block`` fuses, built on ``conv2d_node``.
+* ``frontend_masks`` — the front end's three dropout keep masks drawn
+  whole, for the whole chunk, as float32 draws. ``aio1.frontend.mask_slicer``
+  draws a span of frames of them at a time, and its slices must equal
+  these bit for bit.
 """
 
 import numpy as np
@@ -81,3 +85,18 @@ def conv_block_chain(x, kernels, bias, padding, rate, keep, pool):
         h = Tensor._from_op(tz._dropout_scale(h.data, keep, scale), (h,),
                             lambda g: (tz._dropout_scale(g, keep, scale),), "dropout")
     return maxpool(h, axis=2, width=pool)
+
+
+def frontend_masks(shape, w, pool_widths, rate, rng):
+    """The dropout keep masks of the three conv layers for an input of
+    ``shape`` ``[S, T, bands]``: one bool ``[S, T, F, C]`` array per layer,
+    the shape of its conv output, ``rng.random(.., dtype=float32) >= rate``
+    in layer order; None each, with no draw, without ``rng`` or at rate 0."""
+    s, t, bands = shape
+    masks = []
+    for kernels, pool in zip((w.conv1_w, w.conv2_w, w.conv3_w), pool_widths):
+        out = (s, t, bands, kernels.shape[0])
+        masks.append(None if rng is None or rate == 0.0
+                     else rng.random(out, dtype=np.float32) >= rate)
+        bands = -(-bands // pool)
+    return masks

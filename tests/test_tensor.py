@@ -642,6 +642,49 @@ def test_dropout_equals_the_float_mask_product(dtype, rate):
     assert np.array_equal(dx, g * mask)
 
 
+def _drawn(before):
+    """Two generators in one state, after ``before`` float32 draws: an odd
+    count leaves half a raw 64-bit word buffered."""
+    pair = np.random.default_rng(26), np.random.default_rng(26)
+    for rng in pair:
+        rng.random(before, dtype=np.float32)
+    return pair
+
+
+def _same_next_draws(rng, want):
+    assert rng.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
+                                  want.random(3, dtype=np.float32))
+    assert rng.integers(0, 10, 5).tolist() == want.integers(0, 10, 5).tolist()
+
+
+@pytest.mark.parametrize("before", range(4))
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.999])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 1001])
+def test_raw_word_mask_equals_the_float32_draw(n, rate, before):
+    rng, want = _drawn(before)
+    keep, _ = tz._dropout_mask((n,), rate, rng, np.dtype(np.float32))
+    np.testing.assert_array_equal(keep, want.random(n, dtype=np.float32) >= rate)
+    _same_next_draws(rng, want)
+
+
+@pytest.mark.parametrize("before", range(4))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 1001])
+def test_skip_leaves_the_state_of_the_float32_draws(n, before):
+    rng, want = _drawn(before)
+    tz._skip(rng, n)
+    want.random(n, dtype=np.float32)
+    _same_next_draws(rng, want)
+
+
+def test_dropout_needs_a_pcg64_generator():
+    mt = np.random.Generator(np.random.MT19937(27))
+    with pytest.raises(ParameterError, match="PCG64"):
+        tz.dropout(Tensor(np.ones((3, 4))), 0.2, mt)
+    with pytest.raises(ParameterError, match="PCG64"):
+        tz._skip(mt, 5)
+
+
 def test_dropout_graph_keeps_a_one_byte_mask():
     x = Tensor(np.ones((4, 700, 192), np.float32), requires_grad=True)
     rng = np.random.default_rng(24)
@@ -780,7 +823,7 @@ def test_grad_transpose_negative_axes():
 # ---------------------------------------------------------------------------
 
 def _keep(seed, shape, rate):
-    """A dropout keep mask drawn as ``frontend_masks`` draws one."""
+    """A dropout keep mask drawn as ``frontend_oracle.frontend_masks`` draws one."""
     return np.random.default_rng(seed).random(shape, dtype=np.float32) >= rate
 
 
