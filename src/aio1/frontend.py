@@ -109,11 +109,12 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
     every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
     workers = len(os.sched_getaffinity(0))
-    # near-equal blocks of up to 4096 frames. On a track of more than
-    # _SMALL_GEMM // fb.size (12) frames no block is small enough for the
+    # near-equal blocks of up to 512 frames, so a block's temporaries (4 MiB
+    # of windowed frames, 4 MiB of spectrum) stay small. On a track of more
+    # than _SMALL_GEMM // fb.size (12) frames no block is small enough for the
     # small-GEMM kernel, so a frame's values do not depend on the length;
     # a shorter track is one block, which that kernel may sum differently
-    bounds = tz._spans(frames, 4096, 1, fb.size)
+    bounds = tz._spans(frames, 512, 1, fb.size)
     for start, stop in zip(bounds, bounds[1:]):
         windows = every[start * HOP:(stop - 1) * HOP + 1:HOP]
         mag = np.abs(rfft(windows * window, axis=1, workers=workers))

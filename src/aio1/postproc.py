@@ -6,10 +6,14 @@ whole frames per beat, phase within the beat). Within a beat the pointer
 advances one frame at a time; when the phase wraps, the bar position
 steps within its bar length and the tempo may change, paying a log
 penalty proportional to the relative tempo jump. The bar length never
-changes, so a single Viterbi pass over the states of every candidate
-bar length picks the best one. States in the leading fraction of a beat
-period emit the beat (or, on bar position one, the downbeat) activation;
-every other state emits the leftover probability mass.
+changes, so each candidate bar length decodes on its own and the best
+final score wins. A Viterbi pass may hold several candidates at once;
+with more than one CPU the candidates are split into groups, this
+process decodes one group and a forked child process decodes each other
+group at the same time, and the best of their results is exactly the
+single pass's. States in the leading fraction of a beat period emit the
+beat (or, on bar position one, the downbeat) activation; every other
+state emits the leftover probability mass.
 
 Section boundaries are picked from the boundary activation after
 subtracting a centred sliding-window mean: a frame is emitted when the
@@ -20,12 +24,16 @@ get the label with the highest mean per-frame probability.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError
+from .errors import Aio1Error, InputError
 
 # relative tolerance used only to reject floating-point residue when the
 # normalised boundary signal is compared against zero; not a detection
@@ -107,28 +115,32 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
                cfg: DbnConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Beat and downbeat times from per-frame activations.
 
-    One Viterbi pass runs over a single state space holding every bar
-    length in ``cfg.beats_per_bar``. Its rows are (bar length, bar
-    position) in candidate order; each row holds one block of ``tau``
-    consecutive phases per tempo ``tau``. Bar positions wrap only within
-    their own bar length, and each bar length starts from its own
-    uniform prior, so the pass equals a separate decode per bar length.
-    The best final state wins; exact ties go to the earlier candidate,
-    then to the lower state.
+    Each bar length in ``cfg.beats_per_bar`` has its own states and its
+    own uniform prior, and its bar positions wrap only within it, so a
+    state's score takes the same float64 operations whichever other
+    candidates share its pass. The best final state over all candidates
+    wins; exact ties go to the earlier candidate, then to the lower state.
 
-    The scores of all frames live in one buffer of ``frames + n`` slots,
-    and frame t views the ``n`` slots that start one slot before frame
-    t - 1's. The within-beat advance (phase f comes from phase f - 1) is
-    then free, and the previous frame stays readable in place. Each frame
-    adds the off-beat emission to every state as one scalar, then
-    rewrites the few beat-window states (the leading phases of each tempo
-    block, every phase 0 among them) from their values before that add
-    plus their own class. Phase 0 takes the best tempo transition from a
-    preallocated ``[rows, new, old]`` candidate buffer: a broadcast fill
-    of each row's tempo ends, then the ``[new * old]`` penalty added in
-    place as one long loop per row. Every state gets the same float64
-    additions as a plain per-state update. The backtrace steps one beat
-    at a time, so only beat frames read a pointer.
+    So the candidates split exactly. They are dealt, longest bar first, to
+    at most one group per CPU this process may use, each to the group with
+    the least bar length so far: the default ``(3, 4)`` on two CPUs gives
+    ``{4}`` and ``{3}``. This process runs :func:`_bar_pointer_pass` on
+    the first group. Each other group runs in a child made by ``os.fork``,
+    which pickles its best score, winning candidate, and beat and downbeat
+    frames into a pipe, then leaves through ``os._exit``. The highest
+    score wins, ties to the earlier candidate: the single pass's own rule,
+    so beats and downbeats are bit-identical to it. With one CPU or one
+    candidate there is one group, and one pass runs here over every
+    candidate. Every child is reaped before this returns or raises; one
+    that fails or dies raises ``Aio1Error`` naming its bar lengths.
+
+    The child is safe after the fork although the parent may run other
+    threads. It runs only numpy indexing and ufuncs, which take no lock
+    but the GIL, and no BLAS or FFT. OpenBLAS stops its thread pool before
+    each fork and restarts it at the parent's next BLAS call; scipy.fft's
+    workers stay in the parent. Python 3.12 and later warn at a fork while
+    other threads exist, because a lock one of them holds stays locked in
+    the child; this child never takes such a lock.
     """
     cfg = cfg or DbnConfig()
     cfg.validate()
@@ -151,12 +163,117 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     if taus.size == 0:
         raise InputError(f"no whole-frame beat period at {fps} fps lies in "
                          f"{cfg.min_bpm}-{cfg.max_bpm} BPM")
+
+    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window
+    obs_log = np.empty((len(beat), 3))                   # log emission per class
+    off_beat, on_beat, on_down = obs_log.T               # float64 column views
+    on_beat[:] = beat
+    on_down[:] = downbeat
+    np.subtract(1.0, on_beat, out=off_beat)
+    off_beat -= on_down
+    np.clip(off_beat, 1e-6, 1.0, out=off_beat)
+    off_beat /= cfg.observation_lambda - 1.0
+    np.clip(on_beat, 1e-6, 1.0, out=on_beat)
+    np.clip(on_down, 1e-6, 1.0, out=on_down)
+    np.log(obs_log, out=obs_log)
+
+    groups = _bar_groups(cfg.beats_per_bar, len(os.sched_getaffinity(0)))
+    children = []                                        # (pid, pipe read end)
+    try:
+        for group in groups[1:]:
+            children.append(_fork_pass(obs_log, taus, cfg, group))
+        results = [_bar_pointer_pass(obs_log, taus, cfg, groups[0])]
+        replies = []
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, fd in children:
+            os.close(fd)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for group, reply, code in zip(groups[1:], replies, codes):
+        if code:
+            lengths = [cfg.beats_per_bar[i] for i in group]
+            raise Aio1Error(f"the DBN pass over bar lengths {lengths} failed in its "
+                            f"child process (exit code {code}):\n"
+                            + reply.decode(errors="replace"))
+        results.append(pickle.loads(reply))
+    _, _, beat_frames, down_frames = max(results, key=lambda r: (r[0], -r[1]))
+    return beat_frames / fps, down_frames / fps
+
+
+def _bar_groups(beats_per_bar: tuple[int, ...], cpus: int) -> list[list[int]]:
+    """Candidate indices dealt, longest bar first, to at most ``cpus``
+    groups, each to the one with the least bar length so far; each group
+    in candidate order, the one with the longest bar first."""
+    groups = [[] for _ in range(min(cpus, len(beats_per_bar)))]
+    for i in sorted(range(len(beats_per_bar)), key=lambda i: -beats_per_bar[i]):
+        min(groups, key=lambda g: sum(beats_per_bar[j] for j in g)).append(i)
+    return [sorted(g) for g in groups]
+
+
+def _fork_pass(obs_log: np.ndarray, taus: np.ndarray, cfg: DbnConfig,
+               group: list[int]) -> tuple[int, int]:
+    """Fork a child that runs :func:`_bar_pointer_pass` on ``group``. It
+    writes the pickled result and exits 0, or writes its traceback and
+    exits 1. Returns the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        try:
+            reply, code = pickle.dumps(_bar_pointer_pass(obs_log, taus, cfg, group)), 0
+        except BaseException:
+            reply = traceback.format_exc().encode()
+        with open(w, "wb") as pipe:
+            pipe.write(reply)
+    finally:
+        os._exit(code)
+
+
+def _bar_pointer_pass(obs_log: np.ndarray, taus: np.ndarray, cfg: DbnConfig,
+                      group: list[int]) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """One exact Viterbi pass over the candidates ``group`` (indices into
+    ``cfg.beats_per_bar``) under the log emissions ``obs_log`` ``[frames,
+    class]``: the best final score, its candidate, and the beat and
+    downbeat frames of its path.
+
+    Rows are (bar length, bar position) in candidate order; each row holds
+    one block of ``tau`` consecutive phases per tempo ``tau``. The scores
+    of all frames live in one buffer of ``frames + n`` slots, and frame t
+    views the ``n`` slots that start one slot before frame t - 1's. The
+    within-beat advance (phase f comes from phase f - 1) is then free, and
+    the previous frame stays readable in place. Each frame adds the
+    off-beat emission to every state as one scalar, then rewrites the few
+    beat-window states (the leading phases of each tempo block, every
+    phase 0 among them) from their values before that add plus their own
+    class. Phase 0 takes the best tempo transition from a preallocated
+    ``[rows, new, old]`` candidate buffer: a broadcast fill of each row's
+    tempo ends, then the ``[new * old]`` penalty added in place as one
+    long loop per row. Every state gets the same float64 additions as a
+    plain per-state update. The backtrace steps one beat at a time, so
+    only beat frames read a pointer.
+    """
     nt = len(taus)
     per_row = int(taus.sum())
-    frames = len(beat)
+    frames = len(obs_log)
 
     # rows: (bar length, bar position); prev_row wraps within the bar length
-    bpb = np.asarray(cfg.beats_per_bar)
+    bpb = np.asarray(cfg.beats_per_bar)[group]
     row_start = np.repeat(np.cumsum(bpb) - bpb, bpb)
     bar_pos = np.arange(len(row_start)) - row_start
     prev_row = row_start + (bar_pos - 1) % np.repeat(bpb, bpb)
@@ -169,21 +286,9 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     phase = np.arange(per_row) - first_off[tempo]
     last_off = first_off + taus - 1
 
-    # emission classes: 0 = off-beat, 1 = beat window, 2 = downbeat window;
-    # a row's window states all share its class
+    # a row's window states all share its emission class
     in_window = phase < taus[tempo] / cfg.observation_lambda
     row_class = np.where(bar_pos == 0, 2, 1)[:, None]
-    obs_log = np.empty((frames, 3))                      # log emission per class
-    off_beat, on_beat, on_down = obs_log.T               # float64 column views
-    on_beat[:] = beat
-    on_down[:] = downbeat
-    np.subtract(1.0, on_beat, out=off_beat)
-    off_beat -= on_down
-    np.clip(off_beat, 1e-6, 1.0, out=off_beat)
-    off_beat /= cfg.observation_lambda - 1.0
-    np.clip(on_beat, 1e-6, 1.0, out=on_beat)
-    np.clip(on_down, 1e-6, 1.0, out=on_down)
-    np.log(obs_log, out=obs_log)
 
     ratio = taus[:, None].astype(np.float64) / taus[None, :]
     penalty = (-cfg.transition_lambda * np.abs(ratio - 1.0)).ravel()  # [new * old]
@@ -224,7 +329,9 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
         delta[win_idx] = win
 
     # backtrace over beat frames; a path that enters mid-beat ends at t < 0
-    row, off = divmod(int(delta.argmax()), per_row)
+    state = int(delta.argmax())
+    row, off = divmod(state, per_row)
+    winner = group[int(np.searchsorted(np.cumsum(bpb), row, side="right"))]
     t = frames - 1 - int(phase[off])
     beat_frames, beat_rows = [], []
     while t >= 0:
@@ -237,7 +344,7 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
         t -= 1 + int(phase[off])
     beat_frames = np.array(beat_frames[::-1], dtype=np.int64)
     down_frames = beat_frames[bar_pos[beat_rows[::-1]] == 0]
-    return beat_frames / fps, down_frames / fps
+    return float(delta[state]), winner, beat_frames, down_frames
 
 
 # ---------------------------------------------------------------------------

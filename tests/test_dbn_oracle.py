@@ -1,10 +1,14 @@
-"""The single-pass bar-pointer decoder against the per-bar-length decoder
-it replaced, frozen here as the reference: beats and downbeats must be
-exactly equal."""
+"""The bar-pointer decoder against the per-bar-length decoder it
+replaced, frozen here as the reference: beats and downbeats must be
+exactly equal, whether one process decodes every bar length or the
+candidates are split across forked processes."""
+
+import os
 
 import numpy as np
 import pytest
 
+from aio1 import postproc
 from aio1.errors import InputError
 from aio1.postproc import DbnConfig, dbn_decode
 
@@ -138,11 +142,23 @@ def random_track(seed, fps=FPS):
     return beat, down
 
 
+def decode_on(cpus, beat, down, fps=FPS, cfg=None):
+    """``dbn_decode`` in a process that may use ``cpus`` CPUs: one runs
+    a single in-process pass, more split the candidates into that many
+    groups at most, all but one decoded in forked children."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return dbn_decode(beat, down, fps, cfg)
+
+
 def assert_same_as_reference(beat, down, fps=FPS, cfg=None):
+    """Every split equals the reference: one group (the in-process pass)
+    up to one group per candidate."""
     ref_beats, ref_downs = reference_decode(beat, down, fps, cfg)
-    beats, downs = dbn_decode(beat, down, fps, cfg)
-    assert np.array_equal(beats, ref_beats)
-    assert np.array_equal(downs, ref_downs)
+    for cpus in range(1, len((cfg or DbnConfig()).beats_per_bar) + 1):
+        beats, downs = decode_on(cpus, beat, down, fps, cfg)
+        assert np.array_equal(beats, ref_beats), cpus
+        assert np.array_equal(downs, ref_downs), cpus
 
 
 PLANTED = [(180, 50, 4), (120, round(FPS * 60 / 90), 3), (60, 45, 4)]
@@ -203,6 +219,31 @@ def test_bar_length_candidates_match_reference(cfg, seed):
 def test_bar_length_candidates_planted_match_reference(cfg):
     beat, down, _ = plant_beats(30, 60, 3)
     assert_same_as_reference(beat, down, cfg=cfg)
+
+
+def test_bar_length_groups():
+    """Longest bar first, each to the group with the least bar length so
+    far; every group in candidate order."""
+    assert postproc._bar_groups((3, 4), 2) == [[1], [0]]
+    assert postproc._bar_groups((3, 4), 1) == [[0, 1]]
+    assert postproc._bar_groups((4,), 8) == [[0]]
+    assert postproc._bar_groups((2, 3, 4), 2) == [[2], [0, 1]]
+    assert postproc._bar_groups((2, 3, 4), 3) == [[2], [1], [0]]
+    assert postproc._bar_groups((4, 4, 3, 3), 2) == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("beats_per_bar", [(3, 4), (4, 3)], ids=["child", "parent"])
+def test_a_tie_between_groups_goes_to_the_earlier_candidate(monkeypatch, beats_per_bar):
+    """Every group pass scores 0 and answers with one beat at frame 10 +
+    its first candidate; candidate 0 must win, whether a child (3-4) or
+    this process (4-3) decoded it."""
+    def tied(obs_log, taus, cfg, group):
+        frames = np.array([10 + group[0]])
+        return 0.0, group[0], frames, frames
+    monkeypatch.setattr(postproc, "_bar_pointer_pass", tied)
+    beats, downs = decode_on(2, np.zeros(200), np.zeros(200),
+                             cfg=DbnConfig(beats_per_bar=beats_per_bar))
+    assert beats.tolist() == downs.tolist() == [10 / FPS]
 
 
 # Other frame rates: 50 fps, the 44100/1024 hop of many beat trackers,

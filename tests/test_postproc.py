@@ -1,5 +1,6 @@
 """Decoders: bar-pointer Viterbi, boundary picking, segment labeling."""
 
+import os
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from aio1 import postproc
-from aio1.errors import InputError
+from aio1.errors import Aio1Error, InputError
 from aio1.postproc import (AnalysisResult, DbnConfig, Segment, dbn_decode,
                            label_segments, pick_boundaries)
 
@@ -120,12 +121,14 @@ def test_dbn_rejects_non_positive_fps(fps):
         dbn_decode(np.full(200, 0.1), np.zeros(200), fps)
 
 
-def test_dbn_memory_grows_by_its_backpointers():
+def test_dbn_memory_grows_by_its_backpointers(monkeypatch):
     """Per frame the decoder keeps one uint8 backpointer per (row, tempo)
     and a few float64 values (its score slot and log emissions), so
     tracemalloc's peak grows by at most ``rows * nt + 80`` bytes a frame
     from 3,000 to 6,000 frames; intp pointers or a per-frame table of row
-    emissions would exceed it."""
+    emissions would exceed it. On one CPU a single pass in this process
+    holds every row; a split would leave only its first group here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = DbnConfig()
     rows = sum(cfg.beats_per_bar)
     nt = int(np.floor(FPS * 60 / cfg.min_bpm)) - int(np.ceil(FPS * 60 / cfg.max_bpm)) + 1
@@ -140,6 +143,45 @@ def test_dbn_memory_grows_by_its_backpointers():
             tracemalloc.stop()
     slope = (peaks[6000] - peaks[3000]) / 3000
     assert slope <= rows * nt + 80, slope
+
+
+def test_dbn_decode_leaves_no_child_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    beat, down, _ = plant_beats(20, 50, 4)
+    dbn_decode(beat, down, FPS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", ["child-raises", "child-exits", "parent-raises"])
+def test_dbn_decode_reaps_its_child_when_a_pass_fails(monkeypatch, failure):
+    """A child whose pass raises or that exits non-zero makes the decode
+    raise, naming the child's bar length; a pass that raises in this
+    process propagates. Either way no child is left."""
+    parent, real = os.getpid(), postproc._bar_pointer_pass
+
+    def flaky(*args):
+        if failure == "parent-raises" and os.getpid() == parent:
+            raise ValueError("planted failure")
+        if failure == "child-raises" and os.getpid() != parent:
+            raise ValueError("planted failure")
+        if failure == "child-exits" and os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(postproc, "_bar_pointer_pass", flaky)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    beat, down, _ = plant_beats(5, 50, 4)
+    if failure == "parent-raises":
+        with pytest.raises(ValueError, match="planted failure"):
+            dbn_decode(beat, down, FPS)
+    else:
+        want = "planted failure" if failure == "child-raises" else "exit code 3"
+        with pytest.raises(Aio1Error, match=r"bar lengths \[3\]") as err:
+            dbn_decode(beat, down, FPS)
+        assert want in str(err.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
