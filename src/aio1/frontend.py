@@ -17,12 +17,15 @@ importing the package loads no scipy module.
 The feature extractor applies three conv + ELU + frequency-pool stages,
 with dropout before each pool when training, and weights shared across
 stems, then a linear map down to the embedding size. Each stage is one
-``tz.conv_block`` graph node, which keeps its ELU output, the caller's
-bool dropout mask and its pooled output, but no im2col columns and no
-conv or dropout output. Its conv and pool are the array functions
+``tz.conv_block`` graph node. Its conv and pool are the array functions
 ``tz.conv2d`` and ``tz.maxpool``, which build no node of their own. The
 conv copies the im2col windows in tiles of about 8,192 output positions,
-and the backward one group of kernel taps at a time, so neither holds the
+and the ELU, dropout and pool run on each tile while it is in cache, so
+no conv, ELU or dropout output of the whole input is made. The node
+keeps only its pooled output and, per pooled value, the slot of its
+window's first maximum and the ELU value and mask bit there: 3.3 bytes
+per float32 conv output value at pool width 3. The backward copies the
+windows one group of kernel taps at a time, so neither pass holds the
 whole im2col matrix. Time resolution is never reduced; only the
 frequency axis shrinks.
 Activations are channels last, ``[stems, frames, bands, channels]``.

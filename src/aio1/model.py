@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -239,6 +240,55 @@ def init_weights(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelWeights:
 def param_count(cfg: ModelConfig) -> int:
     """Exact number of scalar parameters implied by a configuration."""
     return sum(t.data.size for _, t in init_weights(cfg, seed=0).named_tensors())
+
+
+# the .npz entry that holds the ModelConfig as JSON; every weight name has a dot
+_CONFIG_ENTRY = "config"
+
+
+def save_weights(path, weights: ModelWeights, cfg: ModelConfig) -> None:
+    """Write ``weights`` to the ``.npz`` file ``path`` (as ``np.savez``
+    names it), one array per ``named_tensors()`` name, and ``cfg`` as JSON
+    under ``"config"``."""
+    arrays = {name: t.data for name, t in weights.named_tensors()}
+    np.savez(path, **arrays, **{_CONFIG_ENTRY: np.array(json.dumps(asdict(cfg)))})
+
+
+def load_weights(path, cfg: ModelConfig) -> ModelWeights:
+    """The weights :func:`save_weights` wrote to ``path`` for ``cfg``, as
+    trainable leaves; the file is read without pickle.
+
+    A file saved with another config raises ``ConfigError`` naming the
+    fields that differ. A weight ``cfg`` makes that the file lacks, or one
+    the file holds that ``cfg`` does not make, raises ``InputError``; a
+    shape or dtype other than ``cfg``'s at the file's float dtype raises
+    ``ConfigError``. Each names the weight.
+    """
+    with np.load(path, allow_pickle=False) as f:
+        arrays = {name: f[name] for name in f.files}
+    if _CONFIG_ENTRY not in arrays:
+        raise InputError(f"{path} holds no {_CONFIG_ENTRY!r} entry")
+    saved = json.loads(arrays.pop(_CONFIG_ENTRY).item())
+    want = json.loads(json.dumps(asdict(cfg)))
+    differ = [f"{k} {saved.get(k)}, not {want.get(k)}"
+              for k in [*want, *sorted(saved.keys() - want.keys())] if saved.get(k) != want.get(k)]
+    if differ:
+        raise ConfigError(f"{path} holds weights of another config: {'; '.join(differ)}")
+    dtype = next(iter(arrays.values())).dtype if arrays else np.dtype(np.float32)
+    weights = init_weights(cfg, seed=0, dtype=dtype if dtype in tz.FLOAT_DTYPES else np.float32)
+    named = dict(weights.named_tensors())
+    missing, extra = named.keys() - arrays.keys(), arrays.keys() - named.keys()
+    if missing:
+        raise InputError(f"the weights lack {', '.join(sorted(missing))}")
+    if extra:
+        raise InputError(f"the config makes no weights {', '.join(sorted(extra))}")
+    for name, t in named.items():
+        a = arrays[name]
+        if a.shape != t.data.shape or a.dtype != t.data.dtype:
+            raise ConfigError(f"weight {name} is {a.dtype.name} {a.shape}, the config "
+                              f"makes {t.data.dtype.name} {t.data.shape}")
+        t.data = a
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ the tiles' own frames.
 Four ops are array functions that build no node. :func:`conv_block`
 calls two of them: 2-D cross-correlation with a fused bias
 (:func:`conv2d`, whose GEMMs run in row tiles and tap groups, never on
-a whole im2col matrix) and max pooling (:func:`maxpool`); its backward
-calls their gradients, :func:`_conv2d_backward` and
-:func:`_maxpool_backward`. Inference applies the other two,
+a whole im2col matrix) and max pooling (:func:`maxpool`). It runs its
+ELU, dropout, pool and the search for each pool window's first maximum
+as an epilogue on each of the conv's GEMM tiles, keeps only state of the
+pooled output's size, and hands one full-size gradient to
+:func:`_conv2d_backward`. Inference applies the other two,
 :func:`sigmoid` and :func:`softmax`, to the logits, and the loss's
 backward calls :func:`sigmoid`.
 
@@ -534,22 +536,10 @@ def _conv2d_backward(x: Tensor, kernels: Tensor, padding: tuple[int, int],
     return dx, dk, _unbroadcast(g, (cout,))
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-           padding: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """2-D cross-correlation (no kernel flip), channels last, plus a
-    per-channel bias added into the product, as an array function.
-
-    ``x`` is ``[n, h, w, cin]``, ``kernels`` is ``[cout, cin, kh, kw]`` and
-    ``bias`` is ``[cout]``. The output is ``[n, h + 2*pad_h - kh + 1,
-    w + 2*pad_w - kw + 1, cout]``. It is an im2col GEMM run in tiles of
-    about ``_CONV_TILE`` output positions, whole output rows of any stems:
-    each tile copies its ``(kh, kw, cin)`` windows and writes its product
-    straight into the output. Its gradients come from
-    :func:`_conv2d_backward`, which runs in groups of kernel taps, column
-    blocks of the im2col matrix. Neither holds the whole matrix. Both
-    split the GEMMs only along axes they do not sum over (:func:`_spans`),
-    so every value equals that of one whole-matrix GEMM bit for bit.
-    """
+def _conv2d_shape(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+                  padding: tuple[int, int]) -> tuple[int, int, int, int]:
+    """:func:`conv2d`'s output shape ``[n, oh, ow, cout]``; raises on
+    operands it cannot take."""
     _require_same_dtype(x, kernels, "conv2d")
     _require_same_dtype(x, bias, "conv2d")
     if x.ndim != 4 or kernels.ndim != 4:
@@ -566,26 +556,60 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ParameterError("conv2d padding must be non-negative")
     if h + 2 * ph < kh or w + 2 * pw < kw:
         raise DimensionError("conv2d kernel larger than padded input")
+    return n, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, cout
 
-    oh = h + 2 * ph - kh + 1
-    ow = w + 2 * pw - kw + 1
+
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+           padding: tuple[int, int] = (0, 0),
+           epilogue: Callable[[int, int, np.ndarray], None] | None = None
+           ) -> np.ndarray | None:
+    """2-D cross-correlation (no kernel flip), channels last, plus a
+    per-channel bias, as an array function.
+
+    ``x`` is ``[n, h, w, cin]``, ``kernels`` is ``[cout, cin, kh, kw]`` and
+    ``bias`` is ``[cout]``. The output is ``[n, h + 2*pad_h - kh + 1,
+    w + 2*pad_w - kw + 1, cout]``. It is an im2col GEMM run in tiles of
+    about ``_CONV_TILE`` output positions, whole output rows of any stems:
+    each tile copies its ``(kh, kw, cin)`` windows, and its product gets
+    the bias and the finite check while it is in cache. Its gradients come
+    from :func:`_conv2d_backward`, which runs in groups of kernel taps,
+    column blocks of the im2col matrix. Neither holds the whole matrix.
+    Both split the GEMMs only along axes they do not sum over
+    (:func:`_spans`), so every value equals that of one whole-matrix GEMM
+    bit for bit.
+
+    With an ``epilogue``, no output is made: each checked tile goes to
+    ``epilogue(lo, hi, tile)``, where ``tile`` is output rows ``lo:hi`` of
+    the ``[n * oh, ow, cout]`` output in a scratch buffer the epilogue may
+    overwrite, and the call returns None.
+    """
+    n, oh, ow, cout = _conv2d_shape(x, kernels, bias, padding)
+    _, _, kh, kw = kernels.shape
+    ph, pw = padding
     kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, -1)
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     # [n, oh, ow, kh, kw, cin]: the (kh, kw, cin) order makes each copy
     # move runs of cin values
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    out = np.empty((n, oh, ow, cout), dtype=x.dtype)
-    out_rows = out.reshape(n * oh, ow * cout)           # one row per (stem, output row)
     bounds = _spans(n * oh, max(1, _CONV_TILE // ow), 1, ow * kmat.size)
-    cols = np.empty((max(np.diff(bounds)),) + windows.shape[2:], dtype=x.dtype)
+    rows = max(np.diff(bounds))
+    cols = np.empty((rows,) + windows.shape[2:], dtype=x.dtype)
+    if epilogue is None:
+        out = np.empty((n, oh, ow, cout), dtype=x.dtype)
+        out_rows = out.reshape(n * oh, ow, cout)       # one row per (stem, output row)
+    else:
+        out, buf = None, np.empty((rows, ow, cout), dtype=x.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         for s in range(lo // oh, (hi - 1) // oh + 1):       # a tile may span stems
             a, b = max(lo, s * oh), min(hi, s * oh + oh)
             cols[a - lo:b - lo] = windows[s, a - s * oh:b - s * oh]
+        tile = buf[:hi - lo] if out is None else out_rows[lo:hi]
         np.matmul(cols[:hi - lo].reshape(-1, kmat.shape[1]), kmat.T,
-                  out=out_rows[lo:hi].reshape(-1, cout))
-    out += bias
-    _check_finite(out, "conv2d")
+                  out=tile.reshape(-1, cout))
+        tile += bias
+        _check_finite(tile, "conv2d")
+        if epilogue is not None:
+            epilogue(lo, hi, tile)
     return out
 
 
@@ -598,34 +622,13 @@ def _pool_windows(xd: np.ndarray, axis: int, width: int) -> np.ndarray:
     return xd.reshape(xd.shape[:axis] + (-1, width) + xd.shape[axis + 1:])
 
 
-def _maxpool_backward(windows: np.ndarray, out: np.ndarray, g: np.ndarray,
-                      axis: int, length: int) -> np.ndarray:
-    """The gradient of a max-pool with output ``out`` over the
-    :func:`_pool_windows` of an axis of ``length``. It goes to each window's
-    first maximum: walking the slots in order, a slot equal to the maximum
-    takes it while no earlier one has."""
-    at = (slice(None),) * (axis + 1)
-    buf = np.empty(windows.shape, dtype=g.dtype)
-    free = np.ones(out.shape, dtype=bool)
-    hit = np.empty_like(free)
-    for j in range(windows.shape[axis + 1]):
-        np.equal(windows[at + (j,)], out, out=hit)
-        hit &= free
-        free ^= hit
-        np.multiply(g, hit, out=buf[at + (j,)])
-    # pad copies sit after the original in its window, so the first
-    # maximum is never one of them
-    merged = buf.reshape(windows.shape[:axis] + (-1,) + windows.shape[axis + 2:])
-    return merged[at[:axis] + (slice(length),)]
-
-
 def maxpool(x: np.ndarray, axis: int, width: int) -> np.ndarray:
     """Non-overlapping max over ``width`` along ``axis``, as an array function.
 
     The axis splits in place into ``(windows, width)``, a view of the input.
     A trailing remainder is padded by repeating the last element, so no
-    frames are dropped. Its gradient (:func:`_maxpool_backward`) routes
-    to the first maximal index of each window.
+    frames are dropped. Its gradient goes to the first maximal index of
+    each window (see :func:`conv_block`).
     """
     if width < 1:
         raise ParameterError("maxpool width must be >= 1")
@@ -1070,32 +1073,79 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
     array functions :func:`conv2d` and :func:`maxpool` by module name: the
     benchmark tracer times the front end by swapping those two module
     attributes, and a non-finite conv output still fails as ``conv2d``.
-    The ELU runs in place on the conv output. Besides its input and the mask, the graph
-    keeps only the ELU output and the pooled output. The backward
-    recomputes the dropout output from those two, routes the pool gradient
-    to each window's first maximum, applies the mask and the ELU slope,
-    and hands the result to :func:`_conv2d_backward`, which copies the
-    input's windows one group of kernel taps at a time.
+
+    The layer runs as the epilogue of each GEMM tile of :func:`conv2d`,
+    while the tile is in cache: the ELU in place, the dropout, the pool
+    into the pooled output and, under a graph, a walk over each window's
+    slots that finds its first maximum, the slot its gradient goes to. So
+    the forward makes no array of the conv output's size. The graph keeps,
+    per pooled value, the slot of that maximum and, with a mask, the ELU
+    value and the mask bit there; without one the ELU value is the pooled
+    output. With no graph it keeps nothing. The pool must follow the ELU:
+    float32 ``expm1`` is not monotone everywhere. The backward applies
+    the mask and the ELU slope at pooled size, in the order of the chain
+    of conv, ELU, dropout and pool nodes, then writes the one full-size
+    gradient, zero off each first maximum, for :func:`_conv2d_backward`.
+    That backward runs whole, not per tile: its kernel gradient sums over
+    every output position, so tiles would change its rounding. Outputs and
+    gradients equal those of the chain bit for bit.
     """
-    act = conv2d(x.data, kernels.data, bias.data, padding)
-    if keep is not None and keep.shape != act.shape:
-        raise DimensionError(f"conv_block: mask {keep.shape} for a conv output {act.shape}")
-    _elu(act, out=act)
-    scale = act.dtype.type(1.0 / (1.0 - rate))
-    dropped = act if keep is None else _dropout_scale(act, keep, scale)
-    out_data = maxpool(dropped, 2, pool)
+    shape = _conv2d_shape(x.data, kernels.data, bias.data, padding)
+    if keep is not None and keep.shape != shape:
+        raise DimensionError(f"conv_block: mask {keep.shape} for a conv output {shape}")
+    if pool < 1:
+        raise ParameterError("maxpool width must be >= 1")
+    n, oh, ow, cout = shape
+    dtype = x.data.dtype
+    scale = dtype.type(1.0 / (1.0 - rate))
+    out = np.empty((n * oh, -(-ow // pool), cout), dtype)     # one row per (stem, output row)
+    graph = _grad_enabled and any(t.requires_grad for t in (x, kernels, bias))
+    first = np.zeros(out.shape, np.min_scalar_type(pool - 1)) if graph else None
+    elu_at = np.zeros(out.shape, dtype) if graph and keep is not None else None
+    kept = np.zeros(out.shape, bool) if graph and keep is not None else None
+    rows_keep = None if keep is None else keep.reshape(n * oh, ow, cout)
+    # slot j of the windows [0, m): the last window may lack its last slots
+    slots = [(j, len(range(j, ow, pool))) for j in range(pool)]
+
+    def epilogue(lo, hi, tile):
+        _elu(tile, out=tile)
+        dropped = tile if keep is None else _dropout_scale(tile, rows_keep[lo:hi], scale)
+        pooled = out[lo:hi]
+        pooled[...] = maxpool(dropped, 1, pool)
+        if first is None:
+            return
+        # walking the slots in order, one equal to the maximum is the
+        # first maximum unless an earlier one was; the index of that slot
+        # counts the slots walked before it
+        free = np.ones(pooled.shape, dtype=bool)
+        hit = np.empty_like(free)
+        for j, m in slots:
+            at = (slice(None), slice(j, None, pool))
+            h, f = hit[:, :m], free[:, :m]
+            np.equal(dropped[at], pooled[:, :m], out=h)
+            h &= f
+            f ^= h
+            first[lo:hi, :m] += f.view(np.uint8)
+            if kept is not None:
+                elu_at[lo:hi, :m] += tile[at] * h
+                kept[lo:hi, :m] |= rows_keep[lo:hi][at] & h
+
+    conv2d(x.data, kernels.data, bias.data, padding, epilogue)
 
     def backward(g):
-        dropped = act if keep is None else _dropout_scale(act, keep, scale)
-        g = _maxpool_backward(_pool_windows(dropped, 2, pool), out_data, g, 2, act.shape[2])
-        del dropped  # freed before the conv backward builds its columns
-        if keep is not None:
-            g = _dropout_scale(g, keep, scale)
-        g = _elu_slope(act, g)          # the pool's and the mask's gradients are freed
-        return _conv2d_backward(x, kernels, padding, g)
+        g = g.reshape(out.shape)
+        if kept is not None:
+            g = _dropout_scale(g, kept, scale)
+        g = _elu_slope(out if elu_at is None else elu_at, g)
+        d = np.empty(shape, dtype)
+        rows = d.reshape(n * oh, ow, cout)
+        for j, m in slots:
+            np.multiply(g[:, :m], first[:, :m] == j, out=rows[:, j::pool])
+        del g                           # freed before the conv backward builds its columns
+        return _conv2d_backward(x, kernels, padding, d)
 
-    # maxpool has checked the values
-    return Tensor._from_op(out_data, (x, kernels, bias), backward, None)
+    # conv2d and maxpool have checked the values
+    return Tensor._from_op(out.reshape(n, oh, -1, cout), (x, kernels, bias), backward, None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ annotation is emitted alongside the spectrogram.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,8 @@ from .tensor import Tensor
 
 
 DECAY_FACTOR, PLATEAU_EPOCHS, PATIENCE_EPOCHS = 0.3, 5, 30
+# the four heads, in the order of the loss weights and the per-task losses
+TASKS = ("beat", "downbeat", "boundary", "labels")
 # beats/downbeats mark WIDEN_FRAMES neighbors each side at WIDEN_WEIGHT;
 # a boundary ramp has a half-width of BOUNDARY_RAMP_S seconds
 WIDEN_FRAMES, WIDEN_WEIGHT, BOUNDARY_RAMP_S = 2, 0.5, 0.5
@@ -136,16 +140,17 @@ def build_targets(ann: Annotation, fps: float, frames: int,
 
 def multitask_loss(logits: dict[str, Tensor], targets: TrainingTargets,
                    weights: tuple[float, float, float, float] = (1.0,) * 4
-                   ) -> Tensor:
+                   ) -> tuple[Tensor, tuple[float, float, float, float]]:
     """Mean BCE over frames per event task plus mean label cross-entropy,
     weighted and summed, as one graph node over the four logit heads.
 
     Each term is ``(sum over frames * dtype(1/T)) * dtype(w)`` and the total
     ``((t0 + t1) + t2) + t3``, the order of a chain of per-frame loss, sum,
     scale and add nodes, so value and logit gradients equal that chain's
-    bit for bit. A non-finite total raises :class:`NumericError`.
+    bit for bit. A non-finite total raises :class:`NumericError`. It
+    returns the node and the four weighted terms, in ``TASKS`` order.
     """
-    heads = [logits[name] for name in ("beat", "downbeat", "boundary", "labels")]
+    heads = [logits[name] for name in TASKS]
     z, labels = heads[3].data, np.asarray(targets.labels)
     events = [np.asarray(t, dtype=z.dtype)
               for t in (targets.beat, targets.downbeat, targets.boundary)]
@@ -170,8 +175,9 @@ def multitask_loss(logits: dict[str, Tensor], targets: TrainingTargets,
         return tuple(gk * (tz.sigmoid(h.data) - t)
                      for gk, h, t in zip(gs, heads, events)) + (d,)
 
-    return Tensor._from_op(np.asarray(((t0 + t1) + t2) + t3), heads, backward,
+    loss = Tensor._from_op(np.asarray(((t0 + t1) + t2) + t3), heads, backward,
                            "multitask_loss")
+    return loss, (float(t0), float(t1), float(t2), float(t3))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +335,37 @@ def make_toy_dataset(seed: int, n_tracks: int, duration_s: float,
 # training loop
 # ---------------------------------------------------------------------------
 
+class StepStats(NamedTuple):
+    """What one :func:`train_step` reports."""
+
+    loss: float
+    task_losses: tuple[float, float, float, float]    # weighted terms, TASKS order
+    grad_norm: float                    # over every weight, from float64 squares
+
+
 def train_step(weights: ModelWeights, state: RAdamState, values: np.ndarray,
                targets: TrainingTargets, model_cfg: ModelConfig,
-               cfg: TrainConfig, lr: float, rng: np.random.Generator) -> float:
+               cfg: TrainConfig, lr: float, rng: np.random.Generator) -> StepStats:
     """One step on one chunk: clear the gradients, forward with dropout
-    drawn from ``rng``, loss, backward, RAdam update; returns the loss.
-    The graph is local to this call, so it is freed when the step returns."""
+    drawn from ``rng``, loss, backward, RAdam update. It returns the loss,
+    its four weighted terms and the global gradient norm. The graph is
+    local to this call, so it is freed when the step returns."""
     params = weights.parameters()
     for p in params:
         p.grad = None
     # the rng goes 4th and positional: bench/tracer.py reads args[3] to
     # tell a training forward from a validation one
     logits = forward_logits(values, weights, model_cfg, rng)
-    loss = multitask_loss(logits, targets, cfg.loss_weights)
+    loss, terms = multitask_loss(logits, targets, cfg.loss_weights)
     loss.backward()
+    squares = sum(np.square(p.grad, dtype=np.float64).sum() for p in params
+                  if p.grad is not None)
     radam_step(params, state, lr, cfg.weight_decay)
-    return loss.item()
+    return StepStats(loss.item(), terms, math.sqrt(squares))
+
+
+def _task_means(terms: list[tuple[float, ...]]) -> dict[str, float]:
+    return {task: round(float(np.mean(col)), 6) for task, col in zip(TASKS, zip(*terms))}
 
 
 def train(model_cfg: ModelConfig, cfg: TrainConfig,
@@ -357,6 +378,13 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
     chunk when the track is longer than the budget, then the validation
     loss, the schedule and snapshot averaging. A non-finite value in a
     step or in validation raises ``TrainingDiverged`` naming the epoch.
+
+    Each history entry holds the epoch, the mean train and validation
+    losses, the rate and whether averaging is on; the mean weighted term
+    of each task in training and in validation (``train_tasks`` and
+    ``val_tasks``, keyed by ``TASKS``); the mean of the steps' global
+    gradient norms; and the training frames per wall-second of the
+    epoch's steps, the one value a seed does not fix.
     """
     cfg.validate()
     if not dataset:
@@ -383,7 +411,8 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
         if epoch == swa_start:
             lr = cfg.swa_lr
         order = rng.permutation(len(dataset))
-        train_losses = []
+        steps, frames = [], 0
+        started = time.perf_counter()
         try:
             # a non-finite value raises NumericError; numpy's overflow
             # warning on the way there would only repeat it
@@ -396,17 +425,19 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
                         start = int(rng.integers(0, spec.num_frames - chunk_frames + 1))
                         values = values[:, start:start + chunk_frames]
                         targets = targets.slice(start, start + chunk_frames)
-                    train_losses.append(train_step(weights, state, values, targets,
-                                                   model_cfg, cfg, lr, rng))
+                    steps.append(train_step(weights, state, values, targets,
+                                            model_cfg, cfg, lr, rng))
+                    frames += values.shape[1]
+                step_s = time.perf_counter() - started
                 with tz.no_grad():
-                    val_losses = [
-                        multitask_loss(forward_logits(spec.values, weights, model_cfg),
-                                       tgt, cfg.loss_weights).item()
-                        for (spec, _), tgt in zip(validation, val_targets)]
+                    val = [multitask_loss(forward_logits(spec.values, weights, model_cfg),
+                                          tgt, cfg.loss_weights)
+                           for (spec, _), tgt in zip(validation, val_targets)]
         except tz.NumericError as exc:
             raise TrainingDiverged(
                 f"non-finite values at epoch {epoch}: {exc}") from exc
-        val_loss = float(np.mean(val_losses or train_losses))
+        train_losses = [step.loss for step in steps]
+        val_loss = float(np.mean([loss.item() for loss, _ in val] or train_losses))
 
         if val_loss < best_val - 1e-9:
             best_val = val_loss
@@ -417,10 +448,16 @@ def train(model_cfg: ModelConfig, cfg: TrainConfig,
                 lr *= DECAY_FACTOR
         if swa_active:
             swa.update(weights)
+        train_tasks = _task_means([step.task_losses for step in steps])
         history.append({"epoch": epoch,
                         "train_loss": round(float(np.mean(train_losses)), 6),
                         "val_loss": round(val_loss, 6),
-                        "lr": lr, "swa_active": swa_active})
+                        "lr": lr, "swa_active": swa_active,
+                        "train_tasks": train_tasks,
+                        "val_tasks": _task_means([terms for _, terms in val]) if val
+                        else train_tasks,
+                        "grad_norm": float(np.mean([step.grad_norm for step in steps])),
+                        "frames_per_s": frames / step_s})
         if epochs_since_best >= PATIENCE_EPOCHS:
             break
 

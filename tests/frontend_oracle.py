@@ -57,8 +57,9 @@ def _conv2d_backward(x, kernels, padding, g):
     return dx, dk, tz._unbroadcast(g, (cout,))
 
 
-def conv2d(x, kernels, bias, padding=(0, 0)):
-    """``tz.conv2d`` as one whole-matrix im2col GEMM, for valid inputs."""
+def conv2d(x, kernels, bias, padding=(0, 0), epilogue=None):
+    """``tz.conv2d`` as one whole-matrix im2col GEMM, for valid inputs; an
+    ``epilogue`` gets the whole output as one tile."""
     n, h, w, _ = x.shape
     cout, _, kh, kw = kernels.shape
     ph, pw = padding
@@ -66,7 +67,10 @@ def conv2d(x, kernels, bias, padding=(0, 0)):
     out = _im2col(x, kh, kw, padding) @ kmat.T
     out = out.reshape(n, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, cout)
     out += bias
-    return out
+    if epilogue is None:
+        return out
+    epilogue(0, n * out.shape[1], out.reshape(-1, *out.shape[2:]))
+    return None
 
 
 def conv2d_node(x, kernels, bias, padding=(0, 0)):

@@ -72,14 +72,35 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding=(0, 0)) -> Tensor:
                            lambda g: tz._conv2d_backward(x, kernels, padding, g), None)
 
 
+def _maxpool_backward(windows: np.ndarray, out: np.ndarray, g: np.ndarray,
+                      axis: int, length: int) -> np.ndarray:
+    """The gradient of a max-pool with output ``out`` over the
+    ``tz._pool_windows`` of an axis of ``length``. It goes to each window's
+    first maximum: walking the slots in order, a slot equal to the maximum
+    takes it while no earlier one has."""
+    at = (slice(None),) * (axis + 1)
+    buf = np.empty(windows.shape, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    hit = np.empty_like(free)
+    for j in range(windows.shape[axis + 1]):
+        np.equal(windows[at + (j,)], out, out=hit)
+        hit &= free
+        free ^= hit
+        np.multiply(g, hit, out=buf[at + (j,)])
+    # pad copies sit after the original in its window, so the first
+    # maximum is never one of them
+    merged = buf.reshape(windows.shape[:axis] + (-1,) + windows.shape[axis + 2:])
+    return merged[at[:axis] + (slice(length),)]
+
+
 def maxpool(x: Tensor, axis: int, width: int) -> Tensor:
-    """``tz.maxpool`` as a node, with ``tz._maxpool_backward``."""
+    """``tz.maxpool`` as a node, with :func:`_maxpool_backward`."""
     out = tz.maxpool(x.data, axis, width)
     axis %= x.ndim
 
     def backward(g):
         windows = tz._pool_windows(x.data, axis, width)
-        return (tz._maxpool_backward(windows, out, g, axis, x.shape[axis]),)
+        return (_maxpool_backward(windows, out, g, axis, x.shape[axis]),)
 
     return Tensor._from_op(out, (x,), backward, None)
 

@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     before_mb = _rss_mb()
     start = time.perf_counter()
     loss = train_step(weights, state, spec.values, targets, cfg, tcfg, tcfg.lr,
-                      np.random.default_rng(1))
+                      np.random.default_rng(1)).loss
     step_s = time.perf_counter() - start
     peak_mb = _rss_mb()
     ok = peak_mb <= args.limit_mb and math.isfinite(loss)

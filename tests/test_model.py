@@ -14,7 +14,7 @@ from aio1.frontend import FPS, StemSpectrogram, frontend_forward, stems_from_aud
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
                         default_config, forward_logits, init_weights,
-                        model_forward, param_count,
+                        load_weights, model_forward, param_count, save_weights,
                         small_config, tiny_config, toy_config,
                         transformer_module_forward)
 from aio1.postproc import DEFAULT_VOCAB, Segment, analyze_activations
@@ -94,6 +94,45 @@ def test_weight_file_names_unique_and_stable():
              ("heads.boundary.weight", (8, 1)), ("heads.boundary.bias", (1,)),
              ("heads.labels.weight", (8, 8)), ("heads.labels.bias", (8,))]
     assert [(name, t.shape) for name, t in w.named_tensors()] == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_weight_file_round_trip_is_bit_identical(dtype, tmp_path):
+    cfg = tiny_config()
+    weights = init_weights(cfg, seed=3, dtype=dtype)
+    save_weights(tmp_path / "w.npz", weights, cfg)
+    loaded = load_weights(tmp_path / "w.npz", cfg)
+    for (name, a), (got, b) in zip(weights.named_tensors(), loaded.named_tensors()):
+        assert got == name and b.requires_grad
+        assert b.data.dtype == dtype and b.data.tobytes() == a.data.tobytes(), name
+    spec = random_spec(cfg, 300, seed=4)
+    want, got = model_forward(spec, weights, cfg), model_forward(spec, loaded, cfg)
+    for key in ("beat", "downbeat", "boundary", "labels"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key), err_msg=key)
+
+
+def test_a_weight_file_that_does_not_fit_names_what_differs(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "w.npz"
+    save_weights(path, init_weights(cfg, seed=3), cfg)
+    with pytest.raises(ConfigError, match=r"num_blocks 2, not 11; .*conv_channels \[2, 3, 4\]"):
+        load_weights(path, default_config())
+    arrays = dict(np.load(path))
+    np.savez(tmp_path / "missing.npz",
+             **{name: a for name, a in arrays.items() if name != "block1.mlp.fc1.bias"})
+    with pytest.raises(InputError, match="lack block1.mlp.fc1.bias"):
+        load_weights(tmp_path / "missing.npz", cfg)
+    # the small preset's weights saved under the tiny preset's config
+    small = {name: t.data for name, t in init_weights(small_config(), seed=3).named_tensors()}
+    np.savez(tmp_path / "small.npz", config=arrays["config"], **small)
+    with pytest.raises(InputError, match="makes no weights block2"):
+        load_weights(tmp_path / "small.npz", cfg)
+    for name, bad in (("frontend.conv1.weight", np.zeros((3, 1, 3, 3), np.float32)),
+                      ("frontend.conv1.bias", np.zeros(2, np.int64))):
+        np.savez(tmp_path / "bad.npz", **dict(arrays, **{name: bad}))
+        with pytest.raises(ConfigError, match=f"{name} is {bad.dtype.name} "
+                                              rf"\({bad.shape[0]},"):
+            load_weights(tmp_path / "bad.npz", cfg)
 
 
 @pytest.mark.parametrize("flags, count", [({}, 425),

@@ -525,7 +525,7 @@ def test_grad_label_nll():
     _gc(lambda: tsum(mul(label_nll(z, labels), w)), z)
     # the one-node loss over all four heads, each with its own weight
     logits, targets = _loss_inputs(rng, 7, 5)
-    _gc(lambda: multitask_loss(logits, targets, (1.0, 0.5, 2.0, 1.5)), *logits.values())
+    _gc(lambda: multitask_loss(logits, targets, (1.0, 0.5, 2.0, 1.5))[0], *logits.values())
 
 
 def test_label_nll_checks_its_shapes():
@@ -565,7 +565,7 @@ def test_loss_of_a_minus_inf_logit_off_the_label_is_finite():
     logits, targets = _loss_inputs(np.random.default_rng(16), 6, 3)
     off = (targets.labels[2] + 1) % 3
     logits["labels"].data[2, off] = -np.inf
-    loss = multitask_loss(logits, targets)
+    loss, _ = multitask_loss(logits, targets)
     loss.backward()
     assert np.isfinite(loss.item()) and logits["labels"].grad[2, off] == 0
 
@@ -863,9 +863,124 @@ def test_conv_block_equals_the_four_node_chain(dtype, rate, seeded, x_grad):
         assert (out == 0).any()             # the mask did drop values
 
 
+def _oracle_case(case):
+    """Inputs of ``tz.conv_block`` for one named case, with a 3x3 conv to 4
+    channels, and a seeded gradient of its output."""
+    dtype = np.float64 if case == "float64" else np.float32
+    bands, pool = {"edge-pad": (11, 4), "pool-1": (9, 1)}.get(case, (12, 3))
+    rng = np.random.default_rng(46)
+    shape = (2, 5, bands, 4)
+    if case == "ties":
+        # small integers through an all-ones kernel: most windows hold
+        # equal values, before and after the ELU and the dropout scale
+        x = Tensor(rng.integers(-1, 2, (2, 5, bands, 2)).astype(dtype))
+        k = Tensor(np.full((4, 2, 3, 3), 0.5, dtype))
+    else:
+        x = Tensor(_rand((2, 5, bands, 2), rng, dtype))
+        k = Tensor(_rand((4, 2, 3, 3), rng, dtype))
+    b = Tensor(_rand(4, rng, dtype))
+    rate = 0.0 if case == "no-mask" else 0.3
+    keep = None if case == "no-mask" else _keep(47, shape, rate)
+    if case == "all-dropped":
+        keep[:, :, :pool] = False           # every slot of the first window
+        keep[0, 2, pool:2 * pool, 1] = False
+    g = _rand((2, 5, -(-bands // pool), 4), rng, dtype)
+    return (x, k, b, (1, 1), rate, keep, pool), g
+
+
+@pytest.mark.blas_order
+@pytest.mark.parametrize("case", ["ties", "all-dropped", "edge-pad", "pool-1", "float64",
+                                  "no-mask"])
+def test_conv_block_equals_the_chain_oracle(case):
+    results = []
+    for block in (tz.conv_block, conv_block_chain):
+        (x, k, b, *rest), g = _oracle_case(case)
+        out, grads = _forward_and_grads(lambda: block(x, k, b, *rest), [x, k, b], g)
+        results.append((out, grads))
+    (out, grads), (want, want_grads) = results
+    np.testing.assert_array_equal(out, want)
+    for got, exp, name in zip(grads, want_grads, "xkb"):
+        np.testing.assert_array_equal(got, exp, err_msg=name)
+    if case == "ties":
+        # windows whose maximum its first slot shares with a later one
+        (x, k, b, pad, rate, keep, pool), _ = _oracle_case(case)
+        act = tz._elu(tz.conv2d(x.data, k.data, b.data, pad))
+        windows = tz._pool_windows(tz._dropout_scale(act, keep, act.dtype.type(1 / (1 - rate))),
+                                   2, pool)
+        assert ((windows[:, :, :, 0] == windows[:, :, :, 1:].max(axis=3))
+                & (windows[:, :, :, 0] == windows.max(axis=3))).any()
+    if case == "all-dropped":
+        assert (out[:, :, 0] == 0).all()
+
+
+def _conv1_args(rate):
+    """The default conv1 on 20 frames, ``[4, 20, 81, 1]`` to 32 channels,
+    with trainable weights, and its conv output's size."""
+    rng = np.random.default_rng(48)
+    x = Tensor(rng.standard_normal((4, 20, 81, 1), dtype=np.float32))
+    k = Tensor(rng.uniform(-0.3, 0.3, (32, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(32, np.float32), requires_grad=True)
+    keep = _keep(49, (4, 20, 81, 32), rate) if rate else None
+    return (x, k, b, (1, 1), rate, keep, 3), 4 * 20 * 81 * 32
+
+
+def test_conv_block_under_no_grad_records_and_keeps_nothing():
+    args, _ = _conv1_args(0.2)
+    tz.conv_block(*args)                # a first call, so lazy set-ups are done
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with tz.no_grad():
+            out = tz.conv_block(*args)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert not out.requires_grad and out._backward is None and out._parents == ()
+    # the pooled output and the Tensor around it: nothing else
+    assert held <= out.data.nbytes + 1024, (held, out.data.nbytes)
+
+
+def _arrays_reachable(fn):
+    """Every array a backward closure reaches through its cells, the
+    tensors, containers and closures in them, and the bases of views."""
+    found, seen, stack = [], set(), [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+            if item.base is not None:
+                stack.append(item.base)
+        elif isinstance(item, Tensor):
+            stack.append(item.data)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif inspect.isfunction(item):
+            stack.extend(c.cell_contents for c in item.__closure__ or ())
+    return found
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.0])
+def test_conv_block_node_keeps_nothing_of_the_conv_output_size(rate):
+    args, values = _conv1_args(rate)
+    out = tz.conv_block(*args)
+    sizes = [a.size for a in _arrays_reachable(out._backward)]
+    assert sizes and max(sizes) < values, max(sizes)
+    # the four-node chain reaches its ELU output, a positive control
+    chain = conv_block_chain(*args)
+    assert max(a.size for a in _arrays_reachable(chain._backward)) >= values
+
+
 def test_grad_conv_block():
     x, k, b, pad, _, _, pool = _block_args(np.float64, 0.0, False)
     _gc(lambda: tsum(sigmoid(tz.conv_block(x, k, b, pad, 0.4, None, pool))), x, k, b)
+
+
+def test_grad_conv_block_with_a_mask():
+    x, k, b, pad, rate, keep, pool = _block_args(np.float64, 0.4, True)
+    _gc(lambda: tsum(sigmoid(tz.conv_block(x, k, b, pad, rate, keep, pool))), x, k, b)
 
 
 def test_conv_block_overflow_names_conv2d():
@@ -897,11 +1012,13 @@ def test_conv_block_graph_keeps_no_im2col_columns():
     k = Tensor(rng.uniform(-0.06, 0.06, (48, 32, 3, 3)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(48, np.float32), requires_grad=True)
     values = 4 * 700 * 27 * 48
-    # the float32 ELU output, its bool mask and the pooled output, a third
-    # of the bands: 6.33 bytes per conv output value, measured 6.334. The
-    # chain keeps the conv, ELU and dropout outputs as well (14.33). The
-    # mask is drawn inside the measure, so both count it.
-    bound = 1.02 * values * (4 + 1 + 4 / 3)
+    # per pooled value, a third of the conv output's: the float32 output,
+    # the uint8 slot of its window's first maximum, the float32 ELU value
+    # and the bool mask bit there, 3.33 bytes per conv output value,
+    # measured 3.335. Keeping the whole ELU output and the caller's mask
+    # took 6.334; the chain keeps the conv, ELU and dropout outputs and
+    # the mask (14.33). The mask is drawn inside the measure.
+    bound = 1.02 * values * (4 + 1 + 4 + 1) / 3
     shape = (4, 700, 27, 48)
     tracemalloc.start()
     try:
@@ -948,7 +1065,7 @@ def test_backward_leaves_grads_on_the_weights_only():
     targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(0, 300)
     weights = init_weights(cfg, seed=2)
     logits = forward_logits(spec.values[:, :300], weights, cfg, np.random.default_rng(3))
-    loss = multitask_loss(logits, targets, TrainConfig().loss_weights)
+    loss, _ = multitask_loss(logits, targets, TrainConfig().loss_weights)
     loss.backward()
     nodes = _graph(loss)
     ops = [t for t in nodes if t._backward is not None]
@@ -992,7 +1109,7 @@ def test_a_training_step_builds_only_the_model_node_kinds(monkeypatch):
     targets = build_targets(ann, cfg.fps, spec.num_frames, cfg.label_vocab).slice(0, 300)
     logits = forward_logits(spec.values[:, :300], init_weights(cfg, seed=2), cfg,
                             np.random.default_rng(3))
-    multitask_loss(logits, targets, TrainConfig().loss_weights).backward()
+    multitask_loss(logits, targets, TrainConfig().loss_weights)[0].backward()
     # the checkpointed blocks and front-end tiles build theirs in the backward
     assert kinds == {"residual", "reshape", "transpose", "stitch", "tmean", "linear",
                      "layer_norm", "gelu", "neighborhood_attention", "dropout", "conv_block",
