@@ -13,17 +13,17 @@ heads emit beat, downbeat, boundary, and label scores.
 
 The conv front end runs as one loop over fixed time tiles, in training
 and at inference alike. Under a graph each tile is one ``tz.checkpoint``
-node, which keeps only the tile's input view and output. The tile draws
-its slice of the front end's three dropout masks when it runs, from a
-copy of the generator jumped ahead to it, and again when the backward
-computes its conv activations again, so the graph keeps no mask.
+node over its input view and the front end's weights; it keeps only
+that view and its output. The tile draws its slice of the three dropout
+masks when it runs, from a copy of the generator jumped ahead to it, and
+again in its replay in the backward, so the graph keeps no mask.
 
 Under a graph each transformer block is one ``tz.checkpoint`` node too,
-which keeps only the block's ``[S, T, C]`` input and a copy of the
-generator. The backward builds one block's graph at a time, from the same
-draws: its attentions' probabilities and masks, its activations at
-``[S, T, C]``, ``[S, T, 2C]`` and the MLP's 8x hidden width, and the bool
-mask of each ``tz.residual`` skip.
+over the block's ``[S, T, C]`` input and its weights, which keeps only that
+input and a copy of the generator. The backward builds one block's graph at
+a time, from the same draws: its attentions' probabilities and masks, its
+activations at ``[S, T, C]``, ``[S, T, 2C]`` and the MLP's 8x hidden width,
+and the bool mask of each ``tz.residual`` skip.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ class FrameActivations:
     def validate(self) -> None:
         for name in ("beat", "downbeat", "boundary"):
             arr = getattr(self, name)
-            if ((arr < 0) | (arr > 1)).any():
+            if not ((0 <= arr) & (arr <= 1)).all():           # NaN fails too
                 raise InputError(f"{name} activation outside [0, 1]")
-        if ((self.labels < 0) | (self.labels > 1)).any():
+        if not ((0 <= self.labels) & (self.labels <= 1)).all():
             raise InputError("label distribution outside [0, 1]")
         if np.abs(self.labels.sum(axis=-1) - 1.0).max() > 1e-5:
             raise InputError("label rows must sum to 1")
@@ -352,22 +352,10 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
     return y
 
 
-def _block(x: Tensor, *weights, like: BlockWeights, l: int, cfg: ModelConfig) -> Tensor:
-    """``transformer_module_forward`` as a ``tz.checkpoint`` segment:
-    ``weights`` are ``like``'s tensors in ``tz.named`` order, then the
-    generator. It calls the module's global with ``l`` third, because
-    ``bench/tracer.py`` wraps that global and names the block from it."""
-    *leaves, rng = weights
-    return transformer_module_forward(x, tz.rebuild(like, leaves), l, cfg, rng)
-
-
-def _frontend_tile(x: Tensor, *weights, like: FrontendWeights, cfg: ModelConfig,
+def _frontend_tile(x: Tensor, w: FrontendWeights, rng: None, *, cfg: ModelConfig,
                    masks: Callable[[], list[np.ndarray | None]]) -> Tensor:
-    """``frontend_forward`` over one tile, with the dropout masks ``masks()``
-    draws; ``weights`` are ``like``'s tensors in ``tz.named`` order, then
-    the generator ``tz.checkpoint`` passes, unused."""
-    return frontend_forward(x, tz.rebuild(like, weights[:-1]), cfg.pool_widths,
-                            cfg.dropout_conv, masks())
+    """``frontend_forward`` over one tile, with the dropout masks ``masks()`` draws."""
+    return frontend_forward(x, w, cfg.pool_widths, cfg.dropout_conv, masks())
 
 
 def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
@@ -383,9 +371,9 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     clipped at the track ends, and only its own frames are kept.
     The last tile is aligned to the track end and keeps only the frames
     no earlier tile produced. Under a graph each tile is one
-    ``tz.checkpoint`` node, which keeps its input view and output, and
-    runs the tile again in the backward; so one tile's activations are
-    alive at a time. With no graph it is the plain call. ``tz.stitch``
+    ``tz.checkpoint`` node over its input view and ``w``, which keeps that
+    view and its output and runs the tile again in the backward, so one
+    tile's activations are alive at a time. With no graph it is the plain call. ``tz.stitch``
     cuts the kept frames out and lays them end to end as one node. The
     loop stays outside ``frontend_forward``, because ``bench/tracer.py``
     names the conv spans by their index in each call.
@@ -393,7 +381,6 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
     t = x.shape[1]
     reach = sum(k.shape[2] // 2 for k in (w.conv1_w, w.conv2_w, w.conv3_w))
     masks = mask_slicer(x.shape, w, cfg.pool_widths, cfg.dropout_conv, rng)
-    weights = [tensor for _, tensor in tz.named(w, "")]
 
     def tiles():
         done = 0
@@ -401,9 +388,9 @@ def _frontend(x: np.ndarray, w: FrontendWeights, cfg: ModelConfig,
             start = max(min(done, t - _TILE_FRAMES), 0)
             stop = min(start + _TILE_FRAMES, t)
             lo, hi = max(start - reach, 0), min(stop + reach, t)
-            tile = functools.partial(_frontend_tile, like=w, cfg=cfg,
+            tile = functools.partial(_frontend_tile, cfg=cfg,
                                      masks=functools.partial(masks, lo, hi))
-            yield (tz.checkpoint(tile, [Tensor(x[:, lo:hi])] + weights, None),
+            yield (tz.checkpoint(tile, Tensor(x[:, lo:hi]), w, None),
                    slice(done - lo, stop - lo))
             done = stop
 
@@ -420,21 +407,25 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     inference. Either way the front end runs over fixed time tiles with a
     halo of the convs' reach, so its activations do not grow with the
     track, and the outputs equal one whole-track call. Under a graph each
-    tile and each block is one ``tz.checkpoint`` node, computed again in
-    the backward; with none it is the plain call. Weights with
-    another block count than ``cfg`` raise ``ConfigError``.
+    tile and each block is one ``tz.checkpoint`` node over its input and
+    weights, computed again in the backward; with none it is the plain
+    call. Weights with another block count than ``cfg`` raise
+    ``ConfigError``; values with another band count, ``InputError``.
     """
     if len(weights.blocks) != cfg.num_blocks:
         raise ConfigError(f"{len(weights.blocks)} weight blocks, {cfg.num_blocks} config blocks")
     x = np.asarray(values, dtype=weights.final_norm_g.data.dtype)
     if x.ndim != 3 or x.shape[1] == 0:
         raise InputError(f"expected non-empty [S, T, bands], got {x.shape}")
+    if x.shape[2] != cfg.bands:
+        raise InputError(f"{x.shape[2]} bands in, the model takes {cfg.bands}")
     if not cfg.use_demix:
         x = x.sum(axis=0, keepdims=True)
     h = _frontend(x, weights.frontend, cfg, rng)
     for l, bw in enumerate(weights.blocks):
-        block = functools.partial(_block, like=bw, l=l, cfg=cfg)
-        h = tz.checkpoint(block, [h] + [t for _, t in tz.named(bw, "")], rng)
+        # l third, as bench/tracer.py names blocks from it; l=l keeps it for the replay
+        h = tz.checkpoint(lambda x, w, r, l=l: transformer_module_forward(x, w, l, cfg, r),
+                          h, bw, rng)
     h = h.mean(axis=0)                                       # [T, C]
     h = tz.layer_norm(h, weights.final_norm_g, weights.final_norm_b)
     hd = weights.heads
@@ -458,11 +449,9 @@ def model_forward(spec: StemSpectrogram, weights: ModelWeights,
             f"model expects {cfg.num_stems} stems, got {spec.num_stems}")
     with tz.no_grad():
         logits = forward_logits(spec.values, weights, cfg)
-    acts = FrameActivations(
+    return FrameActivations(
         beat=tz.sigmoid(logits["beat"].data).astype(np.float32),
         downbeat=tz.sigmoid(logits["downbeat"].data).astype(np.float32),
         boundary=tz.sigmoid(logits["boundary"].data).astype(np.float32),
         labels=tz.softmax(logits["labels"].data, axis=-1).astype(np.float32),
         fps=cfg.fps)
-    acts.validate()
-    return acts

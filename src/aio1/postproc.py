@@ -413,7 +413,8 @@ def label_segments(labels: np.ndarray, boundaries: np.ndarray, duration: float,
 
 
 def analyze_activations(acts, vocab: tuple[str, ...] | None = None) -> AnalysisResult:
-    """Full decode of one track's activations into an AnalysisResult."""
+    """``acts.validate()``, then the full decode of one track into an AnalysisResult."""
+    acts.validate()
     vocab = vocab or DEFAULT_VOCAB
     beats, downbeats = dbn_decode(acts.beat, acts.downbeat, acts.fps)
     boundaries = pick_boundaries(acts.boundary, acts.fps)

@@ -33,10 +33,9 @@ and :func:`residual` keep a bool mask from one draw per call, in call
 order, which :func:`_dropout_mask` makes from raw PCG64 words;
 :func:`conv_block` takes its mask from the caller.
 :func:`checkpoint` makes a segment of ops one node that keeps only the
-segment's inputs and a copy of its generator, and builds the segment's
-graph again in the backward; the model runs each transformer block
-and each front-end time tile through it, :func:`rebuild` turns a
-segment's flat leaves back into its weights, and :func:`stitch` joins
+segment's input, its weights and a copy of its generator, and builds the
+segment's graph again in the backward; the model runs each transformer
+block and each front-end time tile through it, and :func:`stitch` joins
 the tiles' own frames.
 
 Four ops are array functions that build no node. :func:`conv_block`
@@ -66,7 +65,7 @@ from __future__ import annotations
 import copy
 import math
 from contextlib import contextmanager
-from dataclasses import field, fields, replace
+from dataclasses import field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -263,27 +262,6 @@ def named(weights, prefix: str) -> Iterator[tuple[str, Tensor]]:
                 yield from named(item, f"{name}{i}")
         else:
             yield from named(value, name)
-
-
-def rebuild(like, tensors: Sequence[Tensor]):
-    """A copy of the weights ``like`` that holds ``tensors`` where
-    :func:`named` lists ``like``'s own, in its order: the inverse of
-    ``named``. A :func:`checkpoint` segment turns its flat leaves back into
-    weights with it. A count other than ``named``'s raises."""
-    count = sum(1 for _ in named(like, ""))
-    if len(tensors) != count:
-        raise ParameterError(f"{len(tensors)} tensors for {count} weights")
-    it = iter(tensors)
-
-    def fill(value):
-        if isinstance(value, Tensor):
-            return next(it)
-        if isinstance(value, list):
-            return [fill(item) for item in value]
-        return replace(value, **{f.name: fill(getattr(value, f.name)) for f in fields(value)
-                                 if "param" in f.metadata and getattr(value, f.name) is not None})
-
-    return fill(like)
 
 
 def check_unique_names(names: Iterable[str]) -> None:
@@ -1152,34 +1130,41 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, padding: tuple[int, int
 # recomputation
 # ---------------------------------------------------------------------------
 
-def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
+def checkpoint(fn: Callable[..., Tensor], x: Tensor, weights,
                rng: np.random.Generator | None) -> Tensor:
-    """``fn(*inputs, rng)`` as one node that keeps only its inputs and a
-    copy of ``rng``, not the graph ``fn`` builds (gradient checkpointing,
-    Chen et al., arXiv 1604.06174).
+    """``fn(x, weights, rng)`` as one node that keeps only ``x``, the
+    weights and a copy of ``rng``, not the graph ``fn`` builds (gradient
+    checkpointing, Chen et al., arXiv 1604.06174).
 
-    With no graph to record it is that call. Otherwise ``fn`` runs under
-    :func:`no_grad`. The backward runs it again with the graph on, over
-    fresh leaves that hold the same input arrays and with a generator in
-    the saved state, so every dropout mask is drawn again bit for bit, and
-    returns the leaves' gradients. Each backward replays the saved state,
-    so a second one works. ``fn`` takes its weights in ``inputs`` and draws
-    from ``rng`` alone; the outputs and gradients equal those of the plain
-    call bit for bit. The model runs each transformer block through it, so
-    a training graph keeps each block's ``[S, T, C]`` input and builds one
-    block's graph at a time, in the backward.
+    ``weights``, a :func:`param` dataclass, goes to ``fn`` as it is. The
+    node's parents are ``x`` and the leaves :func:`named` lists, so a
+    segment over an ``x`` that needs no gradient still records a node. With
+    no graph it is the plain call; otherwise ``fn`` runs under
+    :func:`no_grad`. The backward runs it again with the graph on, over a
+    fresh leaf for ``x``, the real weights and a generator in the saved
+    state, so every dropout mask is drawn again bit for bit and a second
+    backward works. That nested backward adds each weight's gradient to
+    the weight, and the node returns ``x``'s alone. So a weight that is no
+    leaf raises :class:`ParameterError`: the nested backward would walk on
+    into the outer graph. ``fn`` draws from ``rng`` alone. Where each weight
+    enters a segment once (a block's in its block, the front end's in each
+    tile), it gets the same arrays in the same order as in the plain call,
+    so gradients and outputs equal that call's bit for bit.
     """
-    if not _grad_enabled or not any(t.requires_grad for t in inputs):
-        return fn(*inputs, rng)
+    pairs = list(named(weights, ""))
+    if not _grad_enabled or not (x.requires_grad or any(t.requires_grad for _, t in pairs)):
+        return fn(x, weights, rng)
+    if bad := [name for name, t in pairs if t._backward is not None]:
+        raise ParameterError(f"checkpoint: weights made by an op, not leaves: {bad}")
     saved = copy.deepcopy(rng)
     with no_grad():
-        out = fn(*inputs, rng)
+        out = fn(x, weights, rng)
 
     def backward(g):
-        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        fresh = Tensor(x.data, requires_grad=x.requires_grad)
         with _grad_mode(True):
-            fn(*leaves, copy.deepcopy(saved)).backward(g)
-        return tuple(t.grad for t in leaves)
+            fn(fresh, weights, copy.deepcopy(saved)).backward(g)
+        return (fresh.grad,) + (None,) * len(pairs)
 
     # fn's own ops have checked the values
-    return Tensor._from_op(out.data, inputs, backward, None)
+    return Tensor._from_op(out.data, [x] + [t for _, t in pairs], backward, None)

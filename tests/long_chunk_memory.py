@@ -4,7 +4,7 @@ one forward with dropout on, the loss, the backward and the RAdam update.
 It prints one JSON line and exits 1 if the peak exceeds ``--limit-mb`` or
 the loss is not finite.
 
-    PYTHONPATH=src python3 tests/long_chunk_memory.py [--seconds 300] [--limit-mb 4096]
+    PYTHONPATH=src python3 tests/long_chunk_memory.py [--seconds 300] [--limit-mb 2048]
 
 Not a pytest module: the peak of a process is only meaningful in a fresh one.
 """
@@ -29,7 +29,7 @@ def _rss_mb() -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seconds", type=float, default=TrainConfig().chunk_seconds)
-    parser.add_argument("--limit-mb", type=float, default=4096.0)
+    parser.add_argument("--limit-mb", type=float, default=2048.0)
     args = parser.parse_args(argv)
 
     cfg, tcfg = default_config(), TrainConfig()

@@ -1,13 +1,16 @@
 """``tz.checkpoint`` recomputes a segment in the backward: outputs,
 gradients and the dropout stream against the plain call, for one MLP, a
-default training step and a seeded toy ``train()``; one transformer block
-against its composed form; and what each checkpointed block keeps.
+default training step and a seeded toy ``train()``, weights shared by
+several segments and a segment over an input without a gradient; the leaf
+rule for its weights; one transformer block against its composed form;
+and what each checkpointed block keeps.
 
 The gradient equality needs the recomputed GEMMs to sum in the order of
 the first pass, so CI runs the model tests with one and with two BLAS
 threads."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ import pytest
 import aio1.model as model
 import aio1.tensor as tz
 from aio1.attention import AttentionConfig, na1d, na2d
-from aio1.errors import NumericError
-from aio1.model import default_config, forward_logits, init_weights, toy_config
+from aio1.errors import NumericError, ParameterError
+from aio1.model import BlockWeights, default_config, forward_logits, init_weights, toy_config
 from aio1.tensor import Tensor
 from aio1.training import TrainConfig, build_targets, make_toy_dataset, multitask_loss, train
 
@@ -24,8 +27,27 @@ from gradcheck import grad_check
 from graph_ops import add, mul, tsum
 
 
-def _plain(fn, inputs, rng):
-    return fn(*inputs, rng)
+def _plain(fn, x, weights, rng):
+    return fn(x, weights, rng)
+
+
+@dataclass
+class _MlpWeights:
+    """The MLP's input and weights: leaves to ``tz.checkpoint``, as a
+    block's weights are."""
+
+    u: Tensor = tz.param("u")
+    gain: Tensor = tz.param("gain")
+    bias: Tensor = tz.param("bias")
+    w1: Tensor = tz.param("w1")
+    b1: Tensor = tz.param("b1")
+    w2: Tensor = tz.param("w2")
+    b2: Tensor = tz.param("b2")
+
+
+@dataclass
+class _NoWeights:
+    pass
 
 
 def _mlp_args(dtype, seed=0, frames=7, width=6, hidden=10):
@@ -36,21 +58,27 @@ def _mlp_args(dtype, seed=0, frames=7, width=6, hidden=10):
                       requires_grad=True)
 
     # the skip input x, then the MLP's input and weights
-    return (leaf(2, frames, 3), leaf(2, frames, width),
-            leaf(width, scale=0.1, offset=1.0), leaf(width, scale=0.1),
-            leaf(width, hidden, scale=0.5), leaf(hidden, scale=0.1),
-            leaf(hidden, 3, scale=0.5), leaf(3, scale=0.1))
+    return leaf(2, frames, 3), _MlpWeights(
+        leaf(2, frames, width), leaf(width, scale=0.1, offset=1.0), leaf(width, scale=0.1),
+        leaf(width, hidden, scale=0.5), leaf(hidden, scale=0.1),
+        leaf(hidden, 3, scale=0.5), leaf(3, scale=0.1))
 
 
-def _mlp(*args):
-    return model._mlp(*args, rate=0.3, skip_rate=0.2)
+def _inputs(x, w):
+    """``x``, then the weights in ``tz.named`` order."""
+    return [x] + [t for _, t in tz.named(w, "")]
 
 
-def _run(checkpoint, inputs, seed, g=None):
+def _mlp(x, w, rng):
+    return model._mlp(x, w.u, w.gain, w.bias, w.w1, w.b1, w.w2, w.b2, rng,
+                      rate=0.3, skip_rate=0.2)
+
+
+def _run(checkpoint, x, w, seed, g=None):
     rng = np.random.default_rng(seed)
-    out = checkpoint(_mlp, inputs, rng)
+    out = checkpoint(_mlp, x, w, rng)
     out.backward(np.ones_like(out.data) if g is None else g)
-    return out.data, [t.grad for t in inputs], rng.random()
+    return out.data, [t.grad for t in _inputs(x, w)], rng.random()
 
 
 @pytest.mark.blas_order
@@ -101,12 +129,12 @@ def test_a_seeded_toy_training_run_equals_the_plain_call(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_outputs_gradients_and_the_rng_stream_equal_the_plain_call(dtype):
-    inputs = _mlp_args(dtype)
+    x, w = _mlp_args(dtype)
     g = np.random.default_rng(1).standard_normal((2, 7, 3)).astype(dtype)
-    out, grads, draw = _run(tz.checkpoint, inputs, 2, g)
-    for t in inputs:
+    out, grads, draw = _run(tz.checkpoint, x, w, 2, g)
+    for t in _inputs(x, w):
         t.grad = None
-    want, want_grads, want_draw = _run(_plain, inputs, 2, g)
+    want, want_grads, want_draw = _run(_plain, x, w, 2, g)
     np.testing.assert_array_equal(out, want)
     for a, b in zip(grads, want_grads):
         np.testing.assert_array_equal(a, b)
@@ -114,8 +142,9 @@ def test_outputs_gradients_and_the_rng_stream_equal_the_plain_call(dtype):
 
 
 def test_a_second_backward_adds_the_same_gradients():
-    inputs = _mlp_args(np.float32)
-    out = tz.checkpoint(_mlp, inputs, np.random.default_rng(3))
+    x, w = _mlp_args(np.float32)
+    inputs = _inputs(x, w)
+    out = tz.checkpoint(_mlp, x, w, np.random.default_rng(3))
     out.backward(np.ones_like(out.data))
     first = [t.grad for t in inputs]
     out.backward(np.ones_like(out.data))
@@ -124,21 +153,22 @@ def test_a_second_backward_adds_the_same_gradients():
 
 
 def test_grad_check_through_a_checkpoint():
-    inputs = _mlp_args(np.float64, seed=4, frames=3, width=4, hidden=5)
+    x, weights = _mlp_args(np.float64, seed=4, frames=3, width=4, hidden=5)
     w = np.random.default_rng(5).standard_normal((2, 3, 3))
 
     def loss():
         # the same dropout masks at every evaluation
-        out = tz.checkpoint(_mlp, inputs, np.random.default_rng(6))
+        out = tz.checkpoint(_mlp, x, weights, np.random.default_rng(6))
         return tsum(mul(out, Tensor(w)))
 
-    assert grad_check(loss, inputs, eps=1e-5) < 1e-4
+    assert grad_check(loss, _inputs(x, weights), eps=1e-5) < 1e-4
 
 
 def test_only_inputs_that_require_grad_get_one():
-    inputs = _mlp_args(np.float32)
+    x, w = _mlp_args(np.float32)
+    inputs = _inputs(x, w)
     inputs[2].requires_grad = inputs[3].requires_grad = False
-    out = tz.checkpoint(_mlp, inputs, np.random.default_rng(7))
+    out = tz.checkpoint(_mlp, x, w, np.random.default_rng(7))
     out.backward(np.ones_like(out.data))
     assert inputs[2].grad is None and inputs[3].grad is None
     assert all(t.grad is not None for t in inputs[:2] + inputs[4:])
@@ -147,17 +177,17 @@ def test_only_inputs_that_require_grad_get_one():
 def test_without_a_graph_it_is_the_plain_call():
     calls = []
 
-    def fn(a, rng):
+    def fn(a, w, rng):
         calls.append(tz._grad_enabled)
         return mul(a, 2.0)
 
     x = Tensor(np.ones(3), requires_grad=True)
     with tz.no_grad():
-        out = tz.checkpoint(fn, (x,), None)
+        out = tz.checkpoint(fn, x, _NoWeights(), None)
     assert not out.requires_grad and out._parents == ()
-    out = tz.checkpoint(fn, (Tensor(np.ones(3)),), None)
+    out = tz.checkpoint(fn, Tensor(np.ones(3)), _NoWeights(), None)
     assert not out.requires_grad
-    out = tz.checkpoint(fn, (x,), None)
+    out = tz.checkpoint(fn, x, _NoWeights(), None)
     assert out.requires_grad and out._parents == (x,)
     # the recording call runs fn under no_grad, the backward with the graph on
     with tz.no_grad():
@@ -166,11 +196,60 @@ def test_without_a_graph_it_is_the_plain_call():
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
+@pytest.mark.blas_order
+def test_weights_shared_by_several_nodes_get_the_plain_calls_gradients():
+    # as the front-end tiles share the front end's weights
+    x, w = _mlp_args(np.float32)
+    others = [Tensor(np.random.default_rng(s).standard_normal((2, 7, 3)), dtype=np.float32,
+                     requires_grad=True) for s in (21, 22)]
+    g = np.random.default_rng(23).standard_normal((6, 7, 3)).astype(np.float32)
+    runs = []
+    for checkpoint in (tz.checkpoint, _plain):
+        rng = np.random.default_rng(24)
+        out = tz.concat([checkpoint(_mlp, a, w, rng) for a in [x] + others], axis=0)
+        out.backward(g)
+        runs.append((out.data, [t.grad for t in _inputs(x, w) + others], rng.random()))
+        for t in _inputs(x, w) + others:
+            t.grad = None
+    (out, grads, draw), (want, want_grads, want_draw) = runs
+    np.testing.assert_array_equal(out, want)
+    for a, b in zip(grads, want_grads):
+        np.testing.assert_array_equal(a, b)
+    assert draw == want_draw
+
+
+@pytest.mark.blas_order
+def test_a_segment_over_an_input_without_a_gradient_fills_its_weights():
+    # as a front-end tile does: its input is a view of the spectrogram
+    _, w = _mlp_args(np.float32)
+    x = Tensor(np.random.default_rng(25).standard_normal((2, 7, 3)), dtype=np.float32)
+    runs = []
+    for checkpoint in (tz.checkpoint, _plain):
+        out = checkpoint(_mlp, x, w, np.random.default_rng(26))
+        assert out.requires_grad
+        out.backward(np.ones_like(out.data))
+        runs.append([t.grad for _, t in tz.named(w, "")])
+        for _, t in tz.named(w, ""):
+            t.grad = None
+    assert x.grad is None
+    for a, b in zip(*runs):
+        assert a is not None
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_weight_made_by_an_op_raises():
+    # its gradient would flow on into the outer graph in the replay
+    x, w = _mlp_args(np.float32)
+    w.w1 = mul(w.w1, 2.0)
+    with pytest.raises(ParameterError, match="w1"):
+        tz.checkpoint(_mlp, x, w, np.random.default_rng(27))
+
+
 def test_a_non_finite_value_inside_names_its_op():
-    inputs = _mlp_args(np.float32)
-    inputs[4].data[:] = 3e38
+    x, w = _mlp_args(np.float32)
+    w.w1.data[:] = 3e38
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="linear"):
-        tz.checkpoint(_mlp, inputs, np.random.default_rng(8))
+        tz.checkpoint(_mlp, x, w, np.random.default_rng(8))
 
 
 def _mlp_chain(u, gain, bias, w1, b1, w2, b2, rng, rate):
@@ -238,11 +317,11 @@ def test_each_checkpointed_default_block_keeps_only_its_input(monkeypatch):
     held = []
     real = tz.checkpoint
 
-    def spy(fn, inputs, rng):
+    def spy(fn, x, w, rng):
         before = tracemalloc.get_traced_memory()[0]
-        out = real(fn, inputs, rng)
-        if fn.func is model._block:
-            assert out._parents[0] is inputs[0]
+        out = real(fn, x, w, rng)
+        if isinstance(w, BlockWeights):
+            assert out._parents[0] is x
             held.append(tracemalloc.get_traced_memory()[0] - before - out.data.nbytes)
         return out
 

@@ -9,7 +9,7 @@ import pytest
 
 import aio1.model as model
 import aio1.tensor as tz
-from aio1.errors import ConfigError, InputError, ParameterError
+from aio1.errors import ConfigError, InputError
 from aio1.frontend import FPS, StemSpectrogram, frontend_forward, stems_from_audio
 from aio1.metrics import Annotation, Beat, evaluate_track
 from aio1.model import (CONFIG_PRESETS, FrameActivations, ModelConfig,
@@ -145,25 +145,6 @@ def test_default_weight_name_counts(flags, count):
     assert len(w.parameters()) == count
 
 
-@pytest.mark.parametrize("flags", [{}, {"use_second_dina": False,
-                                        "use_instrument_attention": False}])
-def test_rebuild_is_the_inverse_of_named(flags):
-    # a checkpoint segment turns its flat leaves back into weights with it
-    w = init_weights(replace(tiny_config(), **flags), seed=0)
-    named = list(w.named_tensors())
-    fresh = [Tensor(t.data + 1) for _, t in named]
-    rebuilt = tz.rebuild(w, fresh)
-    assert [(name, id(t)) for name, t in rebuilt.named_tensors()] == \
-        [(name, id(t)) for (name, _), t in zip(named, fresh)]
-    assert [t for _, t in w.named_tensors()] == [t for _, t in named]     # w unchanged
-    if flags:
-        assert rebuilt.blocks[0].dina2 is None and rebuilt.blocks[0].inst is None
-    block = [t for name, t in zip((n for n, _ in named), fresh) if name.startswith("block1.")]
-    assert [t for _, t in tz.named(tz.rebuild(w.blocks[1], block), "")] == block
-    with pytest.raises(ParameterError, match=f"{len(block) - 1} tensors for {len(block)}"):
-        tz.rebuild(w.blocks[1], block[1:])
-
-
 @pytest.mark.parametrize("field, value", [
     ("num_heads", 0), ("embed_dim", 0), ("num_stems", 0), ("mlp_hidden_factor", 0),
     ("dropout_conv", 1.0), ("dropout_mlp", 1.0), ("dropout_attn", -0.5),
@@ -216,6 +197,18 @@ def test_copy_is_independent_of_its_source(dtype):
         t.data += 1.0
     for old, (_, t) in zip(before, src.named_tensors()):
         np.testing.assert_array_equal(t.data, old)
+
+
+@pytest.mark.parametrize("value", [np.nan, 5.0])
+def test_decoding_rejects_labels_outside_0_1(value):
+    # NaN passed both the range and the row-sum check, and nothing checked
+    # activations made outside model_forward; such rows decoded to 'intro'
+    flat = np.full(200, 0.1, np.float32)
+    labels = np.full((200, len(DEFAULT_VOCAB)), 1 / len(DEFAULT_VOCAB), np.float32)
+    labels[50] = value
+    acts = FrameActivations(beat=flat, downbeat=flat, boundary=flat, labels=labels, fps=FPS)
+    with pytest.raises(InputError, match="label distribution outside"):
+        analyze_activations(acts)
 
 
 def test_fresh_model_output_sane():
@@ -380,6 +373,17 @@ def test_empty_input_rejected():
     w = init_weights(cfg, seed=0)
     with pytest.raises(InputError):
         forward_logits(np.zeros((2, 0, 9), np.float32), w, cfg)
+
+
+@pytest.mark.parametrize("bands", [80, 82])
+def test_another_band_count_than_the_configs_rejected(bands):
+    # 79 to 81 bands pool to the same 3 and ran through the default model;
+    # 82 failed inside a linear on its inner dimensions
+    cfg = default_config()
+    w = init_weights(cfg, seed=0)
+    vals = np.random.default_rng(0).random((cfg.num_stems, 40, bands), dtype=np.float32)
+    with pytest.raises(InputError, match=f"{bands} bands in, the model takes {cfg.bands}"):
+        forward_logits(vals, w, cfg)
 
 
 def test_fps_and_stem_mismatch_rejected():
