@@ -136,11 +136,10 @@ def _attend(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, slots,
     if w.rpb.shape[0] != cfg.num_heads:
         raise ConfigError(f"bias table has {w.rpb.shape[0]} heads, "
                           f"config {cfg.num_heads}")
-    q = tz.linear(x, w.wq, w.bq)
-    k = tz.linear(x, w.wk, w.bk)
-    v = tz.linear(x, w.wv, w.bv)
+    q, k, v = tz.rowwise(lambda x: (tz.linear(x, w.wq, w.bq), tz.linear(x, w.wk, w.bk),
+                                    tz.linear(x, w.wv, w.bv)), x)
     out = tz.neighborhood_attention(q, k, v, w.rpb, slots, attn_dropout, rng)
-    return tz.linear(out, w.wo, w.bo)
+    return tz.rowwise(lambda out: tz.linear(out, w.wo, w.bo), out)
 
 
 def na1d(x: Tensor, w: AttentionWeights, cfg: AttentionConfig, attn_dropout: float = 0.0,

@@ -9,7 +9,7 @@ whose centers are spaced ``BANDS_PER_OCTAVE`` = 12 per octave from
 ``FMIN`` = 30 Hz to ``FMAX`` = 17 kHz and snapped to FFT bins (duplicate
 low-frequency centers are merged, which is what leaves 81 bands),
 followed by ``log(1 + x)``. The FFT is ``scipy.fft.rfft`` on as many
-workers as the process has CPUs (``os.sched_getaffinity``); it allocates
+workers as the process has CPUs (``tz.cpu_count``); it allocates
 only its output, and its log values stay within 2e-5 of a float64 FFT of
 the same frames. ``scipy.fft`` is imported on the first spectrogram, so
 importing the package loads no scipy module.
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -111,7 +110,7 @@ def compute_logspec(samples: np.ndarray) -> np.ndarray:
     fb = filterbank()
     out = np.empty((frames, fb.shape[1]), dtype=np.float32)
     every = sliding_window_view(xp, FFT_SIZE)      # a view: no copy
-    workers = len(os.sched_getaffinity(0))
+    workers = tz.cpu_count()
     # near-equal blocks of up to 512 frames, so a block's temporaries (4 MiB
     # of windowed frames, 4 MiB of spectrum) stay small. On a track of more
     # than _SMALL_GEMM // fb.size (12) frames no block is small enough for the

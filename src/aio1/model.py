@@ -24,6 +24,15 @@ input and a copy of the generator. The backward builds one block's graph at
 a time, from the same draws: its attentions' probabilities and masks, its
 activations at ``[S, T, C]``, ``[S, T, 2C]`` and the MLP's 8x hidden width,
 and the bool mask of each ``tz.residual`` skip.
+
+Inference (``model_forward``) runs in a ``tz.workers`` region, on every
+CPU the process may use. The conv layers split their GEMM tiles and the
+attention op its query frames; the layer norms, the attention
+projections and the MLP run over spans of the stems (``tz.rowwise``).
+Each part runs within one call that the benchmark tracer wraps, and
+reaches no wrapped function but ``tz.maxpool``, whose span has a fixed
+name. Training, its validation forward and the checkpoint replays stay
+serial.
 """
 
 from __future__ import annotations
@@ -322,9 +331,13 @@ class FrameActivations:
 
 def _mlp(x: Tensor, u: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
          b2: Tensor, rng: np.random.Generator | None, rate: float, skip_rate: float) -> Tensor:
-    """``x`` plus the dropped MLP of ``u``: layer norm, fc1, GELU, dropout, fc2."""
-    h = tz.gelu(tz.linear(tz.layer_norm(u, gain, bias), w1, b1))
-    return tz.residual(x, tz.linear(tz.dropout(h, rate, rng), w2, b2), skip_rate, rng)
+    """``x`` plus the dropped MLP of ``u``: layer norm, fc1, GELU, dropout, fc2,
+    over spans of the stems in a worker region (``tz.rowwise``)."""
+    def stems(x, u):
+        h = tz.gelu(tz.linear(tz.layer_norm(u, gain, bias), w1, b1))
+        return tz.residual(x, tz.linear(tz.dropout(h, rate, rng), w2, b2), skip_rate, rng)
+
+    return tz.rowwise(stems, x, u)
 
 
 def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelConfig,
@@ -336,7 +349,7 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
             raise ConfigError(f"block {l}: the config turns {name} on, the weights lack it")
     d1, d2 = cfg.block_dilations(l)
     att = functools.partial(AttentionConfig, cfg.kernel_size, num_heads=cfg.num_heads)
-    normed = tz.layer_norm(x, bw.norm1_g, bw.norm1_b)
+    normed = tz.rowwise(lambda x: tz.layer_norm(x, bw.norm1_g, bw.norm1_b), x)
     a = na1d(normed, bw.dina1, att(d1), cfg.dropout_attn, rng)
     branch_a = tz.residual(x, a, cfg.dropout_skip, rng)
     branch_b = x
@@ -347,7 +360,8 @@ def transformer_module_forward(x: Tensor, bw: BlockWeights, l: int, cfg: ModelCo
     y = _mlp(x, u, bw.norm2_g, bw.norm2_b, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2, bw.mlp_b2,
              rng, cfg.dropout_mlp, cfg.dropout_skip)
     if cfg.use_instrument_attention:
-        g = na2d(tz.layer_norm(y, bw.norm3_g, bw.norm3_b), bw.inst, att(1), cfg.dropout_attn, rng)
+        normed = tz.rowwise(lambda y: tz.layer_norm(y, bw.norm3_g, bw.norm3_b), y)
+        g = na2d(normed, bw.inst, att(1), cfg.dropout_attn, rng)
         y = tz.residual(y, g, cfg.dropout_skip, rng)
     return y
 
@@ -440,14 +454,21 @@ def forward_logits(values: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
 
 def model_forward(spec: StemSpectrogram, weights: ModelWeights,
                   cfg: ModelConfig) -> FrameActivations:
-    """Inference: spectrogram in, per-frame probabilities out."""
+    """Inference: spectrogram in, per-frame probabilities out.
+
+    The forward runs in a ``tz.workers`` region: on more than one CPU the
+    conv tiles, the attention's query frames and the stems of the layer
+    norms, projections and MLP are split over a pool of threads that
+    lives only for this call, with OpenBLAS held at one thread until it
+    returns. The outputs equal a one-CPU call's bit for bit.
+    """
     spec.validate()
     if abs(spec.fps - cfg.fps) > 1e-6:
         raise InputError(f"spectrogram fps {spec.fps} != model fps {cfg.fps}")
     if cfg.use_demix and spec.num_stems != cfg.num_stems:
         raise InputError(
             f"model expects {cfg.num_stems} stems, got {spec.num_stems}")
-    with tz.no_grad():
+    with tz.no_grad(), tz.workers():
         logits = forward_logits(spec.values, weights, cfg)
     return FrameActivations(
         beat=tz.sigmoid(logits["beat"].data).astype(np.float32),

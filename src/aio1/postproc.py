@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import tensor as tz
 from .errors import Aio1Error, InputError
 
 # relative tolerance used only to reject floating-point residue when the
@@ -134,13 +135,16 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     candidate. Every child is reaped before this returns or raises; one
     that fails or dies raises ``Aio1Error`` naming its bar lengths.
 
-    The child is safe after the fork although the parent may run other
-    threads. It runs only numpy indexing and ufuncs, which take no lock
-    but the GIL, and no BLAS or FFT. OpenBLAS stops its thread pool before
-    each fork and restarts it at the parent's next BLAS call; scipy.fft's
-    workers stay in the parent. Python 3.12 and later warn at a fork while
-    other threads exist, because a lock one of them holds stays locked in
-    the child; this child never takes such a lock.
+    The package forks from a process that runs none of its own threads:
+    the model's worker pool (``tz.workers``) lives only inside
+    ``model_forward``, so ``analyze_activations`` forks from the one
+    thread left. OpenBLAS stops its thread pool before each fork and
+    restarts it at the parent's next BLAS call; scipy.fft's workers stay
+    in the parent. Under a caller that runs threads of its own the child
+    is safe too: it runs only numpy indexing and ufuncs, which take no
+    lock but the GIL, and no BLAS or FFT. Python 3.12 and later warn at
+    a fork while other threads exist, because a lock one of them holds
+    stays locked in the child; this child never takes such a lock.
     """
     cfg = cfg or DbnConfig()
     cfg.validate()
@@ -177,7 +181,7 @@ def dbn_decode(beat: np.ndarray, downbeat: np.ndarray, fps: float,
     np.clip(on_down, 1e-6, 1.0, out=on_down)
     np.log(obs_log, out=obs_log)
 
-    groups = _bar_groups(cfg.beats_per_bar, len(os.sched_getaffinity(0)))
+    groups = _bar_groups(cfg.beats_per_bar, tz.cpu_count())
     children = []                                        # (pid, pipe read end)
     try:
         for group in groups[1:]:

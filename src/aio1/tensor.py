@@ -49,6 +49,16 @@ pooled output's size, and hands one full-size gradient to
 :func:`sigmoid` and :func:`softmax`, to the logits, and the loss's
 backward calls :func:`sigmoid`.
 
+Inference may run in a worker region (:func:`workers`): a pool of one
+thread per further CPU, plus the calling thread, that lives for one
+block and holds OpenBLAS at one thread meanwhile. In it three ops split
+independent rows into one part per thread: :func:`conv2d` its GEMM
+tiles with their epilogue, :func:`neighborhood_attention` its query
+frames, and :func:`rowwise` the stems of a row-wise function such as the
+MLP. Each part runs the serial code on its rows and every GEMM keeps the
+kernel of its whole product (:func:`_split`), so outputs equal the
+serial call's bit for bit. A recorded graph runs every op whole.
+
 The GELU is the exact-erf one. In float64 it uses
 ``scipy.special.erf``, imported on the first float64 GELU, so importing
 the package loads no scipy module; in float32 it evaluates a rational erf
@@ -62,10 +72,14 @@ containers are dataclasses whose fields declare their names with
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import field, fields
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -463,11 +477,217 @@ def _spans(length: int, step: int, least: int, work: int) -> list[int]:
     A span has at least ``least`` entries and more than ``_SMALL_GEMM``
     multiply-adds, at ``work`` per entry, or is the whole axis. So every
     part runs through the same GEMM kernel as the whole product would, and
-    each output keeps its reduction order bit for bit.
+    each output keeps its reduction order bit for bit. ``work`` 0 sets no
+    such bound (see :func:`_split`).
     """
-    least = max(least, _SMALL_GEMM // max(work, 1) + 1)
+    if work:
+        least = max(least, _SMALL_GEMM // work + 1)
     count = max(1, min(-(-length // step), length // least))
     return [length * i // count for i in range(count + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the worker region
+# ---------------------------------------------------------------------------
+
+# the fewest output values in one part of a split op: on a 2-vCPU Xeon a
+# hand-off to a pool thread and back costs about 45 us, and a default
+# 1 s track (100 frames) runs no slower on two CPUs than on one from here
+_PART = 32768
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+class _Region(threading.local):
+    """The open worker region, as the thread that opened it sees it; every
+    other thread, its workers among them, sees none."""
+
+    pool = None                     # its concurrent.futures.ThreadPoolExecutor
+    threads = 1
+
+
+_region = _Region()
+
+
+class _Blas(NamedTuple):
+    get: Callable[[], int]                  # the thread count
+    put: Callable[[int], None]              # sets it
+    park: Callable[[], int] | None          # stops the pool, which the next threaded call restarts
+
+
+@cache
+def _blas_threads() -> _Blas | None:
+    """The thread functions of the OpenBLAS that numpy ships in
+    ``numpy.libs``, or None where it has no get and set pair."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for form in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, form.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                # what OpenBLAS itself runs before a fork
+                park = getattr(lib, "blas_thread_shutdown_", None)
+                if park is not None:
+                    park.argtypes, park.restype = [], ctypes.c_int
+                return _Blas(get, put, park)
+    return None
+
+
+@contextmanager
+def workers():
+    """A region in which :func:`conv2d`, :func:`neighborhood_attention` and
+    :func:`rowwise` split their independent rows into one part per CPU this
+    process may use (:func:`cpu_count`).
+
+    The region is a pool of ``cpu_count() - 1`` threads plus the calling
+    thread, which runs the first part itself. It lives only until the
+    block exits, and until then it holds OpenBLAS at one thread
+    (:func:`_hold_blas`), restoring the count on the way out, on error
+    too: BLAS threads and the region's would only compete, and OpenBLAS
+    runs one threaded GEMM at a time. It also stops OpenBLAS's thread
+    pool, whose idle threads spin for about 0.1 s after each threaded GEMM
+    before they sleep; the next threaded GEMM after the region starts the
+    pool again. Without OpenBLAS's thread functions no limit applies. With
+    one CPU there is no pool and the block runs as it is; inside an open
+    region a second one changes nothing.
+
+    Each part runs the code a serial call runs on those rows, and every
+    GEMM keeps its kernel (:func:`_split`), so outputs equal the serial
+    call's bit for bit. Open the region only for inference, under
+    :func:`no_grad` and with no generator: a recorded graph makes the ops
+    run whole.
+    """
+    threads = cpu_count()
+    if threads == 1 or _region.pool is not None:
+        yield
+        return
+    # imported here: concurrent.futures loads logging, 4 ms a process
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="aio1-worker")
+    _hold_blas(+1)
+    try:
+        _region.pool, _region.threads = pool, threads
+        yield
+    finally:
+        _region.pool, _region.threads = None, 1
+        pool.shutdown()
+        _hold_blas(-1)
+
+
+# the regions open in this process, and the OpenBLAS thread count the
+# first of them found
+_blas_held = [0, None]
+_blas_lock = threading.Lock()
+
+
+def _hold_blas(step: int) -> None:
+    """Count a region in (+1) or out (-1). The first one in holds OpenBLAS
+    at one thread and stops its pool; the last one out restores the count
+    the first found, so regions opened by several threads at once leave
+    it as it was."""
+    blas = _blas_threads()
+    if blas is None:
+        return
+    with _blas_lock:
+        if step > 0 and _blas_held[0] == 0:
+            _blas_held[1] = blas.get()
+            blas.put(1)
+            if blas.park is not None:
+                blas.park()
+        _blas_held[0] += step
+        if step < 0 and _blas_held[0] == 0:
+            blas.put(_blas_held[1])
+
+
+def _threads() -> int:
+    """The threads an op splits its rows over: those of the open region,
+    or 1 outside one, inside one of its parts and under a graph."""
+    return 1 if _region.pool is None or _grad_enabled else _region.threads
+
+
+def _split(length: int, works: Sequence[int], size: int) -> list[int]:
+    """Bounds of near-equal spans of an axis of ``length`` rows, one per
+    thread of the open region, or the whole axis outside one or under a
+    graph. Each span holds at least ``_PART`` of the output's values, at
+    ``size`` per row. GEMMs over the rows take ``works`` multiply-adds per
+    row.
+
+    Every span passes each of those GEMMs to the kernel its whole product
+    takes: a product with more than ``_SMALL_GEMM`` multiply-adds splits
+    only into spans above that bound (:func:`_spans`), and one small as a
+    whole has only small parts, so it splits freely.
+    """
+    threads = max(1, min(_threads(), length * size // _PART))
+    big = [w for w in works if length * w > _SMALL_GEMM]
+    return _spans(length, max(1, -(-length // threads)), 1, min(big, default=0))
+
+
+def _run(fn: Callable[[int, int], object], bounds: Sequence[int]) -> list:
+    """``fn(lo, hi)`` for each span of ``bounds``, their results in order.
+
+    In the open region the spans after the first go to its pool, each in a
+    copy of this thread's context, so numpy's error state (``np.errstate``)
+    holds there too; the first runs on this thread, which meanwhile sees
+    no region, so a split inside a part runs whole. Every span has
+    finished before this returns or raises; an error is that of the first
+    span that failed.
+    """
+    spans = list(zip(bounds, bounds[1:]))
+    pool = _region.pool
+    if pool is None or len(spans) == 1:
+        return [fn(lo, hi) for lo, hi in spans]
+    from concurrent.futures import wait
+    rest = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in spans[1:]]
+    _region.pool = None
+    try:
+        first = fn(*spans[0])
+    finally:
+        _region.pool = pool
+        wait(rest)
+    return [first] + [f.result() for f in rest]
+
+
+def rowwise(fn: Callable[..., Tensor | tuple[Tensor, ...]], *xs: Tensor
+            ) -> Tensor | tuple[Tensor, ...]:
+    """``fn(*xs)``, for an ``fn`` of stacked inputs ``[B, ..., C]`` whose
+    every output, a tensor or a tuple of them, maps each entry of the
+    first axis from the same entry of the inputs, and that draws nothing.
+
+    In the open region (:func:`workers`), with no graph and inputs of
+    three or more axes, ``fn`` runs over one span of the first axis per
+    thread, and the parts' outputs are laid end to end. Numpy runs one
+    GEMM per matrix of a stacked product, so each part runs the GEMMs the
+    whole call would, and the values equal its values bit for bit.
+    Elsewhere it is the plain call.
+    """
+    n = xs[0].shape[0]
+    bounds = _split(n, (), xs[0].size // max(n, 1)) if xs[0].ndim >= 3 else [0, n]
+    if len(bounds) == 2:
+        return fn(*xs)
+    whole: list[np.ndarray] = []            # made by the first part done
+    made = threading.Lock()
+
+    def part(lo, hi):
+        got = fn(*(Tensor(x.data[lo:hi]) for x in xs))
+        ts = (got,) if isinstance(got, Tensor) else got
+        with made:
+            if not whole:
+                whole.extend(np.empty((n,) + t.shape[1:], t.dtype) for t in ts)
+        for out, t in zip(whole, ts):       # each part copies itself in
+            out[lo:hi] = t.data
+        return ts is not got                # fn made one tensor
+
+    single = _run(part, bounds)[0]
+    outs = tuple(Tensor(out) for out in whole)
+    return outs[0] if single else outs
 
 
 def _inside(offset: int, out_len: int, in_len: int) -> tuple[slice, slice]:
@@ -554,7 +774,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     column blocks of the im2col matrix. Neither holds the whole matrix.
     Both split the GEMMs only along axes they do not sum over
     (:func:`_spans`), so every value equals that of one whole-matrix GEMM
-    bit for bit.
+    bit for bit. In a worker region each thread runs a span of the output
+    rows in tiles of its own, whose scratch is a share of one serial tile.
 
     With an ``epilogue``, no output is made: each checked tile goes to
     ``epilogue(lo, hi, tile)``, where ``tile`` is output rows ``lo:hi`` of
@@ -565,29 +786,36 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     _, _, kh, kw = kernels.shape
     ph, pw = padding
     kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, -1)
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # [n, oh, ow, kh, kw, cin]: the (kh, kw, cin) order makes each copy
-    # move runs of cin values
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    bounds = _spans(n * oh, max(1, _CONV_TILE // ow), 1, ow * kmat.size)
-    rows = max(np.diff(bounds))
-    cols = np.empty((rows,) + windows.shape[2:], dtype=x.dtype)
-    if epilogue is None:
-        out = np.empty((n, oh, ow, cout), dtype=x.dtype)
-        out_rows = out.reshape(n * oh, ow, cout)       # one row per (stem, output row)
-    else:
-        out, buf = None, np.empty((rows, ow, cout), dtype=x.dtype)
-    for lo, hi in zip(bounds, bounds[1:]):
-        for s in range(lo // oh, (hi - 1) // oh + 1):       # a tile may span stems
-            a, b = max(lo, s * oh), min(hi, s * oh + oh)
-            cols[a - lo:b - lo] = windows[s, a - s * oh:b - s * oh]
-        tile = buf[:hi - lo] if out is None else out_rows[lo:hi]
-        np.matmul(cols[:hi - lo].reshape(-1, kmat.shape[1]), kmat.T,
-                  out=tile.reshape(-1, cout))
-        tile += bias
-        _check_finite(tile, "conv2d")
-        if epilogue is not None:
-            epilogue(lo, hi, tile)
+    work = ow * kmat.size
+    # the region's parts share the scratch of one serial call's tile
+    step = max(1, _CONV_TILE // ow // _threads())
+    out = None if epilogue is not None else np.empty((n, oh, ow, cout), dtype=x.dtype)
+
+    def tiles(start, stop):
+        # output rows start:stop, one per (stem, output row), in GEMM tiles,
+        # from the padded stems they reach
+        first = start // oh
+        xp = np.pad(x[first:(stop - 1) // oh + 1], ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        # [stems, oh, ow, kh, kw, cin]: the (kh, kw, cin) order makes each
+        # copy move runs of cin values
+        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+        bounds = [start + b for b in _spans(stop - start, step, 1, work)]
+        rows = max(np.diff(bounds))
+        cols = np.empty((rows,) + windows.shape[2:], dtype=x.dtype)
+        buf = np.empty((rows, ow, cout), dtype=x.dtype) if out is None else None
+        for lo, hi in zip(bounds, bounds[1:]):
+            for s in range(lo // oh, (hi - 1) // oh + 1):       # a tile may span stems
+                a, b = max(lo, s * oh), min(hi, s * oh + oh)
+                cols[a - lo:b - lo] = windows[s - first, a - s * oh:b - s * oh]
+            tile = buf[:hi - lo] if out is None else out.reshape(n * oh, ow, cout)[lo:hi]
+            np.matmul(cols[:hi - lo].reshape(-1, kmat.shape[1]), kmat.T,
+                      out=tile.reshape(-1, cout))
+            tile += bias
+            _check_finite(tile, "conv2d")
+            if epilogue is not None:
+                epilogue(lo, hi, tile)
+
+    _run(tiles, _split(n * oh, [work], ow * cout))
     return out
 
 
@@ -661,8 +889,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # 2-vCPU Xeon with 2 MiB of L2 per core, 32,768 against 16,384 takes the
 # GELU on [4, 2000, 192] from 4.27 to 3.95 ms, its gradient from 5.23 to
 # 4.77 ms and the ELU on a [4, 260, 81, 32] conv1 tile from 1.94 to
-# 1.76 ms; 65,536 is no faster and 131,072 slower
-_CHUNK = 32768
+# 1.76 ms, and 131,072 is slower. 65,536 runs as fast as 32,768 on one
+# thread, and with half the numpy calls, each of which hands the GIL
+# over, it takes those GELU and ELU calls split over two threads from
+# 6.53 to 5.01 and from 2.77 to 2.41 ms
+_CHUNK = 65536
 
 
 def _elu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -836,7 +1067,9 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     the ``[slots, B, T, H]`` probabilities and the dropout mask: the
     backward gathers keys and values again and scatter-adds their
     gradients by row. In float32, outputs of unit-scale inputs stay
-    within 1e-6 of the float64 op.
+    within 1e-6 of the float64 op. With no graph, in a worker region, the
+    query frames split into one span per thread (:func:`_split`); keys
+    reach across spans through ``idx``, so no halo is needed.
     """
     for t in (k, v, rpb):
         _require_same_dtype(q, t, "neighborhood_attention")
@@ -866,13 +1099,14 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
     onehot = np.repeat(np.eye(heads, dtype=dtype), c // heads, axis=0)
     scaled = onehot * dtype.type(1.0 / math.sqrt(c // heads))
 
-    def walk(src):
+    def walk(src, lo=0, hi=frames):
         # per slot: index, rows, key rows, column, src gathered per column
+        # for the query frames lo:hi
         col = -1
         for j, slot in enumerate(slots):
             if starts[j]:
                 col += 1
-                gathered = np.take(src, slot.idx, axis=1)
+                gathered = np.take(src, slot.idx[lo:hi], axis=1)
             rows, keys = reach[j]
             yield j, rows, keys, col, gathered[keys]
 
@@ -881,26 +1115,35 @@ def neighborhood_attention(q: Tensor, k: Tensor, v: Tensor, rpb: Tensor,
         np.matmul(p.reshape(-1, heads), indicator.T, out=out.reshape(-1, c))
         return out
 
-    logits = np.empty((len(slots), batch, frames, heads), dtype=dtype)
-    prod = np.empty_like(qd)
-    for j, rows, _, _, kg in walk(kd):
-        np.multiply(qd[rows], kg, out=prod[rows])
-        np.matmul(prod[rows].reshape(-1, c), scaled, out=logits[j, rows].reshape(-1, heads))
-    bias = np.take(rpb.data.T, np.stack([s.rel for s in slots]), axis=0)    # [n, T, H]
-    for j, slot in enumerate(slots):
-        if slot.valid is not None:
-            bias[j, ~slot.valid] = -np.inf
-    logits[~reached] = -np.inf
-    logits += bias[:, None]
-    logits -= logits.max(axis=0)
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=0)
-    used = probs if keep is None else _dropout_scale(probs, keep, scale)
+    def attend(lo, hi):
+        # the query frames lo:hi into out; returns their probabilities
+        logits = np.empty((len(slots), batch, hi - lo, heads), dtype=dtype)
+        prod = np.empty((batch, hi - lo, c), dtype)
+        for j, rows, _, _, kg in walk(kd, lo, hi):
+            np.multiply(qd[rows, lo:hi], kg, out=prod[rows])
+            np.matmul(prod[rows].reshape(-1, c), scaled, out=logits[j, rows].reshape(-1, heads))
+        bias = np.take(rpb.data.T, np.stack([s.rel[lo:hi] for s in slots]), axis=0)   # [n, t, H]
+        for j, slot in enumerate(slots):
+            if slot.valid is not None:
+                bias[j, ~slot.valid[lo:hi]] = -np.inf
+        logits[~reached] = -np.inf
+        logits += bias[:, None]
+        logits -= logits.max(axis=0)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=0)
+        used = probs if keep is None else _dropout_scale(probs, keep[:, :, lo:hi], scale)
+        for j, rows, _, _, vg in walk(vd, lo, hi):
+            w = spread(used[j, rows], onehot, prod[rows])
+            w *= vg
+            out[rows, lo:hi] += w
+        return probs
+
+    # keys reach across the frame spans through idx; the head sums and
+    # their spread are [rows, C] x [C, H] GEMMs per slot
     out = np.zeros(qd.shape, dtype)
-    for j, rows, _, _, vg in walk(vd):
-        w = spread(used[j, rows], onehot, prod[rows])
-        w *= vg
-        out[rows] += w
+    works = [(rows.stop - rows.start) * c * heads for rows, _ in reach]
+    # the one span's probabilities, which a graph needs whole
+    probs = _run(attend, _split(frames, works, batch * c))[0]
 
     def backward(g):
         g = g.reshape(qd.shape)
